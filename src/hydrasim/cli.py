@@ -83,6 +83,16 @@ def _config_from_file(path) -> dict:
 def _build_config(args, params: Params | None) -> NetworkConfig:
     """Resolve the network config from --config, --layers, flags, and params dims."""
     doc = _config_from_file(args.config) if getattr(args, "config", None) else {}
+    try:
+        return _resolve_config(args, params, doc)
+    except (KeyError, TypeError) as exc:
+        # an unknown mode or activation name, or a field of the wrong shape
+        raise ConfigError(
+            f"{args.config}: unknown or malformed config value ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _resolve_config(args, params: Params | None, doc: dict) -> NetworkConfig:
     if getattr(args, "layers", None):
         layer_sizes = _parse_layers(args.layers)
     elif "layer_sizes" in doc:
@@ -178,7 +188,6 @@ def cmd_simulate(args) -> int:
     engine = Engine(cfg, qparams)
     rows = []
     correct = 0
-    report = None
     for idx in range(len(ds)):
         engine.reset()
         if idx == 0 and trace_to_stderr:
@@ -206,8 +215,6 @@ def cmd_simulate(args) -> int:
     if n == 0:
         print("no images evaluated (limit 0)")
         return 0
-    if report is None:
-        report = run_inference(cfg, qparams, to_input_vector(ds.images[0], cfg.qformat))[1]
     tp = throughput_report(report, args.clock_hz)
     print(f"images evaluated      {n}")
     print(f"accuracy              {correct / n:.4f} ({correct}/{n})")
@@ -333,6 +340,8 @@ def cmd_quantize(args) -> int:
 def cmd_trace(args) -> int:
     if bool(args.images) != bool(args.labels):
         raise ConfigError("trace needs both --images and --labels, or neither")
+    if args.index < 0:
+        raise ConfigError(f"--index must be >= 0, got {args.index}")
     params = load_params(args.params)
     cfg = _build_config(args, params)
     qparams = _quantized_for(cfg, params)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .fxp import QFormat, QValue, quantize
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -77,7 +78,10 @@ def _header(data: bytes, path, expected_magic: int, kind: str, fields: int) -> t
 
 def load_idx_images(path) -> np.ndarray:
     """Parse a big-endian IDX image file into uint8 images of shape [N, 28, 28]."""
-    data = _read_file(path)
+    return _parse_idx_images(_read_file(path), path)
+
+
+def _parse_idx_images(data: bytes, path) -> np.ndarray:
     count, rows, cols = _header(data, path, IDX_IMAGE_MAGIC, "image", 3)
     if (rows, cols) != (28, 28):
         raise IdxShapeError(f"{path}: expected 28x28 images, got {rows}x{cols}")
@@ -94,7 +98,10 @@ def load_idx_images(path) -> np.ndarray:
 
 def load_idx_labels(path) -> np.ndarray:
     """Parse a big-endian IDX label file into uint8 labels 0..9 of shape [N]."""
-    data = _read_file(path)
+    return _parse_idx_labels(_read_file(path), path)
+
+
+def _parse_idx_labels(data: bytes, path) -> np.ndarray:
     (count,) = _header(data, path, IDX_LABEL_MAGIC, "label", 1)
     payload = data[8:]
     if len(payload) < count:
@@ -157,8 +164,12 @@ class Dataset:
 
 def load_dataset(images_path, labels_path, fold: str = "mean", limit: int | None = None) -> Dataset:
     """Load and pair an IDX image/label file set, half-folding every image."""
-    raw_images = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
+    if limit is not None and limit < 0:
+        raise ConfigError(f"limit must be >= 0, got {limit}")
+    image_bytes = _read_file(images_path)
+    label_bytes = _read_file(labels_path)
+    raw_images = _parse_idx_images(image_bytes, images_path)
+    labels = _parse_idx_labels(label_bytes, labels_path)
     if len(raw_images) != len(labels):
         raise IdxShapeError(
             f"{len(raw_images)} images but {len(labels)} labels "
@@ -169,7 +180,7 @@ def load_dataset(images_path, labels_path, fold: str = "mean", limit: int | None
         labels = labels[:limit]
     images = _fold_batch(raw_images.astype(np.float64), fold)
     checksums = {
-        str(images_path): hashlib.sha256(_read_file(images_path)).hexdigest(),
-        str(labels_path): hashlib.sha256(_read_file(labels_path)).hexdigest(),
+        str(images_path): hashlib.sha256(image_bytes).hexdigest(),
+        str(labels_path): hashlib.sha256(label_bytes).hexdigest(),
     }
     return Dataset(images=images, labels=labels.astype(np.int64), source_checksums=checksums)

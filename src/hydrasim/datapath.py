@@ -1,10 +1,11 @@
 """Structural models of the datapath blocks.
 
-Three pieces, mirroring the physical layer: an array slot that fuses
-multiply-accumulate with bias preload (FmaUnit), the parallel-in-serial-out
+Three pieces, mirroring the physical layer: the bank of array slots that fuse
+multiply-accumulate with bias preload (FmaBank), the parallel-in-serial-out
 register bank that captures all slot outputs in one cycle and drains them one
 per cycle (PisoBuffer), and the single shared activation unit the drained
-values pass through (ActivationUnit).
+values pass through (ActivationUnit).  All three carry raw integer codes;
+`activate_raw` is the one activation rule, shared with the golden models.
 
 Cycle costs are not modeled here; the engine charges one cycle per PISO load,
 one cycle of activation latency, and one cycle per drained element.
@@ -14,20 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConfigError, ControlFault
-from .fxp import (
-    QFormat,
-    QValue,
-    WideAcc,
-    acc_init_bias,
-    acc_mac,
-    dequantize,
-    quantize,
-    sign_extend,
-)
+from .fxp import QFormat, QValue, saturate_raw, sign_extend
 
 
 class AfKind(Enum):
@@ -36,34 +29,42 @@ class AfKind(Enum):
     IDENTITY = "identity"
 
 
-@dataclass
-class FmaUnit:
-    """One multiply-accumulate slot of the array.
+class FmaBank:
+    """The array's multiply-accumulate slots, one wide accumulator per slot.
 
-    A disabled unit is power-gated: its accumulator never changes and stepping
-    it is a control fault, not a silent no-op.
+    Accumulators are Python ints at product scale, exact for every format.  A
+    bias preload arms slots [0, w) and gates the rest off; a gated slot never
+    changes, and stepping a bank with no armed slot is a control fault.
     """
 
-    acc: WideAcc | None = None
-    enabled: bool = False
-    steps_taken: int = 0
+    def __init__(self, size: int):
+        self.acc = [0] * size
+        self.steps_taken = [0] * size   # per slot, since its last bias preload
+        self.width = 0                  # armed slots are [0, width)
 
-    def preload(self, bias: QValue, max_inputs: int) -> None:
-        """Load the bias into the accumulator and arm the unit for a new pass."""
-        self.acc = acc_init_bias(bias, max_inputs)
-        self.steps_taken = 0
-        self.enabled = True
+    @property
+    def gate_mask(self) -> list[bool]:
+        return [j < self.width for j in range(len(self.acc))]
+
+    def preload(self, bias_raws: list[int], frac_bits: int) -> None:
+        """Load biases into slots [0, len(bias_raws)), aligned to product scale."""
+        w = len(bias_raws)
+        if w > len(self.acc):
+            raise ConfigError(f"preload of {w} biases exceeds {len(self.acc)} FMA slots")
+        self.acc[:w] = [b << frac_bits for b in bias_raws]
+        self.steps_taken[:w] = [0] * w
+        self.width = w
 
     def gate_off(self) -> None:
-        self.enabled = False
+        self.width = 0
 
-    def step(self, x: QValue, w: QValue) -> None:
-        if not self.enabled:
-            raise ControlFault("stepped a power-gated FMA unit")
-        if self.acc is None:
-            raise ControlFault("FMA stepped before bias preload")
-        self.acc = acc_mac(self.acc, x, w)
-        self.steps_taken += 1
+    def step(self, x_raw: int, wcol_raws: list[int]) -> None:
+        """One MAC cycle: armed slot j adds x_raw * wcol_raws[j], exactly."""
+        w = self.width
+        if not w:
+            raise ControlFault("stepped a power-gated FMA bank")
+        self.acc[:w] = [a + x_raw * c for a, c in zip(self.acc[:w], wcol_raws, strict=True)]
+        self.steps_taken[:w] = [self.steps_taken[0] + 1] * w
 
 
 class PisoBuffer:
@@ -73,7 +74,7 @@ class PisoBuffer:
         if capacity < 1:
             raise ConfigError(f"PISO capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.slots: list[QValue] = []
+        self.slots: list[int] = []
         self.loaded_count = 0
         self.shift_index = 0
 
@@ -87,11 +88,7 @@ class PisoBuffer:
         self.loaded_count = len(values)
         self.shift_index = 0
 
-    @property
-    def remaining(self) -> int:
-        return self.loaded_count - self.shift_index
-
-    def shift(self) -> QValue:
+    def shift(self) -> int:
         """Emit the next value in load order."""
         if self.shift_index >= self.loaded_count:
             raise ControlFault("PISO shift past loaded count")
@@ -111,11 +108,27 @@ def build_sigmoid_lut(fmt: QFormat) -> tuple[int, ...]:
         raise ConfigError(
             f"sigmoid LUT limited to total_bits <= 16, got {fmt.total_bits}"
         )
+    lsb = 2.0 ** -fmt.frac_bits
     entries = []
     for i in range(1 << fmt.total_bits):
-        v = dequantize(QValue(sign_extend(i, fmt.total_bits), fmt))
-        entries.append(quantize(1.0 / (1.0 + math.exp(-v)), fmt).raw)
+        try:
+            s = 1.0 / (1.0 + math.exp(-(sign_extend(i, fmt.total_bits) * lsb)))
+        except OverflowError:
+            s = 0.0   # exp(-v) beyond binary64: sigmoid(v) is at its limit 0
+        entries.append(saturate_raw(round(s * (1 << fmt.frac_bits)), fmt))
     return tuple(entries)
+
+
+def activate_raw(kind: AfKind, raw, fmt: QFormat, lut: tuple[int, ...] | None = None):
+    """The activation rule on raw codes of fmt: a Python int or an int64 ndarray."""
+    if kind is AfKind.RELU:
+        return raw * (raw > 0)   # max(0, raw), one expression for ints and arrays
+    if kind is AfKind.IDENTITY:
+        return raw
+    if lut is None:
+        raise ConfigError("sigmoid selected but no LUT was built for this unit")
+    index = raw & ((1 << fmt.total_bits) - 1)
+    return lut[index] if isinstance(index, int) else np.take(lut, index)
 
 
 class ActivationUnit:
@@ -136,13 +149,10 @@ class ActivationUnit:
     def configure(self, kind: AfKind) -> None:
         self.kind = kind
 
+    def apply_raw(self, raw: int) -> int:
+        return activate_raw(self.kind, raw, self.fmt, self.lut)
+
     def apply(self, x: QValue) -> QValue:
         if x.fmt != self.fmt:
             raise ValueError(f"activation input format {x.fmt} != unit format {self.fmt}")
-        if self.kind is AfKind.RELU:
-            return QValue(max(0, x.raw), self.fmt) if x.raw < 0 else x
-        if self.kind is AfKind.IDENTITY:
-            return x
-        if self.lut is None:
-            raise ConfigError("sigmoid selected but no LUT was built for this unit")
-        return QValue(self.lut[x.raw & ((1 << self.fmt.total_bits) - 1)], self.fmt)
+        return QValue(self.apply_raw(x.raw), self.fmt)

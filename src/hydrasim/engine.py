@@ -1,9 +1,9 @@
 """Layer-multiplexed control engine.
 
-One physical bank of MAX_FMA multiply-accumulate units, one PISO capture
-stage, and one shared activation unit execute every layer of the network in
-sequence.  The engine is a cycle-accurate state machine: each step() call is
-one clock cycle.
+One FmaBank of MAX_FMA multiply-accumulate slots, one PISO capture stage, and
+one shared activation unit execute every layer of the network in sequence, on
+raw integer codes (QValues only enter at load_input and leave from run).  The
+engine is a cycle-accurate state machine: each step() call is one clock cycle.
 
 Cycle accounting, store-and-forward mode
 ----------------------------------------
@@ -35,10 +35,10 @@ import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
-from .datapath import ActivationUnit, AfKind, FmaUnit, PisoBuffer, build_sigmoid_lut
+from .datapath import ActivationUnit, AfKind, FmaBank, PisoBuffer, build_sigmoid_lut
 from .errors import ConfigError, ControlFault
-from .fxp import QFormat, QValue, acc_round
-from .model import Mode, NetworkConfig, Params, check_dims, ensure_valid
+from .fxp import QFormat, QValue, round_half_even_shift, saturate_raw
+from .model import Mode, NetworkConfig, Params, check_dims, ensure_valid, raw_codes_outside
 
 
 class Phase(Enum):
@@ -164,24 +164,21 @@ class Engine:
                 f"parameter format {params.qformat} != config format {cfg.qformat}"
             )
         check_dims(params, cfg)
+        for l, lp in enumerate(params.layers):
+            bad = raw_codes_outside(lp, cfg.qformat)
+            if bad:
+                raise ValueError(f"layer {l} {bad} contain raw codes outside {cfg.qformat}")
         self.cfg = cfg
         self.fmt: QFormat = cfg.qformat
         self.mode: Mode = cfg.mode
         self.trace_hook = trace_hook
-        self.fma_bank = [FmaUnit() for _ in range(cfg.max_fma)]
+        self.fma_bank = FmaBank(cfg.max_fma)
         self.piso = PisoBuffer(cfg.max_fma)
         lut = build_sigmoid_lut(self.fmt) if AfKind.SIGMOID in cfg.afs else None
         self.afu = ActivationUnit(self.fmt, lut)
-        # Weight columns and biases pre-wrapped as QValues, one column per MAC
-        # step: models the pre-banked weight memory.
-        self._wcols = []
-        self._biases = []
-        for lp in params.layers:
-            n, k = lp.weights.shape
-            self._wcols.append(
-                [[QValue(int(lp.weights[j, c]), self.fmt) for j in range(n)] for c in range(k)]
-            )
-            self._biases.append([QValue(int(lp.biases[j]), self.fmt) for j in range(n)])
+        # Pre-banked weight memory: one column of raw codes per MAC step.
+        self._wcols = [lp.weights.T.tolist() for lp in params.layers]
+        self._biases = [lp.biases.tolist() for lp in params.layers]
         self._schedule = _build_schedule(cfg)
         self.reset()
 
@@ -192,17 +189,16 @@ class Engine:
         self.phase = Phase.IDLE
         self.cycle = 0
         self.layer_index = 0
-        self.in_buf: list[QValue] = []
-        self.out_buf: list[QValue] = []
+        self.in_buf: list[int] = []
+        self.out_buf: list[int] = []
         self.events: list[Event] = []
         self.mac_ops = 0
         self.af_invocations = 0
-        for u in self.fma_bank:
-            u.gate_off()
+        self.fma_bank.gate_off()
         self._pass_idx = 0
         self._mac_step = 0
         self._ser_step = 0
-        self._af_out: QValue | None = None
+        self._af_out: int | None = None
         self._stream_armed = False
         self._stream_step = 0
         self._layer_start = [0] * self.cfg.n_layers
@@ -213,15 +209,12 @@ class Engine:
 
     @property
     def gate_mask(self) -> list[bool]:
-        return [u.enabled for u in self.fma_bank]
+        return self.fma_bank.gate_mask
 
     def set_mode(self, mode: Mode) -> None:
         if self.phase is not Phase.IDLE:
             raise ControlFault("mode change while the engine is running")
-        if mode is Mode.STREAMED and any(
-            w > self.cfg.max_fma for w in self.cfg.layer_sizes[1:]
-        ):
-            raise ConfigError("tiled layers require store-and-forward mode")
+        ensure_valid(dataclasses.replace(self.cfg, mode=mode))
         self.mode = mode
 
     def load_input(self, x) -> None:
@@ -235,7 +228,7 @@ class Engine:
         for v in x:
             if v.fmt != self.fmt:
                 raise ConfigError(f"input format {v.fmt} != engine format {self.fmt}")
-        self.in_buf = x
+        self.in_buf = [v.raw for v in x]
 
     def _set_phase(self, new: Phase) -> None:
         if new not in LEGAL_PHASE_TRANSITIONS[self.phase]:
@@ -246,11 +239,9 @@ class Engine:
 
     def _arm_units(self, p: _Pass) -> None:
         """Bias preload + gate mask for a pass; costs no cycle (overlaps fetch)."""
-        for j, unit in enumerate(self.fma_bank):
-            if j < p.width:
-                unit.preload(self._biases[p.layer][p.offset + j], self.cfg.max_inputs)
-            else:
-                unit.gate_off()
+        self.fma_bank.preload(
+            self._biases[p.layer][p.offset:p.offset + p.width], self.fmt.frac_bits
+        )
         self._mac_step = 0
 
     def _begin_pass(self, idx: int, events: list[Event]) -> None:
@@ -264,25 +255,31 @@ class Engine:
             events.append(Event(EventKind.LAYER_STARTED, p.layer, self.cycle))
         self._set_phase(Phase.MAC)
 
-    def _mac_cycle(self) -> int:
-        p = self._schedule[self._pass_idx]
-        x = self.in_buf[self._mac_step]
-        col = self._wcols[p.layer][self._mac_step]
-        for j in range(p.width):
-            self.fma_bank[j].step(x, col[p.offset + j])
+    def _mac(self, p: _Pass, k: int, x_raw: int) -> int:
+        """One MAC cycle of pass p: layer input k, of value x_raw, into the bank."""
+        self.fma_bank.step(x_raw, self._wcols[p.layer][k][p.offset:p.offset + p.width])
         self.mac_ops += p.width
         self._mac_cycles[p.layer] += 1
-        self._mac_step += 1
         return p.width
 
+    def _mac_cycle(self) -> int:
+        k = self._mac_step
+        self._mac_step += 1
+        return self._mac(self._schedule[self._pass_idx], k, self.in_buf[k])
+
     def _piso_load(self) -> None:
+        """Capture the bank through the single rounding point (round, saturate)."""
         p = self._schedule[self._pass_idx]
         self.afu.configure(self.cfg.afs[p.layer])
-        self.piso.load(acc_round(self.fma_bank[j].acc, self.fmt) for j in range(p.width))
+        f = self.fmt.frac_bits
+        self.piso.load(
+            saturate_raw(round_half_even_shift(a, f), self.fmt)
+            for a in self.fma_bank.acc[:p.width]
+        )
         self._ser_step = 0
         self._af_out = None
 
-    def _stream_mac(self, v: QValue, events: list[Event]) -> int:
+    def _stream_mac(self, v: int, events: list[Event]) -> int:
         """Feed one stored output into the next layer's MAC (streamed mode)."""
         p = self._schedule[self._pass_idx]
         if self.mode is not Mode.STREAMED or not p.last or p.last_of_net:
@@ -294,13 +291,9 @@ class Engine:
             self._stream_step = 0
             self._layer_start[q.layer] = self.cycle - 1
             events.append(Event(EventKind.LAYER_STARTED, q.layer, self.cycle))
-        col = self._wcols[q.layer][self._stream_step]
-        for j in range(q.width):
-            self.fma_bank[j].step(v, col[q.offset + j])
-        self.mac_ops += q.width
-        self._mac_cycles[q.layer] += 1
+        k = self._stream_step
         self._stream_step += 1
-        return q.width
+        return self._mac(q, k, v)
 
     def _serialize_cycle(self, events: list[Event]) -> int:
         p = self._schedule[self._pass_idx]
@@ -311,7 +304,7 @@ class Engine:
             active = self._stream_mac(self._af_out, events)
         if i < p.width:
             v = self.piso.shift()
-            self._af_out = self.afu.apply(v)
+            self._af_out = self.afu.apply_raw(v)
             self.af_invocations += 1
             if i == 0 and p.first:
                 self._first_output[p.layer] = self.cycle
@@ -400,7 +393,7 @@ class Engine:
         self.load_input(x)
         while self.phase is not Phase.ANN_DONE:
             self.step()
-        return list(self.out_buf), self.report()
+        return [QValue(r, self.fmt) for r in self.out_buf], self.report()
 
     # -- reporting -------------------------------------------------------------
 

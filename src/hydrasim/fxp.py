@@ -27,10 +27,6 @@ STANDARD_WIDTHS = (5, 8, 16, 32)
 MIN_TOTAL_BITS = 4
 MAX_TOTAL_BITS = 64
 
-# Default accumulation-depth bound used when a caller does not declare one.
-DEFAULT_MAX_INPUTS = 1024
-
-
 @dataclass(frozen=True)
 class QFormat:
     """Signed fixed-point format: total bits and integer bits (sign included)."""
@@ -144,20 +140,19 @@ def sign_extend(bits: int, total_bits: int) -> int:
     return bits
 
 
-def round_half_even_shift(value: int, shift: int) -> int:
+def round_half_even_shift(value, shift: int):
     """Arithmetic right shift by `shift` with round to nearest, ties to even.
 
-    Exact for any Python integer; negative values use floor semantics for the
-    remainder, so ties resolve on the true value, not the magnitude.
+    Branch-free in `value`, so one expression serves a Python int, an int64
+    ndarray and an object ndarray alike.  Negative values use floor semantics
+    for the remainder, so ties resolve on the true value, not the magnitude.
     """
     if shift <= 0:
         return value << -shift
     q = value >> shift
-    r = value & ((1 << shift) - 1)
+    r = value - (q << shift)
     half = 1 << (shift - 1)
-    if r > half or (r == half and q & 1):
-        q += 1
-    return q
+    return q + ((r > half) | ((r == half) & (q & 1)))
 
 
 def saturate_raw(raw: int, fmt: QFormat) -> int:
@@ -184,7 +179,7 @@ def dequantize(v: QValue) -> float:
     return v.raw * 2.0 ** -v.fmt.frac_bits
 
 
-def acc_init_bias(bias: QValue, max_inputs: int = DEFAULT_MAX_INPUTS) -> WideAcc:
+def acc_init_bias(bias: QValue, max_inputs: int) -> WideAcc:
     """Preload a bias into a fresh accumulator, aligned to product scale."""
     return WideAcc(bias.raw << bias.fmt.frac_bits, bias.fmt, guard_bits_for(max_inputs))
 
@@ -205,7 +200,3 @@ def acc_round(acc: WideAcc, fmt: QFormat | None = None) -> QValue:
     shift = 2 * acc.fmt.frac_bits - fmt.frac_bits
     return QValue(saturate_raw(round_half_even_shift(acc.raw, shift), fmt), fmt)
 
-
-def round_product_sum_raw(acc_raw: int, fmt: QFormat) -> int:
-    """Raw-domain form of acc_round for a sum held at 2*frac_bits scale."""
-    return saturate_raw(round_half_even_shift(acc_raw, fmt.frac_bits), fmt)

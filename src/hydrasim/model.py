@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .datapath import AfKind, build_sigmoid_lut
+from .datapath import AfKind, activate_raw, build_sigmoid_lut
 from .errors import ConfigError, ParamsFileError
 from .fxp import (
     QFormat,
@@ -167,6 +167,14 @@ def check_dims(params: Params, cfg: NetworkConfig) -> None:
         )
 
 
+def raw_codes_outside(lp: LayerParams, fmt: QFormat) -> str | None:
+    """'weights' or 'biases' if that array holds a raw code outside fmt, else None."""
+    for name, arr in (("weights", lp.weights), ("biases", lp.biases)):
+        if arr.size and (arr.min() < fmt.raw_min or arr.max() > fmt.raw_max):
+            return name
+    return None
+
+
 # =============================================================================
 # Quantization
 # =============================================================================
@@ -223,14 +231,6 @@ def forward_float(cfg: NetworkConfig, params: Params, x) -> np.ndarray:
     return a
 
 
-def _af_raw(kind: AfKind, raw: int, fmt: QFormat, lut) -> int:
-    if kind is AfKind.RELU:
-        return max(0, raw)
-    if kind is AfKind.IDENTITY:
-        return raw
-    return lut[raw & ((1 << fmt.total_bits) - 1)]
-
-
 def forward_quantized(
     cfg: NetworkConfig,
     params: Params,
@@ -273,22 +273,9 @@ def forward_quantized(
                 for k, a in enumerate(acts):
                     acc = acc_mac(acc, a, QValue(int(lp.weights[j, k]), fmt))
                 raw = acc_round(acc, fmt).raw
-            nxt.append(QValue(_af_raw(kind, raw, fmt, lut), fmt))
+            nxt.append(QValue(activate_raw(kind, raw, fmt, lut), fmt))
         acts = nxt
     return acts
-
-
-def _round_sat_array(acc, fmt: QFormat):
-    """Vectorized round-half-even shift by frac_bits, then saturation."""
-    f = fmt.frac_bits
-    if f == 0:
-        q = acc
-    else:
-        q = acc >> f
-        r = acc - (q << f)
-        half = 1 << (f - 1)
-        q = q + ((r > half) | ((r == half) & ((q & 1) == 1)))
-    return np.minimum(np.maximum(q, fmt.raw_min), fmt.raw_max)
 
 
 def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarray) -> np.ndarray:
@@ -308,20 +295,12 @@ def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarra
         fan_in = lp.weights.shape[1]
         # Worst case |sum| = (fan_in + 1) * 2^(2t-2); keep a safety bit.
         bits_needed = 2 * (fmt.total_bits - 1) + (fan_in + 1).bit_length()
-        if bits_needed > 62:
-            acc = np.dot(a.astype(object), lp.weights.T.astype(object))
-            acc = acc + (lp.biases.astype(object) << fmt.frac_bits)
-        else:
-            acc = a.astype(np.int64) @ lp.weights.T.astype(np.int64)
-            acc = acc + (lp.biases.astype(np.int64) << fmt.frac_bits)
-        raw = _round_sat_array(acc, fmt).astype(np.int64)
-        if kind is AfKind.RELU:
-            a = np.maximum(0, raw)
-        elif kind is AfKind.SIGMOID:
-            lut = np.asarray(build_sigmoid_lut(fmt), dtype=np.int64)
-            a = np.take(lut, raw & ((1 << fmt.total_bits) - 1))
-        else:
-            a = raw
+        dtype = object if bits_needed > 62 else np.int64
+        acc = np.dot(a.astype(dtype), lp.weights.T.astype(dtype))
+        acc = acc + (lp.biases.astype(dtype) << fmt.frac_bits)
+        raw = np.clip(round_half_even_shift(acc, fmt.frac_bits), fmt.raw_min, fmt.raw_max)
+        lut = build_sigmoid_lut(fmt) if kind is AfKind.SIGMOID else None
+        a = activate_raw(kind, raw.astype(np.int64), fmt, lut)
     return a
 
 
@@ -489,7 +468,7 @@ def load_params(path) -> Params:
         try:
             w = np.array(entry["weights"], dtype=dtype)
             b = np.array(entry["biases"], dtype=dtype)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParamsFileError(f"{path}: layer {l} is malformed: {exc}") from exc
         if w.ndim != 2 or w.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
             raise ParamsFileError(
@@ -499,10 +478,12 @@ def load_params(path) -> Params:
         if fmt is None and not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ParamsFileError(f"{path}: layer {l} contains non-finite values")
         if fmt is not None:
-            for arr, name in ((w, "weights"), (b, "biases")):
-                if arr.size and (arr.min() < fmt.raw_min or arr.max() > fmt.raw_max):
-                    raise ParamsFileError(
-                        f"{path}: layer {l} {name} contain raw codes outside {fmt}"
-                    )
+            # np.array(dtype=int64) truncated 1.7 and read true as 1 above.
+            leaves = [*np.asarray(entry["weights"], dtype=object).flat, *entry["biases"]]
+            if any(type(v) is not int for v in leaves):
+                raise ParamsFileError(f"{path}: layer {l} holds non-integer raw codes")
+            bad = raw_codes_outside(LayerParams(w, b), fmt)
+            if bad:
+                raise ParamsFileError(f"{path}: layer {l} {bad} contain raw codes outside {fmt}")
         layers.append(LayerParams(w, b))
     return Params(layers, fmt)

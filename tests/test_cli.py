@@ -331,3 +331,54 @@ def test_quantized_params_with_mismatched_bits_rejected(tmp_path, float_params_f
     ])
     assert rc == 1
     assert "quantized at" in capsys.readouterr().err
+
+
+def test_timing_sigmoid_wide_integer_format(capsys):
+    # exp() of the most negative Q<16,12> value overflows binary64
+    rc = main(["timing", "--layers", "196:64:10", "--af", "sigmoid",
+               "--bits", "16", "--int-bits", "12"])
+    assert rc == 0
+    assert "store-and-forward total" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field", [
+    {"af_per_layer": ["relu", "tanh"]},
+    {"af_per_layer": [["relu"], "identity"]},
+    {"mode": "pipelined"},
+    {"qformat": {"total_bits": 8}},
+    {"qformat": [8, 3]},
+    {"max_fma": None},
+])
+def test_malformed_config_fields_are_errors(tmp_path, float_params_file, synth_dataset_dir,
+                                            capsys, field):
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(json.dumps({"layer_sizes": [196, 12, 10], **field}))
+    rc = main([
+        "simulate",
+        "--config", str(cfg_path),
+        "--params", str(float_params_file),
+        "--images", str(synth_dataset_dir["test_images"]),
+        "--labels", str(synth_dataset_dir["test_labels"]),
+        "--limit", "1",
+        "--out", str(tmp_path / "c.csv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--limit", "-1"],
+    ["trace", "--index", "-1"],
+])
+def test_negative_limit_and_index_are_errors(tmp_path, float_params_file, synth_dataset_dir,
+                                             capsys, argv):
+    out = tmp_path / "o.txt"
+    rc = main(argv + [
+        "--params", str(float_params_file),
+        "--images", str(synth_dataset_dir["test_images"]),
+        "--labels", str(synth_dataset_dir["test_labels"]),
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -1,11 +1,13 @@
 """IDX parsing and half-folding tests, including a totality fuzz pass."""
 
+import hashlib
 import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hydrasim.dataio as dataio
 from conftest import synthetic_digits, write_idx_images, write_idx_labels
 from hydrasim.dataio import (
     IdxFormatError,
@@ -223,6 +225,29 @@ def test_load_dataset_checksums_stable(tmp_path):
     a = load_dataset(ip, lp).source_checksums
     b = load_dataset(ip, lp).source_checksums
     assert a == b
+
+
+def test_load_dataset_reads_each_file_once(tmp_path, monkeypatch):
+    images, labels = synthetic_digits(3, seed=8)
+    ip = write_idx_images(tmp_path / "imgs.gz", images)
+    lp = write_idx_labels(tmp_path / "labels", labels)
+    reads = []
+    real_read = dataio._read_file
+    monkeypatch.setattr(dataio, "_read_file", lambda path: reads.append(path) or real_read(path))
+    ds = load_dataset(ip, lp)
+    assert sorted(map(str, reads)) == sorted([str(ip), str(lp)])
+    assert ds.source_checksums == {
+        str(ip): hashlib.sha256(real_read(ip)).hexdigest(),
+        str(lp): hashlib.sha256(lp.read_bytes()).hexdigest(),
+    }
+
+
+def test_load_dataset_negative_limit_rejected(tmp_path):
+    images, labels = synthetic_digits(3, seed=8)
+    ip = write_idx_images(tmp_path / "imgs", images)
+    lp = write_idx_labels(tmp_path / "labels", labels)
+    with pytest.raises(ValueError, match="limit"):
+        load_dataset(ip, lp, limit=-1)
 
 
 # =============================================================================

@@ -1,15 +1,16 @@
-"""Datapath block tests: FMA unit gating, PISO ordering, shared AF behavior."""
+"""Datapath block tests: FMA bank gating, PISO ordering, shared AF behavior."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hydrasim.datapath import ActivationUnit, AfKind, FmaUnit, PisoBuffer, build_sigmoid_lut
+from hydrasim.datapath import ActivationUnit, AfKind, FmaBank, PisoBuffer, build_sigmoid_lut
 from hydrasim.errors import ConfigError, ControlFault
 from hydrasim.fxp import QFormat, QValue, quantize, sign_extend
 
 Q83 = QFormat(8, 3)
+F = Q83.frac_bits
 
 
 def qv(raw):
@@ -17,7 +18,7 @@ def qv(raw):
 
 
 # =============================================================================
-# FmaUnit
+# FmaBank
 # =============================================================================
 
 def test_fma_196_step_composition_matches_integer_oracle():
@@ -25,53 +26,53 @@ def test_fma_196_step_composition_matches_integer_oracle():
     a = rng.randint(-128, 128, 196)
     w = rng.randint(-128, 128, 196)
     bias = 17
-    unit = FmaUnit()
-    unit.preload(qv(bias), 196)
+    bank = FmaBank(1)
+    bank.preload([bias], F)
     for ai, wi in zip(a, w):
-        unit.step(qv(int(ai)), qv(int(wi)))
+        bank.step(int(ai), [int(wi)])
     expected = (bias << 5) + int(sum(int(x) * int(y) for x, y in zip(a, w)))
-    assert unit.acc.raw == expected
-    assert unit.steps_taken == 196
+    assert bank.acc[0] == expected
+    assert bank.steps_taken[0] == 196
 
 
 def test_fma_zero_input_leaves_acc_unchanged():
-    unit = FmaUnit()
-    unit.preload(qv(42), 16)
-    before = unit.acc.raw
-    unit.step(qv(0), qv(-100))
-    assert unit.acc.raw == before
-    assert unit.steps_taken == 1
+    bank = FmaBank(1)
+    bank.preload([42], F)
+    before = bank.acc[0]
+    bank.step(0, [-100])
+    assert bank.acc[0] == before
+    assert bank.steps_taken[0] == 1
 
 
 def test_stepping_disabled_unit_is_a_fault():
-    unit = FmaUnit()
+    bank = FmaBank(1)
     with pytest.raises(ControlFault):
-        unit.step(qv(1), qv(1))
-    unit.preload(qv(0), 4)
-    unit.gate_off()
+        bank.step(1, [1])
+    bank.preload([0], F)
+    bank.gate_off()
     with pytest.raises(ControlFault):
-        unit.step(qv(1), qv(1))
+        bank.step(1, [1])
 
 
 def test_gated_unit_accumulator_never_changes():
-    unit = FmaUnit()
-    unit.preload(qv(9), 4)
-    unit.step(qv(2), qv(3))
-    frozen = unit.acc.raw
-    unit.gate_off()
+    bank = FmaBank(1)
+    bank.preload([9], F)
+    bank.step(2, [3])
+    frozen = bank.acc[0]
+    bank.gate_off()
     for _ in range(5):
         with pytest.raises(ControlFault):
-            unit.step(qv(1), qv(1))
-    assert unit.acc.raw == frozen
+            bank.step(1, [1])
+    assert bank.acc[0] == frozen
 
 
 def test_preload_resets_step_count():
-    unit = FmaUnit()
-    unit.preload(qv(0), 8)
-    unit.step(qv(1), qv(1))
-    unit.preload(qv(3), 8)
-    assert unit.steps_taken == 0
-    assert unit.acc.raw == 3 << 5
+    bank = FmaBank(1)
+    bank.preload([0], F)
+    bank.step(1, [1])
+    bank.preload([3], F)
+    assert bank.steps_taken[0] == 0
+    assert bank.acc[0] == 3 << 5
 
 
 # =============================================================================
@@ -191,3 +192,14 @@ def test_construction_audit_counter():
     ActivationUnit(Q83)
     ActivationUnit(Q83)
     assert ActivationUnit.instances_created == before + 2
+
+
+@pytest.mark.parametrize("fmt", [QFormat(16, 12), QFormat(12, 12)])
+def test_sigmoid_lut_wide_integer_formats_build_monotone(fmt):
+    # exp(-v) overflows binary64 for the most negative values of these formats
+    lut = build_sigmoid_lut(fmt)
+    half = 1 << (fmt.total_bits - 1)
+    mask = (1 << fmt.total_bits) - 1
+    ordered = [lut[raw & mask] for raw in range(-half, half)]
+    assert ordered == sorted(ordered)
+    assert ordered[0] == 0 and ordered[-1] == min(fmt.raw_max, 1 << fmt.frac_bits)

@@ -5,6 +5,8 @@ The benchmark cycle numbers (first output at 198, layer done at 262, the
 simulator and are asserted exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,14 @@ from hydrasim.engine import (
 )
 from hydrasim.errors import ConfigError, ControlFault
 from hydrasim.fxp import QFormat, QValue
-from hydrasim.model import LayerParams, Mode, NetworkConfig, Params, forward_quantized
+from hydrasim.model import (
+    LayerParams,
+    Mode,
+    NetworkConfig,
+    Params,
+    forward_quantized,
+    forward_quantized_batch,
+)
 
 Q83 = QFormat(8, 3)
 BENCH_SIZES = (196, 64, 32, 32, 10)
@@ -261,8 +270,8 @@ def test_gated_units_perform_zero_mac_steps():
     active_by_phase = [(r.layer, r.phase, r.active_fma) for r in trace if r.active_fma]
     # MAC activity is exactly n(l) units for inputs(l) cycles, nothing else.
     assert active_by_phase == [(0, "mac", 3)] * 4 + [(1, "mac", 2)] * 3
-    assert engine.fma_bank[3].steps_taken == 0
-    assert engine.fma_bank[4].steps_taken == 0
+    assert engine.fma_bank.steps_taken[3] == 0
+    assert engine.fma_bank.steps_taken[4] == 0
 
 
 # =============================================================================
@@ -447,3 +456,56 @@ def test_integer_only_format_end_to_end():
         for mode in (Mode.STORE_AND_FORWARD, Mode.STREAMED):
             outputs, _ = run_inference(cfg, params, x, mode=mode)
             assert outputs == golden
+
+
+# =============================================================================
+# engine = oracle = batch on the raw-integer core
+# =============================================================================
+
+def assert_three_way_agreement(cfg, params, x, modes=tuple(Mode)):
+    golden = forward_quantized(cfg, params, x)
+    batch = forward_quantized_batch(cfg, params, np.array([[v.raw for v in x]], dtype=object))
+    assert [v.raw for v in golden] == [int(v) for v in batch[0]]
+    for mode in modes:
+        outputs, _ = run_inference(cfg, params, x, mode=mode)
+        assert outputs == golden
+
+
+def test_q64_engine_oracle_batch_agree():
+    fmt = QFormat(64, 3)
+    rng = np.random.default_rng(64)
+    for _ in range(25):
+        assert_three_way_agreement(*random_quantized_case(rng, fmt))
+    # every raw at its extreme: the largest product sums the format allows
+    cfg = NetworkConfig((196, 64, 10), qformat=fmt)
+    params = Params(
+        [
+            LayerParams(np.full((n, k), fmt.raw_min, np.int64), np.full(n, fmt.raw_max, np.int64))
+            for k, n in zip(cfg.layer_sizes[:-1], cfg.layer_sizes[1:])
+        ],
+        fmt,
+    )
+    assert_three_way_agreement(cfg, params, [QValue(fmt.raw_min, fmt)] * 196)
+
+
+@pytest.mark.parametrize("fmt", [Q83, QFormat(16, 3), QFormat(32, 3)])
+def test_tiled_store_mode_engine_oracle_batch_agree(fmt):
+    rng = np.random.default_rng(70 + fmt.total_bits)
+    for _ in range(25):
+        cfg, params, x = random_quantized_case(rng, fmt)
+        widest = max(cfg.layer_sizes[1:])
+        if widest == 1:
+            continue
+        cfg = dataclasses.replace(cfg, max_fma=int(rng.integers(1, widest)), tiling=True)
+        assert_three_way_agreement(cfg, params, x, modes=(Mode.STORE_AND_FORWARD,))
+
+
+@pytest.mark.parametrize("layer_field, index", [("weights", (1, 0)), ("biases", (0,))])
+@pytest.mark.parametrize("raw", [Q83.raw_max + 1, Q83.raw_min - 1])
+def test_engine_rejects_out_of_range_raw(layer_field, index, raw):
+    cfg = NetworkConfig((4, 2))
+    lp = LayerParams(np.zeros((2, 4), np.int64), np.zeros(2, np.int64))
+    getattr(lp, layer_field)[index] = raw
+    with pytest.raises(ValueError, match=f"layer 0 {layer_field}"):
+        Engine(cfg, Params([lp], Q83))
+

@@ -397,3 +397,21 @@ def test_load_bad_qformat_and_out_of_range_raws(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParamsFileError, match="outside"):
         load_params(path)
+
+
+@pytest.mark.parametrize("raw", [1.7, True, 0.5, 2**70])
+def test_load_rejects_non_integer_raw_codes(tmp_path, raw):
+    path = tmp_path / "q.json"
+    doc = {
+        "format_version": 1,
+        "layer_sizes": [2, 1],
+        "qformat": {"total_bits": 8, "int_bits": 3},
+        "layers": [{"weights": [[1, raw]], "biases": [0]}],
+    }
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamsFileError, match="layer 0"):
+        load_params(path)
+    doc["layers"] = [{"weights": [[1, 2]], "biases": [raw]}]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamsFileError, match="layer 0"):
+        load_params(path)

@@ -1,14 +1,17 @@
 """Command-line surface.
 
 Subcommands:
-    simulate   run the cycle engine over a dataset, report accuracy + cycles
+    simulate   predict a dataset with the exact batch kernel, report accuracy +
+               the cycles of one stepped, cross-checked engine inference
     timing     closed-form vs simulated cycle counts, AF savings
     sweep      quantize a float model at several bit-widths, report accuracy
     train      train a float model with the minimal deterministic trainer
     quantize   convert a float parameter file to a quantized one
     trace      dump the per-cycle FSM trace of one inference
 
-Set HYDRA_TRACE=1 to stream the first inference's per-cycle trace to stderr
+Simulated cycles depend only on the network config, never on the data, so
+`simulate` and `sweep` step the cycle engine once per command.  Set
+HYDRA_TRACE=1 to stream that inference's per-cycle trace (image 0) to stderr
 during `simulate`.  All CSV output is deterministic for fixed inputs: rows are
 ordered by input index and floats are printed with a fixed format.
 """
@@ -25,7 +28,7 @@ import numpy as np
 
 from .datapath import AfKind
 from .dataio import FOLD_MODES, IdxFormatError, load_dataset, to_input_vector
-from .engine import Engine, classify, run_inference
+from .engine import CycleReport, Engine, classify, run_inference
 from .errors import ConfigError, ControlFault, ParamsFileError
 from .fxp import QFormat, QValue
 from .model import (
@@ -86,17 +89,24 @@ def _build_config(args, params: Params | None) -> NetworkConfig:
     try:
         return _resolve_config(args, params, doc)
     except (KeyError, TypeError) as exc:
-        # an unknown mode or activation name, or a field of the wrong shape
+        # an unknown mode or activation name, or a field of the wrong shape or type
         raise ConfigError(
             f"{args.config}: unknown or malformed config value ({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def _json_int(field: str, value) -> int:
+    # JSON true/false load as bool, a subclass of int; 64.9 loads as a float.
+    if type(value) is not int:
+        raise TypeError(f"{field} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _resolve_config(args, params: Params | None, doc: dict) -> NetworkConfig:
     if getattr(args, "layers", None):
         layer_sizes = _parse_layers(args.layers)
     elif "layer_sizes" in doc:
-        layer_sizes = tuple(int(s) for s in doc["layer_sizes"])
+        layer_sizes = tuple(_json_int("layer_sizes", s) for s in doc["layer_sizes"])
     elif params is not None:
         layer_sizes = params.layer_sizes
     else:
@@ -107,7 +117,9 @@ def _resolve_config(args, params: Params | None, doc: dict) -> NetworkConfig:
         int_bits = args.int_bits if args.int_bits is not None else 3
         qformat = QFormat(total, int_bits)
     elif "qformat" in doc:
-        qformat = QFormat(int(doc["qformat"]["total_bits"]), int(doc["qformat"]["int_bits"]))
+        qf = doc["qformat"]
+        qformat = QFormat(_json_int("qformat.total_bits", qf["total_bits"]),
+                          _json_int("qformat.int_bits", qf["int_bits"]))
     elif params is not None and params.is_quantized:
         qformat = params.qformat
     else:
@@ -122,19 +134,26 @@ def _resolve_config(args, params: Params | None, doc: dict) -> NetworkConfig:
     else:
         afs = None
 
+    tiling = doc.get("tiling", False)
+    if type(tiling) is not bool:
+        raise TypeError(f"tiling must be true or false, got {tiling!r}")
     mode_name = args.mode or doc.get("mode", "store")
     cfg = NetworkConfig(
         layer_sizes=layer_sizes,
-        max_fma=args.max_fma if args.max_fma is not None else int(doc.get("max_fma", 64)),
+        max_fma=(
+            args.max_fma
+            if args.max_fma is not None
+            else _json_int("max_fma", doc.get("max_fma", 64))
+        ),
         qformat=qformat,
         af_per_layer=afs,
         mode=_MODES[mode_name],
         softmax_cycles=(
             args.softmax_cycles
             if args.softmax_cycles is not None
-            else int(doc.get("softmax_cycles", 0))
+            else _json_int("softmax_cycles", doc.get("softmax_cycles", 0))
         ),
-        tiling=bool(args.tiling or doc.get("tiling", False)),
+        tiling=args.tiling or tiling,
     )
     ensure_valid(cfg)
     return cfg
@@ -162,6 +181,11 @@ def _zero_params(cfg: NetworkConfig) -> Params:
     return Params(layers, cfg.qformat)
 
 
+def _cycle_report(cfg: NetworkConfig) -> CycleReport:
+    """Cycles are data-independent: one stepped inference of zero params on zeros."""
+    return Engine(cfg, _zero_params(cfg)).run([QValue(0, cfg.qformat)] * cfg.layer_sizes[0])[1]
+
+
 def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
@@ -183,38 +207,41 @@ def cmd_simulate(args) -> int:
     cfg = _build_config(args, params)
     qparams = _quantized_for(cfg, params)
     ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
-
-    trace_to_stderr = os.environ.get("HYDRA_TRACE") == "1"
-    engine = Engine(cfg, qparams)
+    out_raw = forward_quantized_batch(cfg, qparams, quantize_array(ds.flat, cfg.qformat))
+    preds = np.argmax(out_raw, axis=1).tolist()   # ties to the lowest index, as classify
+    labels = ds.labels.tolist()
+    n = len(labels)
     rows = []
-    correct = 0
-    for idx in range(len(ds)):
-        engine.reset()
-        if idx == 0 and trace_to_stderr:
-            engine.trace_hook = lambda r: print(r.line(), file=sys.stderr)
-        else:
-            engine.trace_hook = None
-        x = to_input_vector(ds.images[idx], cfg.qformat)
-        outputs, report = engine.run(x)
-        pred = classify(outputs)
-        label = int(ds.labels[idx])
-        correct += pred == label
-        rows.append((idx, label, pred, report.total_cycles))
+    if n:
+        # The stepped engine is ground truth: its one inference gives the cycle
+        # report and the trace, and must reproduce the kernel's outputs.
+        trace = os.environ.get("HYDRA_TRACE") == "1"
+        engine = Engine(
+            cfg, qparams, trace_hook=(lambda r: print(r.line(), file=sys.stderr)) if trace else None
+        )
+        outputs, report = engine.run(to_input_vector(ds.images[0], cfg.qformat))
+        engine_raw = [v.raw for v in outputs]
+        if engine_raw != out_raw[0].tolist():
+            raise ControlFault(
+                f"batch kernel and stepped engine disagree on image 0: "
+                f"{out_raw[0].tolist()} != {engine_raw}"
+            )
+        rows = [f"{idx},{label},{pred},{report.total_cycles}\n"
+                for idx, (label, pred) in enumerate(zip(labels, preds))]
 
     out, close = _open_out(args.out)
     try:
         out.write(f"# schema={SIMULATE_SCHEMA}\n")
         out.write("index,label,prediction,cycles\n")
-        for idx, label, pred, cycles in rows:
-            out.write(f"{idx},{label},{pred},{cycles}\n")
+        out.writelines(rows)
     finally:
         if close:
             out.close()
 
-    n = len(rows)
     if n == 0:
         print("no images evaluated (limit 0)")
         return 0
+    correct = sum(p == l for p, l in zip(preds, labels))
     tp = throughput_report(report, args.clock_hz)
     print(f"images evaluated      {n}")
     print(f"accuracy              {correct / n:.4f} ({correct}/{n})")
@@ -255,16 +282,12 @@ def cmd_timing(args) -> int:
     if cfg.n_layers == 1:
         print("  note: single-layer network; t_reuse closed form is degenerate")
 
-    zeros = _zero_params(cfg)
-    x = [QValue(0, cfg.qformat)] * cfg.layer_sizes[0]
-    sf_cfg = dataclasses.replace(cfg, mode=Mode.STORE_AND_FORWARD)
-    st_cfg = dataclasses.replace(cfg, mode=Mode.STREAMED)
-    _, sf = run_inference(sf_cfg, zeros, x)
+    sf = _cycle_report(dataclasses.replace(cfg, mode=Mode.STORE_AND_FORWARD))
     print(f"simulated store-and-forward total = {sf.total_cycles}")
     if cfg.tiling and any(w > cfg.max_fma for w in cfg.layer_sizes[1:]):
         print("simulated streamed total = n/a (tiled layers require store-and-forward)")
     else:
-        _, st = run_inference(st_cfg, zeros, x)
+        st = _cycle_report(dataclasses.replace(cfg, mode=Mode.STREAMED))
         print(f"simulated streamed total = {st.total_cycles}")
     print(f"af units saved        {af_savings(cfg)} (per layer: {per_layer_af_savings(cfg)})")
     return 0
@@ -280,6 +303,7 @@ def cmd_sweep(args) -> int:
     ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
 
     base = _build_config(args, params)
+    cycles = _cycle_report(base).total_cycles
     rows = []
     for width in widths:
         fmt = QFormat(width, int_bits)
@@ -290,8 +314,7 @@ def cmd_sweep(args) -> int:
         out_raw = forward_quantized_batch(cfg, qparams, x_raw)
         preds = np.argmax(out_raw, axis=1)
         accuracy = float(np.mean(preds == ds.labels)) if len(ds) else 0.0
-        _, report = run_inference(cfg, qparams, [QValue(0, fmt)] * cfg.layer_sizes[0])
-        rows.append((width, accuracy, report.total_cycles))
+        rows.append((width, accuracy, cycles))
 
     out, close = _open_out(args.out)
     try:

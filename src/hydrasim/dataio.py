@@ -122,18 +122,21 @@ def half_fold(img, mode: str = "mean") -> np.ndarray:
     img = np.asarray(img)
     if img.shape != (28, 28):
         raise ValueError(f"half_fold expects a 28x28 image, got {img.shape}")
-    return _fold_batch(img[np.newaxis].astype(np.float64), mode)[0]
+    return _fold_batch(img[np.newaxis], mode)[0]
 
 
 def _fold_batch(imgs: np.ndarray, mode: str) -> np.ndarray:
+    """Fold byte images [N, 28, 28] to float64 [N, 14, 14] from their 2x2 blocks."""
+    corners = (imgs[:, ::2, ::2], imgs[:, ::2, 1::2], imgs[:, 1::2, ::2], imgs[:, 1::2, 1::2])
     if mode == "mean":
-        # (a+b+c+d)/4/256 is exact in float64: the byte sum is an integer and
-        # 1024 is a power of two.
-        return imgs.reshape(-1, 14, 2, 14, 2).mean(axis=(2, 4)) / 256.0
+        # (a+b+c+d)/1024 is exact in float64: the byte sum is an integer below
+        # 2^10 and 1024 is a power of two.  Non-byte images sum in their own
+        # (wider) dtype.
+        return np.add.reduce(corners, dtype=np.result_type(imgs, np.uint16)) / 1024.0
     if mode == "max":
-        return imgs.reshape(-1, 14, 2, 14, 2).max(axis=(2, 4)) / 256.0
+        return np.maximum.reduce(corners) / 256.0
     if mode == "subsample":
-        return imgs[:, ::2, ::2] / 256.0
+        return corners[0] / 256.0
     raise ValueError(f"unknown fold mode {mode!r}; expected one of {FOLD_MODES}")
 
 
@@ -178,7 +181,7 @@ def load_dataset(images_path, labels_path, fold: str = "mean", limit: int | None
     if limit is not None:
         raw_images = raw_images[:limit]
         labels = labels[:limit]
-    images = _fold_batch(raw_images.astype(np.float64), fold)
+    images = _fold_batch(raw_images, fold)
     checksums = {
         str(images_path): hashlib.sha256(image_bytes).hexdigest(),
         str(labels_path): hashlib.sha256(label_bytes).hexdigest(),

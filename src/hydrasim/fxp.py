@@ -48,7 +48,7 @@ class QFormat:
             warnings.warn(
                 f"nonstandard bit-width {self.total_bits} (standard set is "
                 f"{STANDARD_WIDTHS}); accepted",
-                stacklevel=2,
+                stacklevel=3,   # past the dataclass __init__ to its caller
             )
 
     @property
@@ -150,9 +150,19 @@ def round_half_even_shift(value, shift: int):
     if shift <= 0:
         return value << -shift
     q = value >> shift
-    r = value - (q << shift)
-    half = 1 << (shift - 1)
-    return q + ((r > half) | ((r == half) & (q & 1)))
+    return round_quotient(q, value - (q << shift), shift)
+
+
+def round_quotient(q, r, shift: int):
+    """Round q + r / 2^shift, with 0 <= r < 2^shift, to nearest, ties to even.
+
+    The rounding step of round_half_even_shift for a value already split into
+    its floor quotient q and remainder r by 2^shift.
+    """
+    if shift <= 0:
+        return q
+    # r > half rounds up; r == half rounds up exactly when q is odd.
+    return q + ((r + (q & 1)) > (1 << (shift - 1)))
 
 
 def saturate_raw(raw: int, fmt: QFormat) -> int:

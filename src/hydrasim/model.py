@@ -8,8 +8,10 @@ The two forward passes here are the reference semantics for everything else:
                           one rounding, activation.  No cycle modeling.  This
                           is the bit-exact oracle the cycle engine must match.
 
-forward_quantized_batch is a vectorized equivalent for dataset-scale work; it
-is pinned bit-equal to the scalar oracle by tests, never by construction.
+forward_quantized_batch is a vectorized equivalent for dataset-scale work: an
+exact float64 BLAS kernel (limb-split operands, integer recombination, one
+rounding) at every width from 4 to 64 bits.  It is pinned bit-equal to the
+scalar oracle by tests, never by construction.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .fxp import (
     acc_mac,
     acc_round,
     round_half_even_shift,
+    round_quotient,
     saturate_raw,
 )
 
@@ -167,10 +170,15 @@ def check_dims(params: Params, cfg: NetworkConfig) -> None:
         )
 
 
+def raw_codes_fit(arr: np.ndarray, fmt: QFormat) -> bool:
+    """True if every raw code in arr lies inside fmt."""
+    return not arr.size or (fmt.raw_min <= arr.min() and arr.max() <= fmt.raw_max)
+
+
 def raw_codes_outside(lp: LayerParams, fmt: QFormat) -> str | None:
     """'weights' or 'biases' if that array holds a raw code outside fmt, else None."""
     for name, arr in (("weights", lp.weights), ("biases", lp.biases)):
-        if arr.size and (arr.min() < fmt.raw_min or arr.max() > fmt.raw_max):
+        if not raw_codes_fit(arr, fmt):
             return name
     return None
 
@@ -278,11 +286,81 @@ def forward_quantized(
     return acts
 
 
+# Every integer below 2^53 in magnitude is a float64, so a float64 matmul whose
+# partial sums all stay below that bound is exact in any summation order.
+_F64_EXACT_BITS = 53
+
+
+def _split_limbs(x: np.ndarray, n: int, nb: int) -> np.ndarray:
+    """x = sum_i limbs[i] << (i*nb) as float64 [n, ...]: unsigned low limbs, signed top."""
+    limbs = np.empty((n, *x.shape))
+    for i in range(n - 1):
+        np.bitwise_and(x >> (i * nb), (1 << nb) - 1, out=limbs[i])
+    np.right_shift(x, (n - 1) * nb, out=limbs[n - 1])
+    return limbs
+
+
+def _limb_plan(fmt: QFormat, fan_in: int) -> tuple[int, int, int, int, type]:
+    """(n_a, nb_a, n_w, nb_w, dtype): how _exact_layer splits and recombines one layer.
+
+    Inputs are cut into n_a limbs of nb_a bits and weights into n_w limbs of
+    nb_w bits, with nb_a + nb_w + bitlen(fan_in) = 53, so every partial sum
+    of fan_in limb products stays below 2^53.  Of those splits, the one with
+    the fewest limb products wins, and on a tie the one that cuts the inputs,
+    the large operand, into fewer limbs: through 23 bits at fan-in 196 that is
+    one plain matmul, at 32 bits whole inputs against three weight limbs.
+    dtype is int64 when the recombination provably fits it, else object.
+    """
+    t, f = fmt.total_bits, fmt.frac_bits
+    budget = _F64_EXACT_BITS - fan_in.bit_length()   # fan_in * 2^budget < 2^53
+    splits = []
+    for n_a in range(-(-(t - 1) // (budget - 1)), t):
+        nb_a = -(-(t - 1) // n_a)   # |limb| <= 2^nb: the top limb holds t-1-(n-1)*nb bits
+        nb_w = budget - nb_a
+        splits.append((n_a * -(-(t - 1) // nb_w), n_a, nb_a, nb_w))
+    products, n_a, nb_a, nb_w = min(splits)
+    n_w = products // n_a
+    # |q| <= fan_in * 2^(2t - f) + |bias| + small, and r < products * 2^f.
+    fits = fan_in.bit_length() + 2 * t - f < 62 and f + products.bit_length() < 63
+    return n_a, nb_a, n_w, nb_w, np.int64 if fits else object
+
+
+def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat) -> np.ndarray:
+    """clip(round_half_even_shift(a @ W.T + (bias << f), f)) for in-range int64 raws.
+
+    Error-free operand splitting (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms
+    59, 2012; limbs as in _limb_plan): one float64 BLAS matmul computes every
+    limb product sum P exactly, in any summation order.  The product sum
+    S = sum P << s is never formed: each P is folded into the quotient q and
+    remainder r of S by 2^f, so the bias adds to q unshifted and the single
+    rounding happens on (q, r).
+    """
+    f = fmt.frac_bits
+    rows, (width, fan_in) = a.shape[0], lp.weights.shape
+    n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, fan_in)
+    prods = (_split_limbs(a, n_a, nb_a).reshape(n_a * rows, fan_in)
+             @ _split_limbs(lp.weights, n_w, nb_w).reshape(n_w * width, fan_in).T)
+    prods = prods.astype(np.int64).reshape(n_a, rows, n_w, width)
+    q, r = lp.biases.astype(dtype), 0
+    for i in range(n_a):
+        for j in range(n_w):
+            p, s = prods[i, :, j].astype(dtype), i * nb_a + j * nb_w
+            if s >= f:
+                q = q + (p << (s - f))
+            else:
+                q = q + (p >> (f - s))
+                r = r + ((p & ((1 << (f - s)) - 1)) << s)
+    q, r = q + (r >> f), r & ((1 << f) - 1)
+    raw = np.clip(round_quotient(q, r, f), fmt.raw_min, fmt.raw_max)
+    return raw.astype(np.int64, copy=False)
+
+
 def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarray) -> np.ndarray:
     """Vectorized forward_quantized over a batch of raw input vectors [N, D].
 
-    Falls back to arbitrary-precision object arrays when the exact product sum
-    could exceed int64 (wide formats with large fan-in).
+    Every layer runs through one exact float64 BLAS kernel (_exact_layer) at
+    every width from 4 to 64 bits.  Raw inputs must lie inside the parameter
+    format; int64 and Python-int object arrays are both accepted.
     """
     if not params.is_quantized:
         raise ConfigError("forward_quantized_batch needs quantized parameters")
@@ -291,16 +369,15 @@ def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarra
     a = np.asarray(x_raw)
     if a.ndim != 2 or a.shape[1] != cfg.layer_sizes[0]:
         raise ConfigError(f"expected raw inputs of shape [N, {cfg.layer_sizes[0]}]")
-    for lp, kind in zip(params.layers, cfg.afs):
-        fan_in = lp.weights.shape[1]
-        # Worst case |sum| = (fan_in + 1) * 2^(2t-2); keep a safety bit.
-        bits_needed = 2 * (fmt.total_bits - 1) + (fan_in + 1).bit_length()
-        dtype = object if bits_needed > 62 else np.int64
-        acc = np.dot(a.astype(dtype), lp.weights.T.astype(dtype))
-        acc = acc + (lp.biases.astype(dtype) << fmt.frac_bits)
-        raw = np.clip(round_half_even_shift(acc, fmt.frac_bits), fmt.raw_min, fmt.raw_max)
+    if not raw_codes_fit(a, fmt):
+        raise ValueError(f"raw inputs outside {fmt}")
+    a = a.astype(np.int64, copy=False)
+    for l, (lp, kind) in enumerate(zip(params.layers, cfg.afs)):
+        bad = raw_codes_outside(lp, fmt)
+        if bad:
+            raise ValueError(f"layer {l} {bad} contain raw codes outside {fmt}")
         lut = build_sigmoid_lut(fmt) if kind is AfKind.SIGMOID else None
-        a = activate_raw(kind, raw.astype(np.int64), fmt, lut)
+        a = activate_raw(kind, _exact_layer(a, lp, fmt), fmt, lut)
     return a
 
 

@@ -4,7 +4,19 @@ import json
 
 import pytest
 
+from hydrasim import cli
 from hydrasim.cli import main
+from hydrasim.datapath import AfKind
+from hydrasim.dataio import load_dataset, to_input_vector
+from hydrasim.engine import Engine, classify
+from hydrasim.fxp import QFormat
+from hydrasim.model import (
+    Mode,
+    NetworkConfig,
+    forward_quantized_batch,
+    load_params,
+    quantize_params,
+)
 
 LAYERS = "196:12:10"           # small topology keeps engine runs fast
 CYCLES = (196 + 12 + 2) + (12 + 10 + 2)   # 234 in store-and-forward
@@ -382,3 +394,93 @@ def test_negative_limit_and_index_are_errors(tmp_path, float_params_file, synth_
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+# The CLI flags of each case and the NetworkConfig fields they stand for.
+SIMULATE_CASES = {
+    "store": ([], {}),
+    "stream": (["--mode", "stream"], {"mode": Mode.STREAMED}),
+    "tiled": (["--max-fma", "8", "--tiling"], {"max_fma": 8, "tiling": True}),
+    "sigmoid": (["--af", "sigmoid", "--bits", "16"],
+                {"qformat": QFormat(16, 3), "af_per_layer": (AfKind.SIGMOID, AfKind.IDENTITY)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_csv_equals_engine_stepped_on_every_image(tmp_path, float_params_file,
+                                                           synth_dataset_dir, case):
+    flags, fields = SIMULATE_CASES[case]
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--params", str(float_params_file),
+               "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]),
+               "--limit", "12", "--out", str(out), *flags])
+    assert rc == 0
+    cfg = NetworkConfig(tuple(int(s) for s in LAYERS.split(":")), **fields)
+    engine = Engine(cfg, quantize_params(load_params(float_params_file), cfg.qformat))
+    ds = load_dataset(synth_dataset_dir["test_images"], synth_dataset_dir["test_labels"],
+                      limit=12)
+    rows = ["# schema=hydrasim.simulate.v1", "index,label,prediction,cycles"]
+    for idx in range(len(ds)):
+        outputs, report = engine.run(to_input_vector(ds.images[idx], cfg.qformat))
+        rows.append(f"{idx},{ds.labels[idx]},{classify(outputs)},{report.total_cycles}")
+    assert out.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+
+def test_simulate_kernel_engine_disagreement_is_an_error(tmp_path, float_params_file,
+                                                         synth_dataset_dir, monkeypatch, capsys):
+    def off_by_one(cfg, params, x_raw):
+        out = forward_quantized_batch(cfg, params, x_raw)
+        out[0, 0] += 1
+        return out
+
+    monkeypatch.setattr(cli, "forward_quantized_batch", off_by_one)
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--params", str(float_params_file),
+               "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]),
+               "--limit", "3", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "image 0" in err
+    assert not out.exists()
+
+
+def test_sweep_steps_the_engine_once(tmp_path, float_params_file, synth_dataset_dir,
+                                     monkeypatch):
+    runs = []
+
+    class CountingEngine(Engine):
+        def run(self, x):
+            runs.append(self.fmt)
+            return super().run(x)
+
+    monkeypatch.setattr(cli, "Engine", CountingEngine)
+    rc = main(["sweep", "--params", str(float_params_file),
+               "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]),
+               "--limit", "20", "--bits-list", "5,8,16", "--out", str(tmp_path / "s.csv")])
+    assert rc == 0
+    assert len(runs) == 1
+    assert [line.split(",")[2] for line in (tmp_path / "s.csv").read_text().splitlines()[2:]] \
+        == [str(CYCLES)] * 3
+
+
+@pytest.mark.parametrize("field", [
+    {"tiling": "no"},
+    {"tiling": 1},
+    {"max_fma": 64.9},
+    {"max_fma": True},
+    {"layer_sizes": [8.7, 10, 4]},
+    {"layer_sizes": [8, True, 4]},
+    {"softmax_cycles": 2.5},
+    {"qformat": {"total_bits": 8.0, "int_bits": 3}},
+    {"qformat": {"total_bits": 8, "int_bits": True}},
+])
+def test_config_values_are_not_coerced(tmp_path, capsys, field):
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(json.dumps({"layer_sizes": [8, 10, 4], **field}))
+    rc = main(["timing", "--config", str(cfg_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(field)) in err

@@ -26,6 +26,7 @@ from hydrasim.model import (
     train_minimal,
     validate,
 )
+from hydrasim.model import _limb_plan
 
 Q83 = QFormat(8, 3)
 BENCH = NetworkConfig((196, 64, 32, 32, 10))
@@ -415,3 +416,67 @@ def test_load_rejects_non_integer_raw_codes(tmp_path, raw):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParamsFileError, match="layer 0"):
         load_params(path)
+
+
+# =============================================================================
+# Exact batch kernel
+# =============================================================================
+
+def _plan_boundary_fan_ins(fmt):
+    """Fan-ins up to 64 on both sides of every change of the kernel's limb plan.
+
+    The plan depends on the fan-in only through its bit length, so comparing
+    2^b - 1 with 2^b finds every change: the limb counts, and int64 versus
+    Python-int recombination, which flips there for 55 <= t + int_bits <= 60.
+    """
+    fan_ins = {1}
+    for b in range(1, 7):
+        if _limb_plan(fmt, (1 << b) - 1) != _limb_plan(fmt, 1 << b):
+            fan_ins |= {(1 << b) - 1, 1 << b}
+    return sorted(fan_ins)
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits", range(4, 65))
+def test_batch_kernel_matches_oracle_across_limb_plans(total_bits):
+    rng = np.random.default_rng(900 + total_bits)
+    for int_bits in sorted({1, 3, total_bits}):
+        fmt = QFormat(total_bits, int_bits)
+        lo, hi = fmt.raw_min, fmt.raw_max
+        for fan_in in _plan_boundary_fan_ins(fmt):
+            cfg = NetworkConfig((fan_in, 2), max_fma=2, qformat=fmt,
+                                af_per_layer=(AfKind.IDENTITY,))
+            # row/neuron 0 is all-extreme: the largest product sum plus raw_max bias
+            w = rng.integers(lo, hi, size=(2, fan_in), endpoint=True)
+            x = rng.integers(lo, hi, size=(2, fan_in), endpoint=True)
+            w[0], x[0] = lo, lo
+            b = np.array([hi, int(rng.integers(lo, hi, endpoint=True))])
+            params = Params([LayerParams(w, b)], fmt)
+            batch = forward_quantized_batch(cfg, params, x)
+            for row, out in zip(x, batch):
+                oracle = forward_quantized(cfg, params, [QValue(int(v), fmt) for v in row])
+                assert [v.raw for v in oracle] == out.tolist(), (str(fmt), fan_in)
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits", [8, 32, 48, 64])
+def test_batch_kernel_ties_round_to_even_after_bias(total_bits):
+    # x * 2^(f-1) leaves a remainder of exactly half; the bias decides the parity
+    fmt = QFormat(total_bits, 3)
+    cfg = NetworkConfig((1, 4), max_fma=4, qformat=fmt, af_per_layer=(AfKind.IDENTITY,))
+    half = 1 << (fmt.frac_bits - 1)
+    params = Params([LayerParams(np.full((4, 1), half), np.array([0, 1, -1, 2]))], fmt)
+    for x in (1, -1, 3, -3):
+        oracle = forward_quantized(cfg, params, [QValue(x, fmt)])
+        batch = forward_quantized_batch(cfg, params, np.array([[x]]))
+        assert [v.raw for v in oracle] == batch[0].tolist()
+
+
+def test_batch_rejects_out_of_range_raw_inputs():
+    cfg = NetworkConfig((2, 1), max_fma=1)
+    params = Params([LayerParams(np.zeros((1, 2), np.int64), np.zeros(1, np.int64))], Q83)
+    for bad in (np.array([[0, 128]]), np.array([[-129, 0]]),
+                np.array([[0, 1 << 70]], dtype=object)):
+        with pytest.raises(ValueError, match="raw inputs outside"):
+            forward_quantized_batch(cfg, params, bad)
+    assert forward_quantized_batch(cfg, params, np.array([[-128, 127]])).tolist() == [[0]]

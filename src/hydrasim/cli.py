@@ -310,8 +310,7 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(base, qformat=fmt)
         ensure_valid(cfg)
         qparams = quantize_params(params, fmt)
-        x_raw = quantize_array(ds.flat, fmt)
-        out_raw = forward_quantized_batch(cfg, qparams, x_raw)
+        out_raw = forward_quantized_batch(cfg, qparams, quantize_array(ds.flat, fmt))
         preds = np.argmax(out_raw, axis=1)
         accuracy = float(np.mean(preds == ds.labels)) if len(ds) else 0.0
         rows.append((width, accuracy, cycles))

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fxp import QFormat, QValue, quantize
+from .fxp import QFormat, QValue
+from .model import quantize_array
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -145,7 +146,7 @@ def to_input_vector(img14, fmt: QFormat) -> list[QValue]:
     img14 = np.asarray(img14, dtype=np.float64)
     if img14.shape != (14, 14):
         raise ValueError(f"expected a 14x14 image, got {img14.shape}")
-    return [quantize(float(v), fmt) for v in img14.reshape(-1)]
+    return [QValue(raw, fmt) for raw in quantize_array(img14, fmt).reshape(-1).tolist()]
 
 
 @dataclass

@@ -187,14 +187,46 @@ def raw_codes_outside(lp: LayerParams, fmt: QFormat) -> str | None:
 # Quantization
 # =============================================================================
 
+# Every integer below 2^53 in magnitude is a float64, so a float64 matmul whose
+# partial sums all stay below that bound is exact in any summation order.
+_F64_EXACT_BITS = 53
+# Elements per float64 temporary in quantize_array and _exact_layer (256 KiB):
+# dataset-sized temporaries cost page faults on every call, and two alive at
+# once cost several times one.
+_CHUNK = 1 << 15
+
+
 def quantize_array(x, fmt: QFormat) -> np.ndarray:
-    """Vectorized quantize: nearest (ties to even) with saturation, as int64 raws."""
+    """Vectorized quantize: nearest (ties to even) with saturation, as int64 raws.
+
+    Works through bounded chunks of x, so its float temporaries stay small
+    whatever the size of x.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("cannot quantize non-finite values")
-    scaled = x * float(1 << fmt.frac_bits)
-    # np.rint rounds halves to even, matching the scalar quantize exactly.
-    return np.clip(np.rint(scaled), fmt.raw_min, fmt.raw_max).astype(np.int64)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape, np.int64)
+    scale = float(1 << fmt.frac_bits)
+    top = float(1 << (fmt.total_bits - 1))   # raw_min is -top; raw_max + 1 is top
+    # The largest float64 not above raw_max: raw_max itself through 54 bits.
+    # Past that raw_max rounds up to top as a float64, so every scaled value
+    # at or above top saturates through a mask instead.
+    hi = min(float(fmt.raw_max), np.nextafter(top, 0.0))
+    wide = hi < fmt.raw_max
+    buf = np.empty(min(flat.size, _CHUNK))
+    for lo in range(0, flat.size, _CHUNK):
+        part, dst = flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+        b = buf[:part.size]
+        if not np.isfinite(part).all():
+            raise ValueError("cannot quantize non-finite values")
+        np.multiply(part, scale, out=b)   # power-of-two scaling is exact
+        over = b >= top if wide else None
+        # Clipping at integers commutes with rounding, and np.rint rounds
+        # halves to even, matching the scalar quantize exactly.
+        np.clip(b, -top, hi, out=b)
+        dst[...] = np.rint(b, out=b)
+        if wide:
+            dst[over] = fmt.raw_max
+    return out.reshape(x.shape)
 
 
 def quantize_params(params: Params, fmt: QFormat) -> Params:
@@ -286,22 +318,20 @@ def forward_quantized(
     return acts
 
 
-# Every integer below 2^53 in magnitude is a float64, so a float64 matmul whose
-# partial sums all stay below that bound is exact in any summation order.
-_F64_EXACT_BITS = 53
+def _split_limbs(x: np.ndarray, nb: int, limbs: np.ndarray) -> np.ndarray:
+    """Fill float64 limbs [n, *x.shape] with x = sum_i limbs[i] << (i*nb).
 
-
-def _split_limbs(x: np.ndarray, n: int, nb: int) -> np.ndarray:
-    """x = sum_i limbs[i] << (i*nb) as float64 [n, ...]: unsigned low limbs, signed top."""
-    limbs = np.empty((n, *x.shape))
+    The low limbs are unsigned and the top limb is signed.
+    """
+    n = len(limbs)
     for i in range(n - 1):
         np.bitwise_and(x >> (i * nb), (1 << nb) - 1, out=limbs[i])
-    np.right_shift(x, (n - 1) * nb, out=limbs[n - 1])
+    limbs[n - 1] = x >> ((n - 1) * nb) if n > 1 else x
     return limbs
 
 
 def _limb_plan(fmt: QFormat, fan_in: int) -> tuple[int, int, int, int, type]:
-    """(n_a, nb_a, n_w, nb_w, dtype): how _exact_layer splits and recombines one layer.
+    """(n_a, nb_a, n_w, nb_w, dtype): how _exact_layer splits and rounds one layer.
 
     Inputs are cut into n_a limbs of nb_a bits and weights into n_w limbs of
     nb_w bits, with nb_a + nb_w + bitlen(fan_in) = 53, so every partial sum
@@ -309,7 +339,13 @@ def _limb_plan(fmt: QFormat, fan_in: int) -> tuple[int, int, int, int, type]:
     the fewest limb products wins, and on a tie the one that cuts the inputs,
     the large operand, into fewer limbs: through 23 bits at fan-in 196 that is
     one plain matmul, at 32 bits whole inputs against three weight limbs.
-    dtype is int64 when the recombination provably fits it, else object.
+
+    dtype picks the rounding route.  float64 when the whole pre-rounding sum
+    S = a @ W.T + (bias << f) is a float64 integer: |a @ W.T| <= fan_in *
+    2^(2t-2) < 2^52 and |bias << f| <= 2^(t-1+f) <= 2^51, so S and S * 2^-f
+    are exact and one np.rint rounds.  Else the limb products are folded into
+    the quotient and remainder of S by 2^f, in int64 when that provably fits,
+    else in Python ints (object).
     """
     t, f = fmt.total_bits, fmt.frac_bits
     budget = _F64_EXACT_BITS - fan_in.bit_length()   # fan_in * 2^budget < 2^53
@@ -320,39 +356,81 @@ def _limb_plan(fmt: QFormat, fan_in: int) -> tuple[int, int, int, int, type]:
         splits.append((n_a * -(-(t - 1) // nb_w), n_a, nb_a, nb_w))
     products, n_a, nb_a, nb_w = min(splits)
     n_w = products // n_a
+    if fan_in.bit_length() + 2 * t - 2 < _F64_EXACT_BITS and t - 1 + f < _F64_EXACT_BITS - 1:
+        return n_a, nb_a, n_w, nb_w, np.float64
     # |q| <= fan_in * 2^(2t - f) + |bias| + small, and r < products * 2^f.
     fits = fan_in.bit_length() + 2 * t - f < 62 and f + products.bit_length() < 63
     return n_a, nb_a, n_w, nb_w, np.int64 if fits else object
+
+
+def _fold_limbs(prods: np.ndarray, biases: np.ndarray, nb_a: int, nb_w: int,
+                f: int, dtype: type) -> np.ndarray:
+    """round_half_even_shift(S, f) for S = sum P_ij << (i*nb_a + j*nb_w) + (bias << f).
+
+    prods holds the limb product sums P_ij as [n_a, rows, n_w, width].  S is
+    never formed: each P_ij is folded into the quotient q and remainder r of
+    S by 2^f, so the bias adds to q unshifted and the single rounding happens
+    on (q, r).
+    """
+    n_a, rows, n_w, width = prods.shape
+    q = np.empty((rows, width), dtype)
+    q[...] = biases
+    r = np.zeros((rows, width), dtype)
+    for i in range(n_a):
+        for j in range(n_w):
+            # |P_ij| < 2^53, so the int64 cast is exact; object takes Python ints from it.
+            p = prods[i, :, j].astype(np.int64).astype(dtype, copy=False)
+            s = i * nb_a + j * nb_w
+            if s >= f:
+                p <<= s - f
+                q += p
+            else:
+                q += p >> (f - s)
+                p &= (1 << (f - s)) - 1
+                p <<= s
+                r += p
+    q += r >> f
+    r &= (1 << f) - 1
+    return round_quotient(q, r, f)
 
 
 def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat) -> np.ndarray:
     """clip(round_half_even_shift(a @ W.T + (bias << f), f)) for in-range int64 raws.
 
     Error-free operand splitting (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms
-    59, 2012; limbs as in _limb_plan): one float64 BLAS matmul computes every
-    limb product sum P exactly, in any summation order.  The product sum
-    S = sum P << s is never formed: each P is folded into the quotient q and
-    remainder r of S by 2^f, so the bias adds to q unshifted and the single
-    rounding happens on (q, r).
+    59, 2012; limbs and route as in _limb_plan): one float64 BLAS matmul
+    computes every limb product sum exactly, in any summation order.  Rows go
+    through in chunks of about _CHUNK input elements, each split straight into
+    its matmul and rounded into the int64 result.
     """
     f = fmt.frac_bits
     rows, (width, fan_in) = a.shape[0], lp.weights.shape
     n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, fan_in)
-    prods = (_split_limbs(a, n_a, nb_a).reshape(n_a * rows, fan_in)
-             @ _split_limbs(lp.weights, n_w, nb_w).reshape(n_w * width, fan_in).T)
-    prods = prods.astype(np.int64).reshape(n_a, rows, n_w, width)
-    q, r = lp.biases.astype(dtype), 0
-    for i in range(n_a):
-        for j in range(n_w):
-            p, s = prods[i, :, j].astype(dtype), i * nb_a + j * nb_w
-            if s >= f:
-                q = q + (p << (s - f))
-            else:
-                q = q + (p >> (f - s))
-                r = r + ((p & ((1 << (f - s)) - 1)) << s)
-    q, r = q + (r >> f), r & ((1 << f) - 1)
-    raw = np.clip(round_quotient(q, r, f), fmt.raw_min, fmt.raw_max)
-    return raw.astype(np.int64, copy=False)
+    w_limbs = _split_limbs(lp.weights, nb_w, np.empty((n_w, width, fan_in)))
+    if dtype is np.float64:
+        # Scaling by 2^-f is exact, so the matmul yields (a @ W.T) * 2^-f and
+        # adding the bias gives S * 2^-f, both as exactly as S itself.
+        w_limbs *= 2.0 ** -f
+    w_limbs = w_limbs.reshape(n_w * width, fan_in).T
+    out = np.empty((rows, width), np.int64)
+    step = max(1, min(rows, _CHUNK // (n_a * fan_in)))
+    limbs, prods = np.empty((n_a, step, fan_in)), np.empty((n_a, step, n_w * width))
+    for lo in range(0, rows, step):
+        chunk = a[lo:lo + step]
+        c = len(chunk)
+        _split_limbs(chunk, nb_a, limbs[:, :c])
+        p = prods[:, :c]
+        for i in range(n_a):
+            np.matmul(limbs[i, :c], w_limbs, out=p[i])
+        if dtype is np.float64:
+            p = p[0]
+            p += lp.biases
+            np.clip(p, fmt.raw_min, fmt.raw_max, out=p)
+            out[lo:lo + step] = np.rint(p, out=p)   # halves to even
+        else:
+            raw = _fold_limbs(p.reshape(n_a, -1, n_w, width), lp.biases, nb_a, nb_w, f, dtype)
+            out[lo:lo + step] = np.clip(raw, fmt.raw_min, fmt.raw_max)
+    return out
 
 
 def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarray) -> np.ndarray:
@@ -506,11 +584,27 @@ def save_params(path, params: Params) -> None:
         fh.write("\n")
 
 
+def _spells(text: str, word: str) -> bool:
+    """word in text, found through its first letter.
+
+    A one-letter find runs at memchr speed, and the numbers of a parameter
+    file hold no t or f, so this stops only at the few keys that do, where
+    `word in text` steps through every character in Python's string search.
+    """
+    i = text.find(word[0])
+    while i >= 0:
+        if text.startswith(word, i):
+            return True
+        i = text.find(word[0], i + 1)
+    return False
+
+
 def load_params(path) -> Params:
     """Read a schema-v1 parameter file; every malformation is a ParamsFileError."""
     try:
         with open(path, encoding="ascii") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParamsFileError(f"truncated or malformed parameter file {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -540,6 +634,10 @@ def load_params(path) -> Params:
         raise ParamsFileError(
             f"{path}: {len(raw_layers)} layers for layer_sizes {sizes}"
         )
+    # np.array(dtype=...) below truncates 1.7 and reads true as 1, so the
+    # leaves are checked too.  Scanning a float file's leaves would add about
+    # a third to its load time, so only one whose text spells a boolean is.
+    scan = fmt is not None or _spells(text, "true") or _spells(text, "false")
     layers = []
     for l, entry in enumerate(raw_layers):
         try:
@@ -554,11 +652,13 @@ def load_params(path) -> Params:
             )
         if fmt is None and not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ParamsFileError(f"{path}: layer {l} contains non-finite values")
-        if fmt is not None:
-            # np.array(dtype=int64) truncated 1.7 and read true as 1 above.
+        if scan:
+            numbers = (int,) if fmt is not None else (int, float)
             leaves = [*np.asarray(entry["weights"], dtype=object).flat, *entry["biases"]]
-            if any(type(v) is not int for v in leaves):
-                raise ParamsFileError(f"{path}: layer {l} holds non-integer raw codes")
+            if any(type(v) not in numbers for v in leaves):
+                what = "non-integer raw codes" if fmt is not None else "non-numeric values"
+                raise ParamsFileError(f"{path}: layer {l} holds {what}")
+        if fmt is not None:
             bad = raw_codes_outside(LayerParams(w, b), fmt)
             if bad:
                 raise ParamsFileError(f"{path}: layer {l} {bad} contain raw codes outside {fmt}")

@@ -21,7 +21,7 @@ from hydrasim.dataio import (
     load_idx_labels,
     to_input_vector,
 )
-from hydrasim.fxp import QFormat
+from hydrasim.fxp import QFormat, quantize
 
 Q83 = QFormat(8, 3)
 
@@ -201,6 +201,20 @@ def test_to_input_vector_row_major_order():
     img[1, 0] = 0.25
     vec = to_input_vector(img, Q83)
     assert vec[1].raw == 16 and vec[14].raw == 8
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits", [4, 8, 16, 32, 64])
+def test_to_input_vector_matches_scalar_quantize(total_bits):
+    fmt = QFormat(total_bits, 3)
+    res = fmt.resolution
+    values = [(k + 0.5) * res for k in range(-8, 8)]                        # ties, both signs
+    values += [fmt.min_value, fmt.max_value, 2 * fmt.min_value, 2 * fmt.max_value,
+               (fmt.raw_max + 0.5) * res, (fmt.raw_min - 0.5) * res]        # both rails
+    values += list(np.random.default_rng(total_bits).uniform(-5.0, 5.0, 196 - len(values)))
+    vec = to_input_vector(np.array(values).reshape(14, 14), fmt)
+    assert all(v.fmt == fmt for v in vec)
+    assert [v.raw for v in vec] == [quantize(float(x), fmt).raw for x in values]
 
 
 def test_load_dataset_end_to_end(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_quantized_case, synthetic_digits
 from hydrasim.datapath import AfKind
+from hydrasim.engine import run_inference
 from hydrasim.errors import ConfigError, ParamsFileError
 from hydrasim.fxp import QFormat, QValue, dequantize, quantize
 from hydrasim.model import (
@@ -113,6 +114,49 @@ def test_quantize_array_matches_scalar_quantize():
         raws = quantize_array(xs, fmt)
         for x, raw in zip(xs, raws):
             assert int(raw) == quantize(float(x), fmt).raw
+
+
+def _quantize_probes(fmt):
+    """Ties of both signs, both rails and past them, and random values."""
+    res, lo, hi = fmt.resolution, fmt.raw_min, fmt.raw_max
+    rng = np.random.default_rng(fmt.total_bits)
+    probes = [0.0, 5.0, -5.0, 1e200, -1e200, fmt.min_value, fmt.max_value,
+              2 * fmt.min_value, 2 * fmt.max_value, fmt.min_value - res, fmt.max_value + res,
+              (lo - 0.5) * res, (hi + 0.5) * res, (hi - 0.5) * res, (lo + 0.5) * res]
+    probes += [(k + 0.5) * res for k in range(-4, 4)]
+    probes += list(rng.uniform(2 * fmt.min_value, 2 * fmt.max_value, 64))
+    return probes
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits", range(4, 65))
+def test_quantize_array_matches_scalar_at_every_width(total_bits):
+    for int_bits in sorted({1, 3, total_bits}):
+        fmt = QFormat(total_bits, int_bits)
+        xs = _quantize_probes(fmt)
+        raws = quantize_array(xs, fmt)
+        assert raws.dtype == np.int64
+        assert raws.tolist() == [quantize(float(x), fmt).raw for x in xs], str(fmt)
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+def test_quantize_array_saturates_to_raw_max_above_54_bits():
+    # float(raw_max) rounds up to 2^(t-1) from 55 bits on; at 64 bits that overflowed int64
+    for total_bits in (55, 56, 63, 64):
+        fmt = QFormat(total_bits, 3)
+        assert quantize_array([5.0, -5.0], fmt).tolist() == [fmt.raw_max, fmt.raw_min]
+
+
+def test_quantize_array_chunks_keep_shape_and_reject_non_finite():
+    xs = np.linspace(-9.0, 9.0, 3 * 7 * 20011).reshape(3, 7, 20011)   # several chunks
+    raws = quantize_array(xs, Q83)
+    assert raws.shape == xs.shape
+    assert raws.reshape(-1)[::997].tolist() == [quantize(float(x), Q83).raw
+                                                for x in xs.reshape(-1)[::997]]
+    for bad in (np.nan, np.inf, -np.inf):
+        xs.reshape(-1)[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_array(xs, Q83)
 
 
 def test_quantization_error_bound():
@@ -418,6 +462,27 @@ def test_load_rejects_non_integer_raw_codes(tmp_path, raw):
         load_params(path)
 
 
+@pytest.mark.parametrize("leaf", [True, False])
+def test_load_float_file_rejects_booleans(tmp_path, leaf):
+    path = tmp_path / "f.json"
+    doc = {
+        "format_version": 1,
+        "layer_sizes": [2, 1],
+        "qformat": "float",
+        "layers": [{"weights": [[0.5, leaf]], "biases": [0.0]}],
+    }
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamsFileError, match="layer 0 holds non-numeric"):
+        load_params(path)
+    doc["layers"] = [{"weights": [[0.5, 1]], "biases": [leaf]}]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamsFileError, match="layer 0 holds non-numeric"):
+        load_params(path)
+    doc["layers"] = [{"weights": [[0.5, 1]], "biases": [-2.5e-3]}]   # JSON ints are numbers too
+    path.write_text(json.dumps(doc))
+    assert load_params(path).layers[0].weights.tolist() == [[0.5, 1.0]]
+
+
 # =============================================================================
 # Exact batch kernel
 # =============================================================================
@@ -470,6 +535,62 @@ def test_batch_kernel_ties_round_to_even_after_bias(total_bits):
         oracle = forward_quantized(cfg, params, [QValue(x, fmt)])
         batch = forward_quantized_batch(cfg, params, np.array([[x]]))
         assert [v.raw for v in oracle] == batch[0].tolist()
+
+
+def _float_route(fmt, fan_in):
+    return _limb_plan(fmt, fan_in)[4] is np.float64
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("fan_in, last_float_bits", [(196, 23), (256, 22), (511, 22), (512, 22)])
+def test_float_route_boundary_engine_oracle_batch_agree(fan_in, last_float_bits):
+    # The float route rounds the whole sum in float64; the width past it folds limbs.
+    # Below 512, 23 bits is a one-limb plan (one matmul), yet only 196 takes the float route.
+    assert _float_route(QFormat(last_float_bits, 3), fan_in)
+    assert not _float_route(QFormat(last_float_bits + 1, 3), fan_in)
+    n_a, _, n_w, _, _ = _limb_plan(QFormat(23, 3), fan_in)
+    assert (n_a * n_w == 1) == (fan_in < 512)
+    for total_bits in (last_float_bits, last_float_bits + 1):
+        _assert_extreme_layer_agrees(QFormat(total_bits, 3), fan_in, AfKind.RELU)
+
+
+@pytest.mark.parametrize("fan_in", [196, 512])
+def test_float_route_sigmoid_layer_engine_oracle_batch_agree(fan_in):
+    _assert_extreme_layer_agrees(QFormat(16, 3), fan_in, AfKind.SIGMOID)
+
+
+def _assert_extreme_layer_agrees(fmt, fan_in, hidden):
+    """Engine = oracle = batch on a fan_in:6:2 network at the extremes of fmt.
+
+    Row 0 is all raw_min: against all-raw_min weights and a raw_max bias it is
+    the largest same-sign sum (the upper rail), against all-raw_max weights
+    and a raw_min bias the lower rail.  Rows 1 and 2 are (+-1, raw_min, ...):
+    against (2^(f-1), raw_min, raw_max, ...) weights the partial sums swing by
+    2^(2t-2), yet the sum stays small and is a tie of either sign, which the
+    biases 0, 1, -1 and 2 then round both ways.
+    """
+    f, lo, hi = fmt.frac_bits, fmt.raw_min, fmt.raw_max
+    pairs = (fan_in - 1) // 2
+    tie_w = [1 << (f - 1)] + [lo, hi] * pairs + [0] * (fan_in - 1 - 2 * pairs)
+    w0 = np.array([[lo] * fan_in, [hi] * fan_in] + [tie_w] * 4, dtype=np.int64)
+    b0 = np.array([hi, lo, 0, 1, -1, 2], dtype=np.int64)
+    w1 = np.array([[hi, lo, hi, lo, hi, lo], [1, -1, 0, 2, -2, 3]], dtype=np.int64)
+    params = Params([LayerParams(w0, b0), LayerParams(w1, np.array([0, -1]))], fmt)
+    cfg = NetworkConfig((fan_in, 6, 2), max_fma=6, qformat=fmt, af_per_layer=(hidden, AfKind.IDENTITY))
+    rows = np.array([[lo] * fan_in, [1] + [lo] * (fan_in - 1), [-1] + [lo] * (fan_in - 1)])
+    for sign, row in zip((1, -1), rows[1:]):
+        exact = sum(int(v) * int(w) for v, w in zip(row, tie_w))
+        assert exact % (1 << f) == 1 << (f - 1) and abs(exact >> f) < hi, sign
+    batch = forward_quantized_batch(cfg, params, rows)
+    hidden_batch = forward_quantized_batch(
+        NetworkConfig((fan_in, 6), max_fma=6, qformat=fmt, af_per_layer=(AfKind.IDENTITY,)),
+        Params(params.layers[:1], fmt), rows)
+    assert hidden_batch[0, :2].tolist() == [hi, lo]   # both rails reached
+    for row, out in zip(rows, batch):
+        x = [QValue(int(v), fmt) for v in row]
+        oracle = [v.raw for v in forward_quantized(cfg, params, x)]
+        engine, _ = run_inference(cfg, params, x)
+        assert oracle == [v.raw for v in engine] == out.tolist(), (str(fmt), fan_in)
 
 
 def test_batch_rejects_out_of_range_raw_inputs():

@@ -3,7 +3,11 @@
 One FmaBank of MAX_FMA multiply-accumulate slots, one PISO capture stage, and
 one shared activation unit execute every layer of the network in sequence, on
 raw integer codes (QValues only enter at load_input and leave from run).  The
-engine is a cycle-accurate state machine: each step() call is one clock cycle.
+controller is one generator, Engine._control, written as the control sequence
+itself: it walks the pass schedule one pass after another (arm, MAC, PISO
+capture, serialize) and yields once per clock cycle, so each step() call is
+one cycle.  The Phase it sets is checked against LEGAL_PHASE_TRANSITIONS, and
+the cycle report is read off the event log.
 
 Cycle accounting, store-and-forward mode
 ----------------------------------------
@@ -18,11 +22,12 @@ overlaps the first input fetch).
 Streamed mode
 -------------
 Once the PISO has captured a layer's accumulator outputs the FMA bank is
-free, so the next layer's MAC consumes each serialized output on the cycle it
-is stored.  Each layer after the first therefore adds inputs(l) + 2 cycles to
-the point where its own output stream begins.  Reported total_cycles is the
-cycle the final layer's output stream starts; last_output_cycle records when
-the final element lands.  Outputs are bit-identical across modes.
+free, so the next layer's MAC runs inside the serialize loop, consuming each
+output on the cycle it is stored, and that layer begins at its PISO capture.
+Each layer after the first therefore adds inputs(l) + 2 cycles to the point
+where its own output stream begins.  Reported total_cycles is the cycle the
+final layer's output stream starts; last_output_cycle records when the final
+element lands.  Outputs are bit-identical across modes.
 
 Tiling (off by default) splits an oversized layer into ceil(n/MAX_FMA) passes
 of inputs + pass_width + 2 cycles each; pass boundaries reuse the layer-done
@@ -195,17 +200,11 @@ class Engine:
         self.mac_ops = 0
         self.af_invocations = 0
         self.fma_bank.gate_off()
-        self._pass_idx = 0
-        self._mac_step = 0
-        self._ser_step = 0
-        self._af_out: int | None = None
-        self._stream_armed = False
-        self._stream_step = 0
-        self._layer_start = [0] * self.cfg.n_layers
-        self._first_output = [0] * self.cfg.n_layers
-        self._layer_finish = [0] * self.cfg.n_layers
         self._mac_cycles = [0] * self.cfg.n_layers
         self._ser_cycles = [0] * self.cfg.n_layers
+        # The controller generator, made on the first step(): one made here
+        # would hold self in a reference cycle.
+        self._clock = None
 
     @property
     def gate_mask(self) -> list[bool]:
@@ -235,25 +234,18 @@ class Engine:
             raise ControlFault(f"illegal phase transition {self.phase} -> {new}")
         self.phase = new
 
-    # -- per-cycle micro-operations ------------------------------------------
+    def _event(self, kind: EventKind, layer: int) -> None:
+        self.events.append(Event(kind, layer, self.cycle))
+
+    # -- the controller -------------------------------------------------------
 
     def _arm_units(self, p: _Pass) -> None:
         """Bias preload + gate mask for a pass; costs no cycle (overlaps fetch)."""
         self.fma_bank.preload(
             self._biases[p.layer][p.offset:p.offset + p.width], self.fmt.frac_bits
         )
-        self._mac_step = 0
-
-    def _begin_pass(self, idx: int, events: list[Event]) -> None:
-        p = self._schedule[idx]
-        self._pass_idx = idx
-        self.layer_index = p.layer
-        self._set_phase(Phase.LOAD_BIAS)
-        self._arm_units(p)
         if p.first:
-            self._layer_start[p.layer] = self.cycle - 1
-            events.append(Event(EventKind.LAYER_STARTED, p.layer, self.cycle))
-        self._set_phase(Phase.MAC)
+            self._event(EventKind.LAYER_STARTED, p.layer)
 
     def _mac(self, p: _Pass, k: int, x_raw: int) -> int:
         """One MAC cycle of pass p: layer input k, of value x_raw, into the bank."""
@@ -262,66 +254,62 @@ class Engine:
         self._mac_cycles[p.layer] += 1
         return p.width
 
-    def _mac_cycle(self) -> int:
-        k = self._mac_step
-        self._mac_step += 1
-        return self._mac(self._schedule[self._pass_idx], k, self.in_buf[k])
-
-    def _piso_load(self) -> None:
-        """Capture the bank through the single rounding point (round, saturate)."""
-        p = self._schedule[self._pass_idx]
-        self.afu.configure(self.cfg.afs[p.layer])
-        f = self.fmt.frac_bits
-        self.piso.load(
-            saturate_raw(round_half_even_shift(a, f), self.fmt)
-            for a in self.fma_bank.acc[:p.width]
-        )
-        self._ser_step = 0
-        self._af_out = None
-
-    def _stream_mac(self, v: int, events: list[Event]) -> int:
-        """Feed one stored output into the next layer's MAC (streamed mode)."""
-        p = self._schedule[self._pass_idx]
-        if self.mode is not Mode.STREAMED or not p.last or p.last_of_net:
-            return 0
-        q = self._schedule[self._pass_idx + 1]
-        if not self._stream_armed:
-            self._arm_units(q)
-            self._stream_armed = True
-            self._stream_step = 0
-            self._layer_start[q.layer] = self.cycle - 1
-            events.append(Event(EventKind.LAYER_STARTED, q.layer, self.cycle))
-        k = self._stream_step
-        self._stream_step += 1
-        return self._mac(q, k, v)
-
-    def _serialize_cycle(self, events: list[Event]) -> int:
-        p = self._schedule[self._pass_idx]
-        i = self._ser_step
-        active = 0
-        if i >= 1:
-            self.out_buf.append(self._af_out)
-            active = self._stream_mac(self._af_out, events)
-        if i < p.width:
-            v = self.piso.shift()
-            self._af_out = self.afu.apply_raw(v)
-            self.af_invocations += 1
-            if i == 0 and p.first:
-                self._first_output[p.layer] = self.cycle
-                events.append(Event(EventKind.FIRST_OUTPUT, p.layer, self.cycle))
-        self._ser_cycles[p.layer] += 1
-        self._ser_step += 1
-        if i == p.width:
+    def _control(self):
+        """The control sequence: yields once per clock cycle, the active FMA count."""
+        fmt = self.fmt
+        streamed = self.mode is Mode.STREAMED
+        fed = False   # this pass's MAC already ran in the upstream store cycles
+        for n, p in enumerate(self._schedule):
+            self.layer_index = p.layer
+            self._set_phase(Phase.LOAD_BIAS)
+            if not fed:
+                self._arm_units(p)
+            self._set_phase(Phase.MAC)
+            if not fed:
+                for k in range(p.inputs):
+                    yield self._mac(p, k, self.in_buf[k])
+            # PISO capture through the single rounding point (round, saturate).
+            self._set_phase(Phase.PISO_LOAD)
+            self.afu.configure(self.cfg.afs[p.layer])
+            self.piso.load(
+                saturate_raw(round_half_even_shift(a, fmt.frac_bits), fmt)
+                for a in self.fma_bank.acc[:p.width]
+            )
+            yield 0
+            # Serialize: the AF output of cycle i is stored on cycle i + 1; in
+            # streamed mode the next layer's MAC consumes it on that cycle.
+            self._set_phase(Phase.SERIALIZE)
+            fed = streamed and p.last and not p.last_of_net
+            q = self._schedule[n + 1] if fed else None
+            for i in range(p.width + 1):
+                active = 0
+                if i:
+                    self.out_buf.append(out)
+                    if fed:
+                        if i == 1:
+                            self._arm_units(q)
+                        active = self._mac(q, i - 1, out)
+                if i < p.width:
+                    out = self.afu.apply_raw(self.piso.shift())
+                    self.af_invocations += 1
+                    if i == 0 and p.first:
+                        self._event(EventKind.FIRST_OUTPUT, p.layer)
+                self._ser_cycles[p.layer] += 1
+                if i == p.width:
+                    if p.last_of_net:
+                        self._set_phase(Phase.ANN_DONE)
+                        self._event(EventKind.ANN_DONE, p.layer)
+                    else:
+                        self._set_phase(Phase.LAYER_DONE)
+                        if p.last:
+                            self._event(EventKind.LAYER_FINISHED, p.layer)
+                yield active
             if p.last:
-                self._layer_finish[p.layer] = self.cycle
-            if p.last_of_net:
-                self._set_phase(Phase.ANN_DONE)
-                events.append(Event(EventKind.ANN_DONE, p.layer, self.cycle))
-            else:
-                self._set_phase(Phase.LAYER_DONE)
-                if p.last:
-                    events.append(Event(EventKind.LAYER_FINISHED, p.layer, self.cycle))
-        return active
+                # Hand the stored activations to the next layer (store-and-
+                # forward); in streamed mode they were consumed as they arrived.
+                if not fed:
+                    self.in_buf = self.out_buf
+                self.out_buf = []
 
     # -- the clock ------------------------------------------------------------
 
@@ -329,61 +317,21 @@ class Engine:
         """Advance one clock cycle; returns the most significant event, if any."""
         if self.phase is Phase.ANN_DONE:
             raise ControlFault("step after 'ANN done'")
-        self.cycle += 1
-        events: list[Event] = []
-        active = 0
-        if self.phase is Phase.IDLE:
+        if self._clock is None:
             if len(self.in_buf) != self.cfg.layer_sizes[0]:
                 raise ControlFault("step before load_input")
-            self._begin_pass(0, events)
-            active = self._mac_cycle()
-        elif self.phase is Phase.MAC:
-            if self._mac_step < self._schedule[self._pass_idx].inputs:
-                active = self._mac_cycle()
-            else:
-                self._set_phase(Phase.PISO_LOAD)
-                self._piso_load()
-        elif self.phase is Phase.PISO_LOAD:
-            self._set_phase(Phase.SERIALIZE)
-            active = self._serialize_cycle(events)
-        elif self.phase is Phase.SERIALIZE:
-            active = self._serialize_cycle(events)
-        elif self.phase is Phase.LAYER_DONE:
-            nxt = self._pass_idx + 1
-            q = self._schedule[nxt]
-            done = self._schedule[self._pass_idx]
-            if done.last:
-                # Hand the stored activations to the next layer (store-and-forward);
-                # in streamed mode they were consumed as they arrived.
-                if not self._stream_armed:
-                    self.in_buf = self.out_buf
-                self.out_buf = []
-            if self._stream_armed:
-                # Streamed: this pass's MAC already ran during the upstream
-                # layer's store cycles; go straight to the PISO capture.
-                if self._stream_step != q.inputs:
-                    raise ControlFault(
-                        f"streamed MAC consumed {self._stream_step} of "
-                        f"{q.inputs} inputs at layer boundary"
-                    )
-                self._pass_idx = nxt
-                self.layer_index = q.layer
-                self._mac_step = q.inputs
-                self._stream_armed = False
-                self._set_phase(Phase.LOAD_BIAS)
-                self._set_phase(Phase.MAC)
-                self._set_phase(Phase.PISO_LOAD)
-                self._piso_load()
-            else:
-                self._begin_pass(nxt, events)
-                active = self._mac_cycle()
+            self._clock = self._control()
+        self.cycle += 1
+        seen = len(self.events)
+        active = next(self._clock)
+        if self.phase is Phase.ANN_DONE:
+            self._clock = None
         if self.trace_hook is not None:
             self.trace_hook(
                 TraceRecord(self.cycle, self.phase.value, self.layer_index, active)
             )
-        self.events.extend(events)
-        if events:
-            return max(events, key=lambda e: _EVENT_PRIORITY[e.kind])
+        if len(self.events) > seen:
+            return max(self.events[seen:], key=lambda e: _EVENT_PRIORITY[e.kind])
         return None
 
     def run(self, x) -> tuple[list[QValue], CycleReport]:
@@ -401,26 +349,28 @@ class Engine:
         if self.phase is not Phase.ANN_DONE:
             raise ControlFault("report requested before 'ANN done'")
         cfg = self.cfg
+        start, first, finish = ([0] * cfg.n_layers for _ in range(3))
+        for e in self.events:
+            if e.kind is EventKind.LAYER_STARTED:
+                start[e.layer] = e.cycle - 1
+            elif e.kind is EventKind.FIRST_OUTPUT:
+                first[e.layer] = e.cycle
+            else:   # LAYER_FINISHED, or ANN_DONE for the last layer
+                finish[e.layer] = e.cycle
         streamed = self.mode is Mode.STREAMED and cfg.n_layers > 1
-        per_layer = []
-        for l in range(cfg.n_layers):
-            if streamed:
-                prev = self._first_output[l - 1] if l > 0 else 0
-                total = self._first_output[l] - prev
-            else:
-                total = self._layer_finish[l] - self._layer_start[l]
-            per_layer.append(
-                LayerTiming(
-                    layer=l,
-                    start_cycle=self._layer_start[l],
-                    mac_cycles=self._mac_cycles[l],
-                    first_output_cycle=self._first_output[l],
-                    serialize_cycles=self._ser_cycles[l],
-                    total_cycles=total,
-                )
+        per_layer = [
+            LayerTiming(
+                layer=l,
+                start_cycle=start[l],
+                mac_cycles=self._mac_cycles[l],
+                first_output_cycle=first[l],
+                serialize_cycles=self._ser_cycles[l],
+                total_cycles=first[l] - (first[l - 1] if l else 0) if streamed
+                else finish[l] - start[l],
             )
-        end = self._first_output[-1] if streamed else self._layer_finish[-1]
-        total_cycles = end + cfg.softmax_cycles
+            for l in range(cfg.n_layers)
+        ]
+        total_cycles = (first[-1] if streamed else finish[-1]) + cfg.softmax_cycles
         bank_load = sum(
             cfg.inputs_of(l) * (cfg.width_of(l) + 1) for l in range(cfg.n_layers)
         )
@@ -432,7 +382,7 @@ class Engine:
             fma_utilization=self.mac_ops / (cfg.max_fma * total_cycles),
             softmax_cycles=cfg.softmax_cycles,
             mode=self.mode,
-            last_output_cycle=self._layer_finish[-1],
+            last_output_cycle=finish[-1],
             bank_load_cycles=bank_load,
         )
 

@@ -179,8 +179,10 @@ def quantize(x: float, fmt: QFormat) -> QValue:
     if not math.isfinite(x):
         raise ValueError(f"cannot quantize non-finite value {x!r}")
     # Power-of-two scaling of a binary float is exact, so round() sees the
-    # true scaled value and its banker's rounding is the exact tie rule.
-    scaled = x * (1 << fmt.frac_bits)
+    # true scaled value and its banker's rounding is the exact tie rule.  A
+    # value past the rails (inf too, once |x| * 2^f overflows) is clamped to
+    # just beyond them, which saturates.
+    scaled = min(max(float(x) * (1 << fmt.frac_bits), fmt.raw_min - 1), fmt.raw_max + 1)
     return QValue(saturate_raw(round(scaled), fmt), fmt)
 
 

@@ -218,11 +218,13 @@ def quantize_array(x, fmt: QFormat) -> np.ndarray:
         b = buf[:part.size]
         if not np.isfinite(part).all():
             raise ValueError("cannot quantize non-finite values")
-        np.multiply(part, scale, out=b)   # power-of-two scaling is exact
-        over = b >= top if wide else None
+        over = part >= top / scale if wide else None
+        # Power-of-two scaling is exact, so clipping at [-top, hi] / scale
+        # before it equals clipping after it, and the product cannot overflow.
         # Clipping at integers commutes with rounding, and np.rint rounds
         # halves to even, matching the scalar quantize exactly.
-        np.clip(b, -top, hi, out=b)
+        np.clip(part, -top / scale, hi / scale, out=b)
+        b *= scale
         dst[...] = np.rint(b, out=b)
         if wide:
             dst[over] = fmt.raw_max
@@ -623,7 +625,7 @@ def load_params(path) -> Params:
         raise ParamsFileError(f"{path}: missing or malformed field: {exc}") from exc
     if qf_field == "float":
         fmt = None
-        dtype = np.float64
+        dtype = None   # inferred: JSON strings and nulls come out non-numeric
     else:
         try:
             fmt = QFormat(int(qf_field["total_bits"]), int(qf_field["int_bits"]))
@@ -634,9 +636,10 @@ def load_params(path) -> Params:
         raise ParamsFileError(
             f"{path}: {len(raw_layers)} layers for layer_sizes {sizes}"
         )
-    # np.array(dtype=...) below truncates 1.7 and reads true as 1, so the
-    # leaves are checked too.  Scanning a float file's leaves would add about
-    # a third to its load time, so only one whose text spells a boolean is.
+    # np.array(dtype=int64) truncates 1.7 and reads true as 1, and a float
+    # array infers float64 from [true, 0.5], so the leaves are checked too.
+    # Scanning a float file's leaves would add about a third to its load
+    # time, so only one whose text spells a boolean is.
     scan = fmt is not None or _spells(text, "true") or _spells(text, "false")
     layers = []
     for l, entry in enumerate(raw_layers):
@@ -645,6 +648,10 @@ def load_params(path) -> Params:
             b = np.array(entry["biases"], dtype=dtype)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParamsFileError(f"{path}: layer {l} is malformed: {exc}") from exc
+        if fmt is None:
+            if w.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
+                raise ParamsFileError(f"{path}: layer {l} holds non-numeric values")
+            w, b = w.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
         if w.ndim != 2 or w.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
             raise ParamsFileError(
                 f"{path}: layer {l} dims {w.shape}/{b.shape} do not match "

@@ -6,6 +6,8 @@ simulator and are asserted exactly.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -424,6 +426,83 @@ def test_engine_reset_reuses_cleanly():
     assert engine.cycle == 0 and engine.phase is Phase.IDLE
     _, r2 = engine.run(zeros_input(cfg))
     assert r1 == r2
+
+
+def test_step_before_load_input_is_a_fault():
+    engine, _ = bench_engine()
+    with pytest.raises(ControlFault, match="before load_input"):
+        engine.step()
+
+
+def test_load_input_while_running_is_a_fault():
+    engine, cfg = bench_engine()
+    engine.load_input(zeros_input(cfg))
+    engine.step()
+    with pytest.raises(ControlFault, match="while the engine is running"):
+        engine.load_input(zeros_input(cfg))
+
+
+def test_report_before_ann_done_is_a_fault():
+    engine, cfg = bench_engine()
+    with pytest.raises(ControlFault, match="before 'ANN done'"):
+        engine.report()
+    engine.load_input(zeros_input(cfg))
+    for _ in range(300):
+        engine.step()
+    with pytest.raises(ControlFault, match="before 'ANN done'"):
+        engine.report()
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_reset_mid_run_then_run_equals_fresh_engine(mode):
+    cfg, params, x = random_quantized_case(np.random.default_rng(13), Q83)   # 13:9:9:1:9
+    cfg = dataclasses.replace(cfg, mode=mode)
+    fresh = Engine(cfg, params).run(x)
+    engine = Engine(cfg, params)
+    engine.load_input(x)
+    for _ in range(fresh[1].last_output_cycle // 2):
+        engine.step()
+    engine.reset()
+    assert engine.run(x) == fresh
+
+
+def test_step_returns_highest_priority_event_of_its_cycle():
+    # Width-1 streamed layers: layer 1 starts on the cycle layer 0 finishes.
+    cfg = NetworkConfig((3, 1, 2), max_fma=2, mode=Mode.STREAMED)
+    engine = Engine(cfg, zero_params(cfg))
+    engine.load_input(zeros_input(cfg))
+    returned = {}
+    while engine.phase is not Phase.ANN_DONE:
+        ret = engine.step()
+        returned[engine.cycle] = ret
+    at_6 = [(e.kind, e.layer) for e in engine.events if e.cycle == 6]
+    assert at_6 == [(EventKind.LAYER_STARTED, 1), (EventKind.LAYER_FINISHED, 0)]
+    assert (returned[6].kind, returned[6].layer, returned[6].cycle) == (
+        EventKind.LAYER_FINISHED, 0, 6
+    )
+    # every other cycle returns its only event, or None
+    for cycle, ret in returned.items():
+        if cycle != 6:
+            events = [e for e in engine.events if e.cycle == cycle]
+            assert ret == (events[0] if events else None)
+            assert len(events) <= 1
+
+
+def test_idle_and_finished_engines_are_freed_without_cyclic_gc():
+    cfg = NetworkConfig((4, 3, 2), max_fma=5)
+    gc.disable()
+    try:
+        engine = Engine(cfg, zero_params(cfg))
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+        engine = Engine(cfg, zero_params(cfg))
+        engine.run(zeros_input(cfg))
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_events_agree_with_report():

@@ -122,13 +122,15 @@ def _quantize_probes(fmt):
     rng = np.random.default_rng(fmt.total_bits)
     probes = [0.0, 5.0, -5.0, 1e200, -1e200, fmt.min_value, fmt.max_value,
               2 * fmt.min_value, 2 * fmt.max_value, fmt.min_value - res, fmt.max_value + res,
-              (lo - 0.5) * res, (hi + 0.5) * res, (hi - 0.5) * res, (lo + 0.5) * res]
+              (lo - 0.5) * res, (hi + 0.5) * res, (hi - 0.5) * res, (lo + 0.5) * res,
+              1e300, -1e300, np.finfo(float).max, -np.finfo(float).max]
     probes += [(k + 0.5) * res for k in range(-4, 4)]
     probes += list(rng.uniform(2 * fmt.min_value, 2 * fmt.max_value, 64))
     return probes
 
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("total_bits", range(4, 65))
 def test_quantize_array_matches_scalar_at_every_width(total_bits):
     for int_bits in sorted({1, 3, total_bits}):
@@ -137,6 +139,13 @@ def test_quantize_array_matches_scalar_at_every_width(total_bits):
         raws = quantize_array(xs, fmt)
         assert raws.dtype == np.int64
         assert raws.tolist() == [quantize(float(x), fmt).raw for x in xs], str(fmt)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quantize_saturates_numpy_scalars_past_the_float_range():
+    fmt = QFormat(32, 3)
+    big = np.finfo(np.float64).max
+    assert [quantize(v, fmt).raw for v in (big, -big)] == [fmt.raw_max, fmt.raw_min]
 
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
@@ -462,7 +471,7 @@ def test_load_rejects_non_integer_raw_codes(tmp_path, raw):
         load_params(path)
 
 
-@pytest.mark.parametrize("leaf", [True, False])
+@pytest.mark.parametrize("leaf", [True, False, "1.5"])
 def test_load_float_file_rejects_booleans(tmp_path, leaf):
     path = tmp_path / "f.json"
     doc = {

@@ -55,28 +55,22 @@ from .timing import (
 
 SIMULATE_SCHEMA = "hydrasim.simulate.v1"
 SWEEP_SCHEMA = "hydrasim.sweep.v1"
+_MODE_NAMES = sorted(m.value for m in Mode)
+_AF_NAMES = sorted(k.value for k in AfKind)
 
-_MODES = {"store": Mode.STORE_AND_FORWARD, "stream": Mode.STREAMED}
-_AFS = {k.value: k for k in AfKind}
 
-
-def _parse_layers(text: str) -> tuple[int, ...]:
+def _parse_layers(text: str) -> list[int]:
     try:
-        sizes = tuple(int(tok) for tok in text.replace(",", ":").split(":") if tok)
+        return [int(tok) for tok in text.replace(",", ":").split(":") if tok]
     except ValueError as exc:
         raise ConfigError(f"bad layer list {text!r}: {exc}") from exc
-    if len(sizes) < 2:
-        raise ConfigError(f"layer list {text!r} needs at least input:output")
-    return sizes
 
 
 def _config_from_file(path) -> dict:
     try:
         with open(path, encoding="ascii") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -84,77 +78,27 @@ def _config_from_file(path) -> dict:
 
 
 def _build_config(args, params: Params | None) -> NetworkConfig:
-    """Resolve the network config from --config, --layers, flags, and params dims."""
-    doc = _config_from_file(args.config) if getattr(args, "config", None) else {}
-    try:
-        return _resolve_config(args, params, doc)
-    except (KeyError, TypeError) as exc:
-        # an unknown mode or activation name, or a field of the wrong shape or type
-        raise ConfigError(
-            f"{args.config}: unknown or malformed config value ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
-def _json_int(field: str, value) -> int:
-    # JSON true/false load as bool, a subclass of int; 64.9 loads as a float.
-    if type(value) is not int:
-        raise TypeError(f"{field} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _resolve_config(args, params: Params | None, doc: dict) -> NetworkConfig:
-    if getattr(args, "layers", None):
-        layer_sizes = _parse_layers(args.layers)
-    elif "layer_sizes" in doc:
-        layer_sizes = tuple(_json_int("layer_sizes", s) for s in doc["layer_sizes"])
-    elif params is not None:
-        layer_sizes = params.layer_sizes
-    else:
-        raise ConfigError("no layer sizes: pass --layers, --config, or --params")
-
+    """Resolve each config field from a flag, else --config, else params, else its default."""
+    doc = {}
+    if params is not None:
+        doc["layer_sizes"] = list(params.layer_sizes)
+        if params.is_quantized:
+            doc["qformat"] = dataclasses.asdict(params.qformat)
+    if args.config:
+        doc.update(_config_from_file(args.config))
+    if args.layers:
+        doc["layer_sizes"] = _parse_layers(args.layers)
     if args.bits is not None or args.int_bits is not None:
-        total = args.bits if args.bits is not None else 8
-        int_bits = args.int_bits if args.int_bits is not None else 3
-        qformat = QFormat(total, int_bits)
-    elif "qformat" in doc:
-        qf = doc["qformat"]
-        qformat = QFormat(_json_int("qformat.total_bits", qf["total_bits"]),
-                          _json_int("qformat.int_bits", qf["int_bits"]))
-    elif params is not None and params.is_quantized:
-        qformat = params.qformat
-    else:
-        qformat = QFormat(8, 3)
-
-    if getattr(args, "af", None):
-        kind = _AFS[args.af]
-        n_layers = len(layer_sizes) - 1
-        afs = (kind,) * max(0, n_layers - 1) + (AfKind.IDENTITY,)
-    elif "af_per_layer" in doc:
-        afs = tuple(_AFS[name] for name in doc["af_per_layer"])
-    else:
-        afs = None
-
-    tiling = doc.get("tiling", False)
-    if type(tiling) is not bool:
-        raise TypeError(f"tiling must be true or false, got {tiling!r}")
-    mode_name = args.mode or doc.get("mode", "store")
-    cfg = NetworkConfig(
-        layer_sizes=layer_sizes,
-        max_fma=(
-            args.max_fma
-            if args.max_fma is not None
-            else _json_int("max_fma", doc.get("max_fma", 64))
-        ),
-        qformat=qformat,
-        af_per_layer=afs,
-        mode=_MODES[mode_name],
-        softmax_cycles=(
-            args.softmax_cycles
-            if args.softmax_cycles is not None
-            else _json_int("softmax_cycles", doc.get("softmax_cycles", 0))
-        ),
-        tiling=args.tiling or tiling,
-    )
+        doc["qformat"] = {"total_bits": 8 if args.bits is None else args.bits,
+                          "int_bits": 3 if args.int_bits is None else args.int_bits}
+    flags = {name: getattr(args, name) for name in ("max_fma", "mode", "softmax_cycles", "tiling")}
+    doc.update({name: value for name, value in flags.items() if value is not None})
+    if args.af:
+        doc.pop("af_per_layer", None)
+    cfg = NetworkConfig.from_dict(doc)
+    if args.af:   # hidden layers only; the output layer stays identity
+        afs = (AfKind(args.af),) * (cfg.n_layers - 1) + (AfKind.IDENTITY,)
+        cfg = dataclasses.replace(cfg, af_per_layer=afs)
     ensure_valid(cfg)
     return cfg
 
@@ -220,6 +164,7 @@ def cmd_simulate(args) -> int:
             cfg, qparams, trace_hook=(lambda r: print(r.line(), file=sys.stderr)) if trace else None
         )
         outputs, report = engine.run(to_input_vector(ds.images[0], cfg.qformat))
+        tp = throughput_report(report, args.clock_hz)
         engine_raw = [v.raw for v in outputs]
         if engine_raw != out_raw[0].tolist():
             raise ControlFault(
@@ -242,7 +187,6 @@ def cmd_simulate(args) -> int:
         print("no images evaluated (limit 0)")
         return 0
     correct = sum(p == l for p, l in zip(preds, labels))
-    tp = throughput_report(report, args.clock_hz)
     print(f"images evaluated      {n}")
     print(f"accuracy              {correct / n:.4f} ({correct}/{n})")
     print(f"mode                  {report.mode.value}")
@@ -299,14 +243,15 @@ def cmd_sweep(args) -> int:
     if params.is_quantized:
         raise ConfigError("sweep needs a float parameter file")
     widths = [int(tok) for tok in args.bits_list.split(",") if tok]
-    int_bits = args.int_bits if args.int_bits is not None else 3
+    if not widths:
+        raise ConfigError("--bits-list names no widths")
     ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
 
     base = _build_config(args, params)
     cycles = _cycle_report(base).total_cycles
     rows = []
     for width in widths:
-        fmt = QFormat(width, int_bits)
+        fmt = QFormat(width, base.qformat.int_bits)
         cfg = dataclasses.replace(base, qformat=fmt)
         ensure_valid(cfg)
         qparams = quantize_params(params, fmt)
@@ -351,8 +296,7 @@ def cmd_train(args) -> int:
 
 def cmd_quantize(args) -> int:
     params = load_params(args.params)
-    fmt = QFormat(args.bits if args.bits is not None else 8,
-                  args.int_bits if args.int_bits is not None else 3)
+    fmt = QFormat(args.bits, args.int_bits)
     qparams = quantize_params(params, fmt)   # raises if already quantized
     save_params(args.out, qparams)
     print(f"wrote {fmt} parameters to {args.out}")
@@ -398,13 +342,13 @@ def _add_common(p: argparse.ArgumentParser, *, dataset: bool) -> None:
     p.add_argument("--bits", type=int, default=None, help="total bits of the fixed-point format")
     p.add_argument("--int-bits", type=int, default=None,
                    help="integer bits incl. sign (default 3)")
-    p.add_argument("--mode", choices=sorted(_MODES), default=None,
+    p.add_argument("--mode", choices=_MODE_NAMES, default=None,
                    help="engine mode (default store)")
-    p.add_argument("--af", choices=sorted(_AFS), default=None,
+    p.add_argument("--af", choices=_AF_NAMES, default=None,
                    help="hidden-layer activation (output layer stays identity)")
     p.add_argument("--softmax-cycles", type=int, default=None,
                    help="constant added to total cycles for the output stage")
-    p.add_argument("--tiling", action="store_true",
+    p.add_argument("--tiling", action="store_true", default=None,
                    help="allow layers wider than max_fma via multiple passes")
     if dataset:
         p.add_argument("--images", help="MNIST IDX image file (.gz ok)")
@@ -476,6 +420,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 1
     except (ConfigError, ParamsFileError, IdxFormatError, ControlFault, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ def _read_file(path) -> bytes:
     try:
         with opener(path, "rb") as fh:
             return fh.read()
-    except (OSError, EOFError) as exc:
+    except (OSError, EOFError, zlib.error) as exc:
         if isinstance(exc, FileNotFoundError):
             raise
         raise IdxTruncationError(f"{path}: unreadable or truncated stream: {exc}") from exc

@@ -44,9 +44,29 @@ class Mode(Enum):
 
 def default_afs(n_layers: int) -> tuple[AfKind, ...]:
     """ReLU on hidden layers, identity on the output layer."""
-    if n_layers == 1:
-        return (AfKind.IDENTITY,)
     return (AfKind.RELU,) * (n_layers - 1) + (AfKind.IDENTITY,)
+
+
+def _json_value(name: str, value, kind):
+    """value as kind, if its JSON type is exactly kind's: true is no integer,
+    8.0 is not 8, an Enum is spelled by a member's value, a QFormat is an
+    object of two integers, and (kind,) is an array of kind."""
+    if isinstance(kind, tuple):
+        items = enumerate(_json_value(name, value, list))
+        return tuple(_json_value(f"{name}[{i}]", v, kind[0]) for i, v in items)
+    if kind is QFormat:
+        qf = _json_value(name, value, dict)
+        if qf.keys() != {"total_bits", "int_bits"}:
+            raise ConfigError(f"config field {name} needs total_bits and int_bits, got {list(qf)}")
+        return QFormat(**{k: _json_value(f"{name}.{k}", v, int) for k, v in qf.items()})
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise ConfigError(f"config field {name}: {exc}") from None
+    if type(value) is not kind:
+        raise ConfigError(f"config field {name} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -70,6 +90,23 @@ class NetworkConfig:
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
         if self.af_per_layer is not None:
             object.__setattr__(self, "af_per_layer", tuple(self.af_per_layer))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> NetworkConfig:
+        """Build a config from its JSON form, as a --config file holds it.
+
+        Values are type-checked, never coerced, and every defect, an unknown
+        or missing field included, is a ConfigError naming the field.  The
+        config's invariants are left to ensure_valid.
+        """
+        kinds = {"layer_sizes": (int,), "max_fma": int, "qformat": QFormat,
+                 "af_per_layer": (AfKind,), "mode": Mode, "softmax_cycles": int, "tiling": bool}
+        unknown = sorted(doc.keys() - kinds)
+        if unknown:
+            raise ConfigError(f"unknown config field(s) {unknown}")
+        if "layer_sizes" not in doc:
+            raise ConfigError("config field layer_sizes is missing")
+        return cls(**{name: _json_value(name, value, kinds[name]) for name, value in doc.items()})
 
     @property
     def n_layers(self) -> int:
@@ -506,6 +543,9 @@ def train_minimal(
     manufacture realistic parameters at desk scale, not to chase accuracy.
     """
     ensure_valid(cfg)
+    if not (math.isfinite(lr) and epochs >= 0 and batch_size >= 1):
+        raise ConfigError(f"need a finite lr, epochs >= 0 and batch_size >= 1, "
+                          f"got {lr}, {epochs} and {batch_size}")
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != cfg.layer_sizes[0]:
@@ -648,24 +688,28 @@ def load_params(path) -> Params:
             b = np.array(entry["biases"], dtype=dtype)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParamsFileError(f"{path}: layer {l} is malformed: {exc}") from exc
-        if fmt is None:
-            if w.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
-                raise ParamsFileError(f"{path}: layer {l} holds non-numeric values")
-            w, b = w.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+        # numpy infers object (kind O) for JSON null and integers past 64 bits.
+        if fmt is None and not {w.dtype.kind, b.dtype.kind} <= set("iufO"):
+            raise ParamsFileError(f"{path}: layer {l} holds non-numeric values")
         if w.ndim != 2 or w.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
             raise ParamsFileError(
                 f"{path}: layer {l} dims {w.shape}/{b.shape} do not match "
                 f"layer_sizes header {sizes}"
             )
-        if fmt is None and not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ParamsFileError(f"{path}: layer {l} contains non-finite values")
-        if scan:
+        if scan or "O" in (w.dtype.kind, b.dtype.kind):
             numbers = (int,) if fmt is not None else (int, float)
             leaves = [*np.asarray(entry["weights"], dtype=object).flat, *entry["biases"]]
             if any(type(v) not in numbers for v in leaves):
                 what = "non-integer raw codes" if fmt is not None else "non-numeric values"
                 raise ParamsFileError(f"{path}: layer {l} holds {what}")
-        if fmt is not None:
+        if fmt is None:
+            try:
+                w, b = w.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+            except OverflowError as exc:   # an integer past the float64 range
+                raise ParamsFileError(f"{path}: layer {l} holds {exc}") from exc
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ParamsFileError(f"{path}: layer {l} contains non-finite values")
+        else:
             bad = raw_codes_outside(LayerParams(w, b), fmt)
             if bad:
                 raise ParamsFileError(f"{path}: layer {l} {bad} contain raw codes outside {fmt}")

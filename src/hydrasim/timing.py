@@ -14,6 +14,7 @@ never asserted equal to a simulated trace.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,8 +79,8 @@ class ThroughputReport:
 
 def throughput_report(report: CycleReport, clock_hz: float) -> ThroughputReport:
     """Op throughput at a clock rate; multiply and add count as two ops."""
-    if clock_hz <= 0:
-        raise ConfigError(f"clock_hz must be positive, got {clock_hz}")
+    if not (math.isfinite(clock_hz) and clock_hz > 0):
+        raise ConfigError(f"clock_hz must be positive and finite, got {clock_hz}")
     cycles = report.total_cycles
     gops = 2.0 * report.mac_ops * clock_hz / cycles / 1e9 if report.mac_ops else 0.0
     return ThroughputReport(

@@ -14,8 +14,10 @@ from hydrasim.model import (
     Mode,
     NetworkConfig,
     forward_quantized_batch,
+    init_params,
     load_params,
     quantize_params,
+    save_params,
 )
 
 LAYERS = "196:12:10"           # small topology keeps engine runs fast
@@ -476,6 +478,12 @@ def test_sweep_steps_the_engine_once(tmp_path, float_params_file, synth_dataset_
     {"softmax_cycles": 2.5},
     {"qformat": {"total_bits": 8.0, "int_bits": 3}},
     {"qformat": {"total_bits": 8, "int_bits": True}},
+    {"af_per_layer": "relu"},
+    {"mode": ["store"]},
+    {"qformat": {"total_bits": 8}},
+    {"qformat": {"total_bits": 8, "int_bits": 3, "frac_bits": 5}},
+    {"max_fmas": 2},
+    {"tilling": True},
 ])
 def test_config_values_are_not_coerced(tmp_path, capsys, field):
     cfg_path = tmp_path / "net.json"
@@ -484,3 +492,124 @@ def test_config_values_are_not_coerced(tmp_path, capsys, field):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and next(iter(field)) in err
+
+
+_VALID_CONFIG = {
+    "layer_sizes": [6, 4, 3], "max_fma": 4, "qformat": {"total_bits": 8, "int_bits": 3},
+    "af_per_layer": ["relu", "identity"], "mode": "stream", "softmax_cycles": 2, "tiling": False,
+}
+_JSON_POOL = [None, True, False, 0, -1, 3, 2**70, 1.5, "relu", "stream", "", [], [3], [6, 4, 3],
+              ["sigmoid", "relu"], {}, {"total_bits": 16, "int_bits": 16}]
+
+
+_HUGE_BANK = pytest.mark.xfail(raises=OverflowError, strict=True,
+                               reason="Engine allocates a list entry per max_fma slot")
+
+
+def _field_values():
+    for name in sorted(_VALID_CONFIG):
+        for value in _JSON_POOL:
+            marks = _HUGE_BANK if (name, value) == ("max_fma", 2**70) else ()
+            yield pytest.param(name, value, id=f"{name}={json.dumps(value)}", marks=marks)
+
+
+@pytest.mark.parametrize("name, value", _field_values())
+def test_every_json_value_in_every_config_field_is_used_or_named(tmp_path, capsys, name, value):
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(json.dumps({**_VALID_CONFIG, name: value}))
+    rc = main(["timing", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 0 or (rc == 1 and err.startswith("error: ") and name in err), err
+
+
+def test_config_resolution_order_flag_then_config_then_params(tmp_path, monkeypatch):
+    qpath = tmp_path / "q.json"
+    save_params(qpath, quantize_params(init_params(NetworkConfig((6, 4, 3)), seed=0),
+                                       QFormat(16, 5)))
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(json.dumps({"max_fma": 2, "tiling": True, "softmax_cycles": 3,
+                                    "qformat": {"total_bits": 16, "int_bits": 4}}))
+    seen = []
+    real = cli._cycle_report
+    monkeypatch.setattr(cli, "_cycle_report", lambda cfg: seen.append(cfg) or real(cfg))
+    argv = ["timing", "--params", str(qpath), "--config", str(cfg_path),
+            "--softmax-cycles", "1", "--af", "sigmoid"]
+    assert main(argv) == 0
+    cfg = seen[-1]
+    assert cfg.layer_sizes == (6, 4, 3)                                      # params
+    assert (cfg.qformat, cfg.max_fma, cfg.tiling) == (QFormat(16, 4), 2, True)   # --config
+    assert cfg.softmax_cycles == 1                                           # flags
+    assert cfg.afs == (AfKind.SIGMOID, AfKind.IDENTITY)
+    assert main(argv + ["--int-bits", "2"]) == 0
+    assert seen[-1].qformat == QFormat(8, 2)   # a flag replaces the whole format
+
+
+@pytest.mark.parametrize("flag", ["--params", "--out"])
+def test_directory_paths_exit_1_naming_the_path(tmp_path, float_params_file, synth_dataset_dir,
+                                                capsys, flag):
+    args = {"--params": str(float_params_file), "--out": str(tmp_path / "sim.csv")}
+    args[flag] = str(tmp_path)
+    rc = main(["simulate", "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]), "--limit", "2",
+               *[tok for item in args.items() for tok in item]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("clock", ["nan", "inf", "-inf", "0"])
+def test_simulate_rejects_bad_clock_before_writing(tmp_path, float_params_file,
+                                                   synth_dataset_dir, capsys, clock):
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--params", str(float_params_file),
+               "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]),
+               "--limit", "2", f"--clock-hz={clock}", "--out", str(out)])
+    assert rc == 1
+    assert "clock_hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "inf"], ["--epochs", "-1"],
+                                   ["--batch-size", "0"]])
+def test_train_rejects_bad_hyperparameters(tmp_path, synth_dataset_dir, capsys, flags):
+    out = tmp_path / "p.json"
+    rc = main(["train", "--images", str(synth_dataset_dir["train_images"]),
+               "--labels", str(synth_dataset_dir["train_labels"]), "--limit", "20",
+               "--layers", "196:4:10", *flags, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flags[0][2:].replace("-", "_") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bits_list", ["", ","])
+def test_sweep_empty_bits_list_is_an_error(tmp_path, float_params_file, synth_dataset_dir,
+                                           capsys, bits_list):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--params", str(float_params_file),
+               "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]),
+               "--bits-list", bits_list, "--out", str(out)])
+    assert rc == 1
+    assert "--bits-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_takes_int_bits_from_the_config(tmp_path, float_params_file, synth_dataset_dir,
+                                              monkeypatch):
+    formats = []
+
+    def recording(cfg, params, x_raw):
+        formats.append(params.qformat)
+        return forward_quantized_batch(cfg, params, x_raw)
+
+    monkeypatch.setattr(cli, "forward_quantized_batch", recording)
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(json.dumps({"qformat": {"total_bits": 8, "int_bits": 5}}))
+    rc = main(["sweep", "--params", str(float_params_file), "--config", str(cfg_path),
+               "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]),
+               "--limit", "5", "--bits-list", "8,16", "--out", str(tmp_path / "s.csv")])
+    assert rc == 0
+    assert formats == [QFormat(8, 5), QFormat(16, 5)]

@@ -367,6 +367,14 @@ def test_train_rejects_empty_or_mismatched_data():
         train_minimal(np.zeros((4, 196)), np.zeros(3, np.int64), cfg)
 
 
+@pytest.mark.parametrize("kwargs", [{"lr": math.nan}, {"lr": -math.inf}, {"epochs": -1},
+                                    {"batch_size": 0}])
+def test_train_rejects_bad_hyperparameters(kwargs):
+    x, y = _synthetic_training_set(n=8)
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        train_minimal(x, y, NetworkConfig((x.shape[1], 3, 2)), **kwargs)
+
+
 def test_init_params_ranges():
     cfg = NetworkConfig((20, 10, 5), max_fma=16)
     params = init_params(cfg, seed=1)
@@ -471,7 +479,7 @@ def test_load_rejects_non_integer_raw_codes(tmp_path, raw):
         load_params(path)
 
 
-@pytest.mark.parametrize("leaf", [True, False, "1.5"])
+@pytest.mark.parametrize("leaf", [True, False, "1.5", None])
 def test_load_float_file_rejects_booleans(tmp_path, leaf):
     path = tmp_path / "f.json"
     doc = {
@@ -490,6 +498,20 @@ def test_load_float_file_rejects_booleans(tmp_path, leaf):
     doc["layers"] = [{"weights": [[0.5, 1]], "biases": [-2.5e-3]}]   # JSON ints are numbers too
     path.write_text(json.dumps(doc))
     assert load_params(path).layers[0].weights.tolist() == [[0.5, 1.0]]
+
+
+def test_load_float_file_reads_integers_past_64_bits_as_float64(tmp_path):
+    path = tmp_path / "f.json"
+    doc = {"format_version": 1, "layer_sizes": [2, 1], "qformat": "float",
+           "layers": [{"weights": [[0.5, 10**30]], "biases": [-(2**64)]}]}
+    path.write_text(json.dumps(doc))
+    layer = load_params(path).layers[0]
+    assert layer.weights.dtype == layer.biases.dtype == np.float64
+    assert layer.weights.tolist() == [[0.5, 1e30]] and layer.biases.tolist() == [-(2.0**64)]
+    doc["layers"][0]["biases"] = [10**400]   # past the float64 range
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamsFileError, match="layer 0 holds int too large"):
+        load_params(path)
 
 
 # =============================================================================

@@ -1,5 +1,7 @@
 """Closed-form timing model tests: literal evaluation, identities, reporting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,9 @@ def test_throughput_linear_in_clock():
 def test_throughput_rejects_bad_clock():
     with pytest.raises(ConfigError):
         throughput_report(_report(470, 1), 0.0)
+
+
+@pytest.mark.parametrize("clock_hz", [math.nan, math.inf, -math.inf, -1.0])
+def test_throughput_rejects_non_finite_or_negative_clock(clock_hz):
+    with pytest.raises(ConfigError, match="clock_hz"):
+        throughput_report(_report(470, 1), clock_hz)

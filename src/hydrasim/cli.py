@@ -19,17 +19,17 @@ ordered by input index and floats are printed with a fixed format.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
 from .datapath import AfKind
-from .dataio import FOLD_MODES, IdxFormatError, load_dataset, to_input_vector
+from .dataio import FOLD_MODES, load_dataset, to_input_vector
 from .engine import CycleReport, Engine, classify, run_inference
-from .errors import ConfigError, ControlFault, ParamsFileError
+from .errors import ConfigError, ControlFault
 from .fxp import QFormat, QValue
 from .model import (
     Mode,
@@ -41,6 +41,7 @@ from .model import (
     load_params,
     quantize_array,
     quantize_params,
+    read_json_object,
     save_params,
     train_minimal,
 )
@@ -66,17 +67,6 @@ def _parse_layers(text: str) -> list[int]:
         raise ConfigError(f"bad layer list {text!r}: {exc}") from exc
 
 
-def _config_from_file(path) -> dict:
-    try:
-        with open(path, encoding="ascii") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return doc
-
-
 def _build_config(args, params: Params | None) -> NetworkConfig:
     """Resolve each config field from a flag, else --config, else params, else its default."""
     doc = {}
@@ -85,7 +75,7 @@ def _build_config(args, params: Params | None) -> NetworkConfig:
         if params.is_quantized:
             doc["qformat"] = dataclasses.asdict(params.qformat)
     if args.config:
-        doc.update(_config_from_file(args.config))
+        doc.update(read_json_object(args.config, ConfigError)[0])
     if args.layers:
         doc["layer_sizes"] = _parse_layers(args.layers)
     if args.bits is not None or args.int_bits is not None:
@@ -131,9 +121,10 @@ def _cycle_report(cfg: NetworkConfig) -> CycleReport:
 
 
 def _open_out(path):
+    """A context manager for the output file at path, or for stdout at "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline="\n"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="ascii", newline="\n")
 
 
 # =============================================================================
@@ -174,14 +165,10 @@ def cmd_simulate(args) -> int:
         rows = [f"{idx},{label},{pred},{report.total_cycles}\n"
                 for idx, (label, pred) in enumerate(zip(labels, preds))]
 
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write(f"# schema={SIMULATE_SCHEMA}\n")
         out.write("index,label,prediction,cycles\n")
         out.writelines(rows)
-    finally:
-        if close:
-            out.close()
 
     if n == 0:
         print("no images evaluated (limit 0)")
@@ -260,15 +247,11 @@ def cmd_sweep(args) -> int:
         accuracy = float(np.mean(preds == ds.labels)) if len(ds) else 0.0
         rows.append((width, accuracy, cycles))
 
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write(f"# schema={SWEEP_SCHEMA}\n")
         out.write("bits,accuracy,cycles\n")
         for width, accuracy, cycles in rows:
             out.write(f"{width},{accuracy:.6f},{cycles}\n")
-    finally:
-        if close:
-            out.close()
     for width, accuracy, cycles in rows:
         print(f"bits={width:>2}  accuracy={accuracy:.4f}  cycles={cycles}")
     return 0
@@ -319,14 +302,10 @@ def cmd_trace(args) -> int:
     else:
         x = [QValue(0, cfg.qformat)] * cfg.layer_sizes[0]
 
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         outputs, report = run_inference(
             cfg, qparams, x, trace_hook=lambda r: out.write(r.line() + "\n")
         )
-    finally:
-        if close:
-            out.close()
     print(f"traced {report.total_cycles} cycles; prediction {classify(outputs)}", file=sys.stderr)
     return 0
 
@@ -425,7 +404,7 @@ def main(argv=None) -> int:
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
               file=sys.stderr)
         return 1
-    except (ConfigError, ParamsFileError, IdxFormatError, ControlFault, ValueError) as exc:
+    except (ValueError, ControlFault) as exc:   # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,28 +34,41 @@ class FmaBank:
 
     Accumulators are Python ints at product scale, exact for every format.  A
     bias preload arms slots [0, w) and gates the rest off; a gated slot never
-    changes, and stepping a bank with no armed slot is a control fault.
+    changes, and stepping a bank with no armed slot is a control fault.  State
+    is kept only for slots a preload has armed, so a bank costs memory in its
+    widest preload, not in its size.
     """
 
     def __init__(self, size: int):
-        self.acc = [0] * size
-        self.steps_taken = [0] * size   # per slot, since its last bias preload
-        self.width = 0                  # armed slots are [0, width)
+        self.size = size
+        self.acc: list[int] = []       # slots [0, widest preload so far)
+        self._steps: list[int] = []    # per slot, its count when last gated off
+        self._count = 0                # steps since the last preload
+        self.width = 0                 # armed slots are [0, width)
 
     @property
     def gate_mask(self) -> list[bool]:
-        return [j < self.width for j in range(len(self.acc))]
+        return [j < self.width for j in range(self.size)]
+
+    @property
+    def steps_taken(self) -> list[int]:
+        """Per slot, the MAC steps since its last bias preload."""
+        steps = self._steps + [0] * (self.size - len(self._steps))
+        steps[:self.width] = [self._count] * self.width
+        return steps
 
     def preload(self, bias_raws: list[int], frac_bits: int) -> None:
         """Load biases into slots [0, len(bias_raws)), aligned to product scale."""
         w = len(bias_raws)
-        if w > len(self.acc):
-            raise ConfigError(f"preload of {w} biases exceeds {len(self.acc)} FMA slots")
+        if w > self.size:
+            raise ConfigError(f"preload of {w} biases exceeds {self.size} FMA slots")
+        self.gate_off()
         self.acc[:w] = [b << frac_bits for b in bias_raws]
-        self.steps_taken[:w] = [0] * w
+        self._count = 0
         self.width = w
 
     def gate_off(self) -> None:
+        self._steps[:self.width] = [self._count] * self.width
         self.width = 0
 
     def step(self, x_raw: int, wcol_raws: list[int]) -> None:
@@ -64,7 +77,7 @@ class FmaBank:
         if not w:
             raise ControlFault("stepped a power-gated FMA bank")
         self.acc[:w] = [a + x_raw * c for a, c in zip(self.acc[:w], wcol_raws, strict=True)]
-        self.steps_taken[:w] = [self.steps_taken[0] + 1] * w
+        self._count += 1
 
 
 class PisoBuffer:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -47,25 +47,53 @@ def default_afs(n_layers: int) -> tuple[AfKind, ...]:
     return (AfKind.RELU,) * (n_layers - 1) + (AfKind.IDENTITY,)
 
 
+def read_json_object(path, error: type[ValueError]) -> tuple[dict, str]:
+    """(document, text) of the ASCII JSON file at path, whose top level must
+    be an object; an undecodable or malformed file raises error naming path."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"truncated or malformed JSON file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: top-level JSON value must be an object")
+    return doc, text
+
+
+def _json_fields(doc: dict, kinds: dict, required, prefix: str = "") -> dict:
+    """Each field of the JSON object doc read by _json_value as its kind in
+    kinds; an unknown field, or a missing one of required, is a ConfigError."""
+    unknown = sorted(prefix + name for name in doc.keys() - kinds)
+    if unknown:
+        raise ConfigError(f"unknown field(s) {unknown}")
+    for name in required:
+        if name not in doc:
+            raise ConfigError(f"field {prefix}{name} is missing")
+    return {name: _json_value(prefix + name, value, kinds[name]) for name, value in doc.items()}
+
+
 def _json_value(name: str, value, kind):
     """value as kind, if its JSON type is exactly kind's: true is no integer,
-    8.0 is not 8, an Enum is spelled by a member's value, a QFormat is an
-    object of two integers, and (kind,) is an array of kind."""
+    8.0 is not 8, an Enum is spelled by a member's value, a dict of kinds is
+    an object of exactly those fields, a QFormat is an object of two
+    integers, and (kind,) is an array of kind."""
     if isinstance(kind, tuple):
         items = enumerate(_json_value(name, value, list))
         return tuple(_json_value(f"{name}[{i}]", v, kind[0]) for i, v in items)
+    if isinstance(kind, dict):
+        return _json_fields(_json_value(name, value, dict), kind, kind, f"{name}.")
     if kind is QFormat:
-        qf = _json_value(name, value, dict)
-        if qf.keys() != {"total_bits", "int_bits"}:
-            raise ConfigError(f"config field {name} needs total_bits and int_bits, got {list(qf)}")
-        return QFormat(**{k: _json_value(f"{name}.{k}", v, int) for k, v in qf.items()})
-    if issubclass(kind, Enum):
-        try:
+        value = _json_value(name, value, {"total_bits": int, "int_bits": int})
+    try:
+        if kind is QFormat:
+            return QFormat(**value)
+        if issubclass(kind, Enum):
             return kind(value)
-        except ValueError as exc:
-            raise ConfigError(f"config field {name}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"field {name}: {exc}") from None
     if type(value) is not kind:
-        raise ConfigError(f"config field {name} must be {kind.__name__}, got {value!r}")
+        raise ConfigError(f"field {name} must be {kind.__name__}, got {value!r}")
     return value
 
 
@@ -101,12 +129,7 @@ class NetworkConfig:
         """
         kinds = {"layer_sizes": (int,), "max_fma": int, "qformat": QFormat,
                  "af_per_layer": (AfKind,), "mode": Mode, "softmax_cycles": int, "tiling": bool}
-        unknown = sorted(doc.keys() - kinds)
-        if unknown:
-            raise ConfigError(f"unknown config field(s) {unknown}")
-        if "layer_sizes" not in doc:
-            raise ConfigError("config field layer_sizes is missing")
-        return cls(**{name: _json_value(name, value, kinds[name]) for name, value in doc.items()})
+        return cls(**_json_fields(doc, kinds, ("layer_sizes",)))
 
     @property
     def n_layers(self) -> int:
@@ -597,29 +620,13 @@ PARAMS_FORMAT_VERSION = 1
 
 def save_params(path, params: Params) -> None:
     """Write parameters as a self-describing JSON document (schema v1)."""
-    if params.is_quantized:
-        qf = {"total_bits": params.qformat.total_bits, "int_bits": params.qformat.int_bits}
-        layers = [
-            {
-                "weights": [[int(v) for v in row] for row in lp.weights],
-                "biases": [int(v) for v in lp.biases],
-            }
-            for lp in params.layers
-        ]
-    else:
-        qf = "float"
-        layers = [
-            {
-                "weights": [[float(v) for v in row] for row in lp.weights],
-                "biases": [float(v) for v in lp.biases],
-            }
-            for lp in params.layers
-        ]
+    dtype = np.int64 if params.is_quantized else np.float64
     doc = {
         "format_version": PARAMS_FORMAT_VERSION,
         "layer_sizes": list(params.layer_sizes),
-        "qformat": qf,
-        "layers": layers,
+        "qformat": asdict(params.qformat) if params.is_quantized else "float",
+        "layers": [{"weights": np.asarray(lp.weights, dtype).tolist(),
+                    "biases": np.asarray(lp.biases, dtype).tolist()} for lp in params.layers],
     }
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=1)
@@ -642,76 +649,61 @@ def _spells(text: str, word: str) -> bool:
 
 
 def load_params(path) -> Params:
-    """Read a schema-v1 parameter file; every malformation is a ParamsFileError."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            text = fh.read()
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParamsFileError(f"truncated or malformed parameter file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParamsFileError(f"{path}: top-level document must be an object")
+    """Read a schema-v1 parameter file; every malformation is a ParamsFileError.
+
+    The header is read as NetworkConfig.from_dict reads a config: no value is
+    coerced, and an unknown or missing field is an error naming it.
+    """
+    doc, text = read_json_object(path, ParamsFileError)
     version = doc.get("format_version")
-    if version != PARAMS_FORMAT_VERSION:
+    if type(version) is not int or version != PARAMS_FORMAT_VERSION:
         raise ParamsFileError(
             f"{path}: unsupported format_version {version!r} "
             f"(expected {PARAMS_FORMAT_VERSION})"
         )
+    fields = {"format_version": int, "layer_sizes": (int,),
+              "qformat": str if doc.get("qformat") == "float" else QFormat,
+              "layers": ({"weights": list, "biases": list},)}
     try:
-        sizes = [int(s) for s in doc["layer_sizes"]]
-        qf_field = doc["qformat"]
-        raw_layers = doc["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParamsFileError(f"{path}: missing or malformed field: {exc}") from exc
-    if qf_field == "float":
-        fmt = None
-        dtype = None   # inferred: JSON strings and nulls come out non-numeric
-    else:
-        try:
-            fmt = QFormat(int(qf_field["total_bits"]), int(qf_field["int_bits"]))
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise ParamsFileError(f"{path}: bad qformat field: {exc}") from exc
-        dtype = np.int64
-    if len(raw_layers) != len(sizes) - 1:
-        raise ParamsFileError(
-            f"{path}: {len(raw_layers)} layers for layer_sizes {sizes}"
-        )
-    # np.array(dtype=int64) truncates 1.7 and reads true as 1, and a float
-    # array infers float64 from [true, 0.5], so the leaves are checked too.
-    # Scanning a float file's leaves would add about a third to its load
-    # time, so only one whose text spells a boolean is.
-    scan = fmt is not None or _spells(text, "true") or _spells(text, "false")
+        head = _json_fields(doc, fields, fields)
+    except ConfigError as exc:
+        raise ParamsFileError(f"{path}: {exc}") from None
+    sizes = head["layer_sizes"]
+    fmt = None if head["qformat"] == "float" else head["qformat"]
+    if not head["layers"] or len(head["layers"]) != len(sizes) - 1:
+        raise ParamsFileError(f"{path}: {len(head['layers'])} layers for layer_sizes {list(sizes)}")
+    # numpy infers int64 from [true, 2] and float64 from [true, 0.5], so a
+    # file whose text spells a boolean has its leaves checked, as has an
+    # object array (JSON null, or an integer past 64 bits).  Scanning every
+    # file's leaves would add about a third to its load time.
+    scan = _spells(text, "true") or _spells(text, "false")
+    numeric, dtype = ("iuO", np.int64) if fmt else ("iufO", np.float64)
     layers = []
-    for l, entry in enumerate(raw_layers):
+    for l, entry in enumerate(head["layers"]):
         try:
-            w = np.array(entry["weights"], dtype=dtype)
-            b = np.array(entry["biases"], dtype=dtype)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParamsFileError(f"{path}: layer {l} is malformed: {exc}") from exc
-        # numpy infers object (kind O) for JSON null and integers past 64 bits.
-        if fmt is None and not {w.dtype.kind, b.dtype.kind} <= set("iufO"):
-            raise ParamsFileError(f"{path}: layer {l} holds non-numeric values")
+            w, b = np.array(entry["weights"]), np.array(entry["biases"])
+        except ValueError as exc:   # a ragged array
+            raise ParamsFileError(f"{path}: layer {l} is malformed: {exc}") from None
         if w.ndim != 2 or w.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
             raise ParamsFileError(
                 f"{path}: layer {l} dims {w.shape}/{b.shape} do not match "
-                f"layer_sizes header {sizes}"
+                f"layer_sizes header {list(sizes)}"
             )
-        if scan or "O" in (w.dtype.kind, b.dtype.kind):
-            numbers = (int,) if fmt is not None else (int, float)
+        kinds = {a.dtype.kind for a in (w, b) if a.size}   # [] is float64
+        leaves = []
+        if scan or "O" in kinds:
             leaves = [*np.asarray(entry["weights"], dtype=object).flat, *entry["biases"]]
-            if any(type(v) not in numbers for v in leaves):
-                what = "non-integer raw codes" if fmt is not None else "non-numeric values"
-                raise ParamsFileError(f"{path}: layer {l} holds {what}")
-        if fmt is None:
-            try:
-                w, b = w.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
-            except OverflowError as exc:   # an integer past the float64 range
-                raise ParamsFileError(f"{path}: layer {l} holds {exc}") from exc
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ParamsFileError(f"{path}: layer {l} contains non-finite values")
-        else:
-            bad = raw_codes_outside(LayerParams(w, b), fmt)
-            if bad:
-                raise ParamsFileError(f"{path}: layer {l} {bad} contain raw codes outside {fmt}")
+        if not kinds <= set(numeric) or any(type(v) not in (int, float) for v in leaves):
+            what = "non-integer raw codes" if fmt else "non-numeric values"
+            raise ParamsFileError(f"{path}: layer {l} holds {what}")
+        bad = raw_codes_outside(LayerParams(w, b), fmt) if fmt else None
+        if bad:
+            raise ParamsFileError(f"{path}: layer {l} {bad} contain raw codes outside {fmt}")
+        try:
+            w, b = w.astype(dtype, copy=False), b.astype(dtype, copy=False)
+        except OverflowError as exc:   # an integer past the float64 range
+            raise ParamsFileError(f"{path}: layer {l} holds {exc}") from None
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ParamsFileError(f"{path}: layer {l} contains non-finite values")
         layers.append(LayerParams(w, b))
     return Params(layers, fmt)

@@ -482,6 +482,7 @@ def test_sweep_steps_the_engine_once(tmp_path, float_params_file, synth_dataset_
     {"mode": ["store"]},
     {"qformat": {"total_bits": 8}},
     {"qformat": {"total_bits": 8, "int_bits": 3, "frac_bits": 5}},
+    {"qformat": {"total_bits": 200, "int_bits": 3}},
     {"max_fmas": 2},
     {"tilling": True},
 ])
@@ -502,24 +503,66 @@ _JSON_POOL = [None, True, False, 0, -1, 3, 2**70, 1.5, "relu", "stream", "", [],
               ["sigmoid", "relu"], {}, {"total_bits": 16, "int_bits": 16}]
 
 
-_HUGE_BANK = pytest.mark.xfail(raises=OverflowError, strict=True,
-                               reason="Engine allocates a list entry per max_fma slot")
-
-
-def _field_values():
-    for name in sorted(_VALID_CONFIG):
+def _field_values(doc):
+    for name in sorted(doc):
         for value in _JSON_POOL:
-            marks = _HUGE_BANK if (name, value) == ("max_fma", 2**70) else ()
-            yield pytest.param(name, value, id=f"{name}={json.dumps(value)}", marks=marks)
+            yield pytest.param(name, value, id=f"{name}={json.dumps(value)}")
 
 
-@pytest.mark.parametrize("name, value", _field_values())
+@pytest.mark.parametrize("name, value", _field_values(_VALID_CONFIG))
 def test_every_json_value_in_every_config_field_is_used_or_named(tmp_path, capsys, name, value):
     cfg_path = tmp_path / "net.json"
     cfg_path.write_text(json.dumps({**_VALID_CONFIG, name: value}))
     rc = main(["timing", "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert rc == 0 or (rc == 1 and err.startswith("error: ") and name in err), err
+
+
+_VALID_PARAMS = {
+    "format_version": 1, "layer_sizes": [6, 4, 3], "qformat": {"total_bits": 8, "int_bits": 3},
+    "layers": [{"weights": [[1] * 6] * 4, "biases": [0] * 4},
+               {"weights": [[-1] * 4] * 3, "biases": [2] * 3}],
+}
+
+
+def _timing_on_params(tmp_path, capsys, doc):
+    """(exit code, stderr without the file's path) of `timing --params` on doc."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["timing", "--params", str(path)])
+    return rc, capsys.readouterr().err.replace(str(path), "<path>")
+
+
+@pytest.mark.parametrize("name, value", _field_values(_VALID_PARAMS))
+def test_every_json_value_in_every_params_field_is_used_or_named(tmp_path, capsys, name, value):
+    rc, err = _timing_on_params(tmp_path, capsys, {**_VALID_PARAMS, name: value})
+    assert rc == 0 or (rc == 1 and err.startswith("error: ") and name in err), err
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"format_version": True}, "format_version"),
+    ({"format_version": 1.0}, "format_version"),
+    ({"layer_sizes": [6.9, "4", 3]}, "layer_sizes"),
+    ({"qformat": {"total_bits": 8.7, "int_bits": "3"}}, "qformat"),
+    ({"qformat": {"total_bits": 200, "int_bits": 3}}, "qformat"),
+    ({"qformat": {"total_bits": 8, "int_bits": 3, "frac_bits": 5}}, "qformat"),
+    ({"qformat": "Float"}, "qformat"),
+    ({"layers": [{"weights": [[1] * 6] * 4}, {"weights": [], "biases": []}]}, "biases"),
+    ({"layer_sizes": [6], "layers": []}, "layers"),
+    ({"layer_size": [6, 4, 3]}, "layer_size"),
+    ({"note": "unknown"}, "note"),
+])
+def test_params_header_is_not_coerced(tmp_path, capsys, fields, name):
+    rc, err = _timing_on_params(tmp_path, capsys, {**_VALID_PARAMS, **fields})
+    assert rc == 1 and err.startswith("error: ") and name in err, err
+
+
+@pytest.mark.parametrize("flag", ["--params", "--config"])
+def test_deeply_nested_json_is_an_error(tmp_path, capsys, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["timing", flag, str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: truncated or malformed JSON")
 
 
 def test_config_resolution_order_flag_then_config_then_params(tmp_path, monkeypatch):

@@ -443,8 +443,8 @@ def test_load_dims_mismatch(tmp_path):
         load_params(path)
 
 
-def test_load_bad_qformat_and_out_of_range_raws(tmp_path):
-    path = tmp_path / "bad.json"
+def test_load_bad_qformat_and_out_of_range_raws(tmp_path_factory):
+    path = tmp_path_factory.mktemp("p") / "bad.json"   # a path that does not say qformat
     doc = {
         "format_version": 1,
         "layer_sizes": [1, 1],

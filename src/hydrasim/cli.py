@@ -60,11 +60,15 @@ _MODE_NAMES = sorted(m.value for m in Mode)
 _AF_NAMES = sorted(k.value for k in AfKind)
 
 
-def _parse_layers(text: str) -> list[int]:
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated list flag, whose name every error holds."""
     try:
-        return [int(tok) for tok in text.replace(",", ":").split(":") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
-        raise ConfigError(f"bad layer list {text!r}: {exc}") from exc
+        raise ConfigError(f"{flag}: {exc}") from None
+    if not values:
+        raise ConfigError(f"{flag} names no values")
+    return values
 
 
 def _build_config(args, params: Params | None) -> NetworkConfig:
@@ -77,7 +81,7 @@ def _build_config(args, params: Params | None) -> NetworkConfig:
     if args.config:
         doc.update(read_json_object(args.config, ConfigError)[0])
     if args.layers:
-        doc["layer_sizes"] = _parse_layers(args.layers)
+        doc["layer_sizes"] = _int_list(args.layers.replace(":", ","), "--layers")
     if args.bits is not None or args.int_bits is not None:
         doc["qformat"] = {"total_bits": 8 if args.bits is None else args.bits,
                           "int_bits": 3 if args.int_bits is None else args.int_bits}
@@ -192,7 +196,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_timing(args) -> int:
     if args.n_list:
-        n = tuple(int(tok) for tok in args.n_list.split(",") if tok)
+        n = _int_list(args.n_list, "--n-list")
         t = TimingInputs(n, len(n))
         print(f"n = {list(n)} (literal)")
         print(f"t_parallel = {t_parallel(t)}")
@@ -229,9 +233,7 @@ def cmd_sweep(args) -> int:
     params = load_params(args.params)
     if params.is_quantized:
         raise ConfigError("sweep needs a float parameter file")
-    widths = [int(tok) for tok in args.bits_list.split(",") if tok]
-    if not widths:
-        raise ConfigError("--bits-list names no widths")
+    widths = _int_list(args.bits_list, "--bits-list")
     ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
 
     base = _build_config(args, params)
@@ -240,7 +242,6 @@ def cmd_sweep(args) -> int:
     for width in widths:
         fmt = QFormat(width, base.qformat.int_bits)
         cfg = dataclasses.replace(base, qformat=fmt)
-        ensure_valid(cfg)
         qparams = quantize_params(params, fmt)
         out_raw = forward_quantized_batch(cfg, qparams, quantize_array(ds.flat, fmt))
         preds = np.argmax(out_raw, axis=1)

@@ -7,7 +7,8 @@ controller is one generator, Engine._control, written as the control sequence
 itself: it walks the pass schedule one pass after another (arm, MAC, PISO
 capture, serialize) and yields once per clock cycle, so each step() call is
 one cycle.  The Phase it sets is checked against LEGAL_PHASE_TRANSITIONS, and
-the cycle report is read off the event log.
+the cycle report is read off the event log.  Config, parameters and input are
+checked by model.check_forward and model.check_input, the oracle's own rules.
 
 Cycle accounting, store-and-forward mode
 ----------------------------------------
@@ -43,7 +44,7 @@ from enum import Enum
 from .datapath import ActivationUnit, AfKind, FmaBank, PisoBuffer, build_sigmoid_lut
 from .errors import ConfigError, ControlFault
 from .fxp import QFormat, QValue, round_half_even_shift, saturate_raw
-from .model import Mode, NetworkConfig, Params, check_dims, ensure_valid, raw_codes_outside
+from .model import Mode, NetworkConfig, Params, check_forward, check_input, ensure_valid
 
 
 class Phase(Enum):
@@ -161,18 +162,7 @@ class Engine:
     """Cycle-accurate execution of one network on the multiplexed layer."""
 
     def __init__(self, cfg: NetworkConfig, params: Params, trace_hook=None):
-        ensure_valid(cfg)
-        if not params.is_quantized:
-            raise ConfigError("engine needs quantized parameters")
-        if params.qformat != cfg.qformat:
-            raise ConfigError(
-                f"parameter format {params.qformat} != config format {cfg.qformat}"
-            )
-        check_dims(params, cfg)
-        for l, lp in enumerate(params.layers):
-            bad = raw_codes_outside(lp, cfg.qformat)
-            if bad:
-                raise ValueError(f"layer {l} {bad} contain raw codes outside {cfg.qformat}")
+        check_forward(cfg, params)
         self.cfg = cfg
         self.fmt: QFormat = cfg.qformat
         self.mode: Mode = cfg.mode
@@ -220,13 +210,7 @@ class Engine:
         if self.phase is not Phase.IDLE:
             raise ControlFault("input load while the engine is running")
         x = list(x)
-        if len(x) != self.cfg.layer_sizes[0]:
-            raise ConfigError(
-                f"input length {len(x)} != input dimension {self.cfg.layer_sizes[0]}"
-            )
-        for v in x:
-            if v.fmt != self.fmt:
-                raise ConfigError(f"input format {v.fmt} != engine format {self.fmt}")
+        check_input(self.cfg, len(x), (v.fmt for v in x))
         self.in_buf = [v.raw for v in x]
 
     def _set_phase(self, new: Phase) -> None:

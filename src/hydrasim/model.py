@@ -12,6 +12,10 @@ forward_quantized_batch is a vectorized equivalent for dataset-scale work: an
 exact float64 BLAS kernel (limb-split operands, integer recombination, one
 rounding) at every width from 4 to 64 bits.  It is pinned bit-equal to the
 scalar oracle by tests, never by construction.
+
+What a path needs of its config, parameters and input is stated once, in
+check_forward and check_input.  The engine calls them too, so all four paths
+accept exactly the same configs and reject the rest with the same error.
 """
 
 from __future__ import annotations
@@ -222,14 +226,6 @@ class Params:
         return tuple(sizes)
 
 
-def check_dims(params: Params, cfg: NetworkConfig) -> None:
-    if params.layer_sizes != cfg.layer_sizes:
-        raise ConfigError(
-            f"parameter dimensions {params.layer_sizes} do not match "
-            f"config layer_sizes {cfg.layer_sizes}"
-        )
-
-
 def raw_codes_fit(arr: np.ndarray, fmt: QFormat) -> bool:
     """True if every raw code in arr lies inside fmt."""
     return not arr.size or (fmt.raw_min <= arr.min() and arr.max() <= fmt.raw_max)
@@ -241,6 +237,38 @@ def raw_codes_outside(lp: LayerParams, fmt: QFormat) -> str | None:
         if not raw_codes_fit(arr, fmt):
             return name
     return None
+
+
+def check_forward(cfg: NetworkConfig, params: Params, quantized: bool = True) -> None:
+    """The one rule for (cfg, params) on every forward path, the engine's too:
+    a valid cfg, and params of the path's kind in cfg.qformat, shaped as
+    cfg.layer_sizes, with every raw code inside the format."""
+    ensure_valid(cfg)
+    if params.is_quantized != quantized:
+        raise ConfigError(f"forward path needs {'quantized' if quantized else 'float'} parameters")
+    fmt = cfg.qformat
+    if quantized and params.qformat != fmt:
+        raise ConfigError(f"parameter format {params.qformat} != config format {fmt}")
+    sizes = cfg.layer_sizes
+    shapes = [(lp.weights.shape, lp.biases.shape) for lp in params.layers]
+    if shapes != [((n, k), (n,)) for k, n in zip(sizes, sizes[1:])]:
+        raise ConfigError(f"parameter shapes {shapes} do not match config layer_sizes {sizes}")
+    for l, lp in enumerate(params.layers if quantized else ()):
+        bad = raw_codes_outside(lp, fmt)
+        if bad:
+            raise ValueError(f"layer {l} {bad} contain raw codes outside {fmt}")
+
+
+def check_input(cfg: NetworkConfig, length: int, fmts=(), raws=None) -> None:
+    """The one input rule: length values per vector, every QValue format (fmts)
+    equal to cfg.qformat, and every raw code given as an integer (raws) in it."""
+    if length != cfg.layer_sizes[0]:
+        raise ConfigError(f"input length {length} != input dimension {cfg.layer_sizes[0]}")
+    for fmt in fmts:
+        if fmt != cfg.qformat:
+            raise ConfigError(f"input format {fmt} != config format {cfg.qformat}")
+    if raws is not None and not raw_codes_fit(raws, cfg.qformat):
+        raise ValueError(f"raw inputs outside {cfg.qformat}")
 
 
 # =============================================================================
@@ -320,14 +348,9 @@ def _af_float(kind: AfKind, z: np.ndarray) -> np.ndarray:
 
 def forward_float(cfg: NetworkConfig, params: Params, x) -> np.ndarray:
     """Real-arithmetic dense forward pass with the config's activations."""
-    if params.is_quantized:
-        raise ConfigError("forward_float needs float parameters")
-    check_dims(params, cfg)
+    check_forward(cfg, params, quantized=False)
     a = np.asarray(x, dtype=np.float64)
-    if a.shape[-1] != cfg.layer_sizes[0]:
-        raise ConfigError(
-            f"input length {a.shape[-1]} != input dimension {cfg.layer_sizes[0]}"
-        )
+    check_input(cfg, a.shape[-1])
     for lp, kind in zip(params.layers, cfg.afs):
         a = _af_float(kind, a @ lp.weights.T + lp.biases)
     return a
@@ -346,18 +369,10 @@ def forward_quantized(
     accumulator back to the storage format after every MAC; it exists for
     quantization-sensitivity experiments and is not what the hardware does.
     """
-    if not params.is_quantized:
-        raise ConfigError("forward_quantized needs quantized parameters")
-    check_dims(params, cfg)
-    fmt = params.qformat
+    check_forward(cfg, params)
     acts = list(x)
-    if len(acts) != cfg.layer_sizes[0]:
-        raise ConfigError(
-            f"input length {len(acts)} != input dimension {cfg.layer_sizes[0]}"
-        )
-    for v in acts:
-        if v.fmt != fmt:
-            raise ConfigError(f"input format {v.fmt} != parameter format {fmt}")
+    check_input(cfg, len(acts), (v.fmt for v in acts))
+    fmt = cfg.qformat
     f = fmt.frac_bits
     for lp, kind in zip(params.layers, cfg.afs):
         lut = build_sigmoid_lut(fmt) if kind is AfKind.SIGMOID else None
@@ -499,23 +514,17 @@ def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarra
     """Vectorized forward_quantized over a batch of raw input vectors [N, D].
 
     Every layer runs through one exact float64 BLAS kernel (_exact_layer) at
-    every width from 4 to 64 bits.  Raw inputs must lie inside the parameter
+    every width from 4 to 64 bits.  Raw inputs must lie inside the config's
     format; int64 and Python-int object arrays are both accepted.
     """
-    if not params.is_quantized:
-        raise ConfigError("forward_quantized_batch needs quantized parameters")
-    check_dims(params, cfg)
-    fmt = params.qformat
+    check_forward(cfg, params)
     a = np.asarray(x_raw)
-    if a.ndim != 2 or a.shape[1] != cfg.layer_sizes[0]:
+    if a.ndim != 2:
         raise ConfigError(f"expected raw inputs of shape [N, {cfg.layer_sizes[0]}]")
-    if not raw_codes_fit(a, fmt):
-        raise ValueError(f"raw inputs outside {fmt}")
+    check_input(cfg, a.shape[1], raws=a)
+    fmt = cfg.qformat
     a = a.astype(np.int64, copy=False)
-    for l, (lp, kind) in enumerate(zip(params.layers, cfg.afs)):
-        bad = raw_codes_outside(lp, fmt)
-        if bad:
-            raise ValueError(f"layer {l} {bad} contain raw codes outside {fmt}")
+    for lp, kind in zip(params.layers, cfg.afs):
         lut = build_sigmoid_lut(fmt) if kind is AfKind.SIGMOID else None
         a = activate_raw(kind, _exact_layer(a, lp, fmt), fmt, lut)
     return a

@@ -194,6 +194,26 @@ def test_timing_literal_n_list(capsys):
     assert "t_parallel = 328" in out and "t_reuse    = 341" in out
 
 
+@pytest.mark.parametrize("argv", [["--n-list", ","], ["--n-list", "1,x"], ["--layers", "196:x"],
+                                  ["--layers", ":"]])
+def test_timing_bad_integer_list_prints_nothing(capsys, argv):
+    rc = main(["timing", *argv])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and argv[0] in err
+
+
+def test_sweep_bad_bits_list_names_the_flag(tmp_path, float_params_file, synth_dataset_dir, capsys):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--params", str(float_params_file),
+               "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]),
+               "--bits-list", "8,x", "--out", str(out)])
+    assert rc == 1
+    assert "--bits-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_csv(tmp_path, float_params_file, synth_dataset_dir):
     out = tmp_path / "sweep.csv"
     rc = main([

@@ -22,16 +22,7 @@ from .engine import (
     run_inference,
 )
 from .errors import ConfigError, ControlFault, ParamsFileError
-from .fxp import (
-    QFormat,
-    QValue,
-    WideAcc,
-    acc_init_bias,
-    acc_mac,
-    acc_round,
-    dequantize,
-    quantize,
-)
+from .fxp import QFormat, QValue, dequantize, quantize
 from .model import (
     LayerParams,
     Mode,
@@ -73,10 +64,6 @@ __all__ = [
     "QValue",
     "TimingInputs",
     "TraceRecord",
-    "WideAcc",
-    "acc_init_bias",
-    "acc_mac",
-    "acc_round",
     "af_savings",
     "build_sigmoid_lut",
     "classify",

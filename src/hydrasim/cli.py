@@ -28,7 +28,7 @@ import numpy as np
 
 from .datapath import AfKind
 from .dataio import FOLD_MODES, load_dataset, to_input_vector
-from .engine import CycleReport, Engine, classify, run_inference
+from .engine import CycleReport, Engine, classify
 from .errors import ConfigError, ControlFault
 from .fxp import QFormat, QValue
 from .model import (
@@ -98,14 +98,8 @@ def _build_config(args, params: Params | None) -> NetworkConfig:
 
 
 def _quantized_for(cfg: NetworkConfig, params: Params) -> Params:
-    if params.is_quantized:
-        if params.qformat != cfg.qformat:
-            raise ConfigError(
-                f"parameter file is quantized at {params.qformat}, "
-                f"requested format is {cfg.qformat}"
-            )
-        return params
-    return quantize_params(params, cfg.qformat)
+    """params at cfg's format; a file quantized at another one is left to check_forward."""
+    return params if params.is_quantized else quantize_params(params, cfg.qformat)
 
 
 def _zero_params(cfg: NetworkConfig) -> Params:
@@ -303,10 +297,11 @@ def cmd_trace(args) -> int:
     else:
         x = [QValue(0, cfg.qformat)] * cfg.layer_sizes[0]
 
+    # Built before --out is opened: a rejected trace leaves that file as it was.
+    engine = Engine(cfg, qparams)
     with _open_out(args.out) as out:
-        outputs, report = run_inference(
-            cfg, qparams, x, trace_hook=lambda r: out.write(r.line() + "\n")
-        )
+        engine.trace_hook = lambda r: out.write(r.line() + "\n")
+        outputs, report = engine.run(x)
     print(f"traced {report.total_cycles} cycles; prediction {classify(outputs)}", file=sys.stderr)
     return 0
 

@@ -43,7 +43,7 @@ from enum import Enum
 
 from .datapath import ActivationUnit, AfKind, FmaBank, PisoBuffer, build_sigmoid_lut
 from .errors import ConfigError, ControlFault
-from .fxp import QFormat, QValue, round_half_even_shift, saturate_raw
+from .fxp import QFormat, QValue, round_acc
 from .model import Mode, NetworkConfig, Params, check_forward, check_input, ensure_valid
 
 
@@ -240,7 +240,6 @@ class Engine:
 
     def _control(self):
         """The control sequence: yields once per clock cycle, the active FMA count."""
-        fmt = self.fmt
         streamed = self.mode is Mode.STREAMED
         fed = False   # this pass's MAC already ran in the upstream store cycles
         for n, p in enumerate(self._schedule):
@@ -255,10 +254,7 @@ class Engine:
             # PISO capture through the single rounding point (round, saturate).
             self._set_phase(Phase.PISO_LOAD)
             self.afu.configure(self.cfg.afs[p.layer])
-            self.piso.load(
-                saturate_raw(round_half_even_shift(a, fmt.frac_bits), fmt)
-                for a in self.fma_bank.acc[:p.width]
-            )
+            self.piso.load(round_acc(a, self.fmt) for a in self.fma_bank.acc[:p.width])
             yield 0
             # Serialize: the AF output of cycle i is stored on cycle i + 1; in
             # streamed mode the next layer's MAC consumes it on that cycle.

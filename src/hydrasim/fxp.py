@@ -4,12 +4,13 @@ Q<t,i> notation: t total bits, i integer bits *including* the sign bit,
 t - i fractional bits.  A QValue stores the two's-complement raw integer; the
 represented real value is raw * 2^-frac_bits.
 
-The multiply-accumulate path mirrors a fused hardware FMA: products are
-accumulated exactly at product scale (2x fractional bits) in a widened
-accumulator, and the result is rounded once on the way out (round to nearest,
-ties to even) with saturation to the output format.  Guard bits on the
-accumulator are sized from the worst-case number of accumulation steps so the
-wide sum can never overflow within a declared layer size.
+The multiply-accumulate path mirrors a fused hardware FMA: the bias is
+preloaded at product scale (2x fractional bits), products are added to it
+exactly as plain integers, and round_acc rounds the sum once on the way out
+(round to nearest, ties to even) with saturation to the format.  With every
+raw code inside Q<t,i>, a fan-in of n keeps that sum within
+2t + bitlen(n - 1) + 1 signed bits, so a hardware accumulator of that width
+never overflows.
 
 All operations here are pure functions of their inputs.
 """
@@ -97,41 +98,6 @@ class QValue:
         return self.raw * 2.0 ** -self.fmt.frac_bits
 
 
-def guard_bits_for(max_inputs: int) -> int:
-    """Guard bits so max_inputs full-scale products plus a bias cannot overflow."""
-    if max_inputs < 1:
-        raise ConfigError(f"max_inputs must be >= 1, got {max_inputs}")
-    return (max_inputs - 1).bit_length() + 1
-
-
-@dataclass(frozen=True)
-class WideAcc:
-    """Accumulator at product scale: 2x frac_bits fractional bits, plus guard bits.
-
-    Width is 2*total_bits + guard_bits; exceeding it raises ConfigError, which
-    signals that the declared max_inputs accumulation bound was violated.
-    """
-
-    raw: int
-    fmt: QFormat
-    guard_bits: int
-
-    @property
-    def width(self) -> int:
-        return 2 * self.fmt.total_bits + self.guard_bits
-
-    @property
-    def raw_limit(self) -> int:
-        return (1 << (self.width - 1)) - 1
-
-    def __post_init__(self):
-        if abs(self.raw) > self.raw_limit:
-            raise ConfigError(
-                f"accumulator guard-bit overflow (|{self.raw}| > {self.raw_limit}); "
-                "max_inputs_per_layer exceeded"
-            )
-
-
 def sign_extend(bits: int, total_bits: int) -> int:
     """Interpret the low total_bits of an unsigned encoding as two's-complement."""
     bits &= (1 << total_bits) - 1
@@ -174,6 +140,12 @@ def saturate_raw(raw: int, fmt: QFormat) -> int:
     return raw
 
 
+def round_acc(acc: int, fmt: QFormat) -> int:
+    """The single rounding point: a product-scale sum to a raw code of fmt,
+    rounded to nearest (ties to even), then saturated."""
+    return saturate_raw(round_half_even_shift(acc, fmt.frac_bits), fmt)
+
+
 def quantize(x: float, fmt: QFormat) -> QValue:
     """Nearest representable value of x in fmt; ties to even, out-of-range saturates."""
     if not math.isfinite(x):
@@ -189,26 +161,3 @@ def quantize(x: float, fmt: QFormat) -> QValue:
 def dequantize(v: QValue) -> float:
     """raw * 2^-frac_bits (exact in binary64 for total_bits <= 53)."""
     return v.raw * 2.0 ** -v.fmt.frac_bits
-
-
-def acc_init_bias(bias: QValue, max_inputs: int) -> WideAcc:
-    """Preload a bias into a fresh accumulator, aligned to product scale."""
-    return WideAcc(bias.raw << bias.fmt.frac_bits, bias.fmt, guard_bits_for(max_inputs))
-
-
-def acc_mac(acc: WideAcc, a: QValue, w: QValue) -> WideAcc:
-    """acc + a*w at product scale, exact integer arithmetic, no rounding."""
-    if a.fmt != acc.fmt or w.fmt != acc.fmt:
-        raise ValueError(
-            f"format mismatch: acc {acc.fmt}, operands {a.fmt} / {w.fmt}"
-        )
-    return WideAcc(acc.raw + a.raw * w.raw, acc.fmt, acc.guard_bits)
-
-
-def acc_round(acc: WideAcc, fmt: QFormat | None = None) -> QValue:
-    """Single rounding point: rescale product-scale sum to fmt and saturate."""
-    if fmt is None:
-        fmt = acc.fmt
-    shift = 2 * acc.fmt.frac_bits - fmt.frac_bits
-    return QValue(saturate_raw(round_half_even_shift(acc.raw, shift), fmt), fmt)
-

@@ -4,9 +4,11 @@ The two forward passes here are the reference semantics for everything else:
 
   * forward_float      -- plain real-arithmetic dense network, the accuracy
                           reference used during training.
-  * forward_quantized  -- per neuron: bias preload, exact wide accumulation,
-                          one rounding, activation.  No cycle modeling.  This
-                          is the bit-exact oracle the cycle engine must match.
+  * forward_quantized  -- per neuron, on raw integers: bias preload, exact
+                          integer accumulation, one rounding (fxp.round_acc,
+                          shared with the engine), activation.  No cycle
+                          modeling.  This is the bit-exact oracle the cycle
+                          engine must match.
 
 forward_quantized_batch is a vectorized equivalent for dataset-scale work: an
 exact float64 BLAS kernel (limb-split operands, integer recombination, one
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -29,16 +32,7 @@ import numpy as np
 
 from .datapath import AfKind, activate_raw, build_sigmoid_lut
 from .errors import ConfigError, ParamsFileError
-from .fxp import (
-    QFormat,
-    QValue,
-    acc_init_bias,
-    acc_mac,
-    acc_round,
-    round_half_even_shift,
-    round_quotient,
-    saturate_raw,
-)
+from .fxp import QFormat, QValue, round_acc, round_quotient
 
 
 class Mode(Enum):
@@ -144,11 +138,6 @@ class NetworkConfig:
         if self.af_per_layer is not None:
             return self.af_per_layer
         return default_afs(self.n_layers)
-
-    @property
-    def max_inputs(self) -> int:
-        """Largest fan-in of any compute layer; sizes the accumulator guard bits."""
-        return max(self.layer_sizes[:-1])
 
     def inputs_of(self, layer: int) -> int:
         return self.layer_sizes[layer]
@@ -350,49 +339,30 @@ def forward_float(cfg: NetworkConfig, params: Params, x) -> np.ndarray:
     """Real-arithmetic dense forward pass with the config's activations."""
     check_forward(cfg, params, quantized=False)
     a = np.asarray(x, dtype=np.float64)
-    check_input(cfg, a.shape[-1])
+    check_input(cfg, a.shape[-1] if a.ndim else 0)   # a 0-d input is no vector
     for lp, kind in zip(params.layers, cfg.afs):
         a = _af_float(kind, a @ lp.weights.T + lp.biases)
     return a
 
 
-def forward_quantized(
-    cfg: NetworkConfig,
-    params: Params,
-    x,
-    per_step_rounding: bool = False,
-) -> list[QValue]:
+def forward_quantized(cfg: NetworkConfig, params: Params, x) -> list[QValue]:
     """Bit-exact functional model of the datapath, one neuron at a time.
 
-    Default semantics are fused: exact wide accumulation and a single rounding
-    at the neuron output.  per_step_rounding instead rounds and saturates the
-    accumulator back to the storage format after every MAC; it exists for
-    quantization-sensitivity experiments and is not what the hardware does.
+    On raw integers, as FmaBank accumulates: each neuron starts from its bias
+    at product scale, adds every product exactly, rounds once (round_acc) and
+    activates.  QValues appear only at the input and the output.
     """
     check_forward(cfg, params)
-    acts = list(x)
-    check_input(cfg, len(acts), (v.fmt for v in acts))
+    x = list(x)
+    check_input(cfg, len(x), (v.fmt for v in x))
     fmt = cfg.qformat
-    f = fmt.frac_bits
+    acts = [v.raw for v in x]
     for lp, kind in zip(params.layers, cfg.afs):
         lut = build_sigmoid_lut(fmt) if kind is AfKind.SIGMOID else None
-        nxt = []
-        for j in range(lp.weights.shape[0]):
-            if per_step_rounding:
-                raw = int(lp.biases[j])
-                for k, a in enumerate(acts):
-                    raw = saturate_raw(
-                        round_half_even_shift((raw << f) + a.raw * int(lp.weights[j, k]), f),
-                        fmt,
-                    )
-            else:
-                acc = acc_init_bias(QValue(int(lp.biases[j]), fmt), cfg.max_inputs)
-                for k, a in enumerate(acts):
-                    acc = acc_mac(acc, a, QValue(int(lp.weights[j, k]), fmt))
-                raw = acc_round(acc, fmt).raw
-            nxt.append(QValue(activate_raw(kind, raw, fmt, lut), fmt))
-        acts = nxt
-    return acts
+        sums = [sum(map(operator.mul, acts, row), b << fmt.frac_bits)
+                for row, b in zip(lp.weights.tolist(), lp.biases.tolist())]
+        acts = [activate_raw(kind, round_acc(s, fmt), fmt, lut) for s in sums]
+    return [QValue(raw, fmt) for raw in acts]
 
 
 def _split_limbs(x: np.ndarray, nb: int, limbs: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ import pytest
 
 from conftest import random_quantized_case
 from hydrasim.cli import main
-from hydrasim.datapath import ActivationUnit
+from hydrasim.datapath import ActivationUnit, FmaBank
 from hydrasim.engine import Engine, EventKind, run_inference
-from hydrasim.fxp import QFormat, QValue, WideAcc, acc_mac, guard_bits_for
+from hydrasim.fxp import QFormat, QValue
 from hydrasim.model import (
     Mode,
     NetworkConfig,
@@ -114,17 +114,17 @@ def test_criterion_4_oracle_equivalence(bits):
 
 
 def test_criterion_5_fixed_point_soundness():
-    g = guard_bits_for(196)
-    limit = (1 << (2 * 8 + g - 1)) - 1
+    limit = (1 << (2 * 8 + 9 - 1)) - 1   # 9 guard bits: fan-in 196 at 8 bits
     seeds = [0, 1, -1, 32, -4096, 1024, -1024, 16384, -16384, 65535, -65536,
              123456, -123456, limit - 16384, -(limit - 16384), 7]
     mac_mismatches = 0
+    bank = FmaBank(1)
     for acc0 in seeds:
-        base = WideAcc(acc0, Q83, g)
         for a in range(-128, 128):
             for w in range(-128, 128):
-                got = acc_mac(base, QValue(a, Q83), QValue(w, Q83)).raw
-                if got != acc0 + a * w:       # arbitrary-precision oracle
+                bank.preload([acc0], 0)
+                bank.step(a, [w])
+                if bank.acc[0] != acc0 + a * w:   # arbitrary-precision oracle
                     mac_mismatches += 1
     from hydrasim.fxp import dequantize, quantize
     rt_mismatches = 0

@@ -284,6 +284,16 @@ def test_trace_command(tmp_path, float_params_file, synth_dataset_dir):
     assert lines[-1].endswith("phase=ann_done layer=1 active_fma=0")
 
 
+def test_rejected_trace_leaves_out_file_as_it_was(tmp_path, float_params_file, capsys):
+    out = tmp_path / "trace.log"
+    out.write_bytes(b"an earlier trace\n")
+    rc = main(["trace", "--params", str(float_params_file), "--layers", "196:10",
+               "--out", str(out)])
+    assert rc == 1
+    assert "error: parameter shapes" in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier trace\n"
+
+
 def test_hydra_trace_env_streams_to_stderr(tmp_path, float_params_file, synth_dataset_dir,
                                            monkeypatch, capsys):
     monkeypatch.setenv("HYDRA_TRACE", "1")
@@ -364,7 +374,8 @@ def test_quantized_params_with_mismatched_bits_rejected(tmp_path, float_params_f
         "--out", str(tmp_path / "m.csv"),
     ])
     assert rc == 1
-    assert "quantized at" in capsys.readouterr().err
+    assert "error: parameter format Q<8,3> != config format Q<16,3>" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_timing_sigmoid_wide_integer_format(capsys):

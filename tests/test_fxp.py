@@ -11,20 +11,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hydrasim.datapath import AfKind, FmaBank
 from hydrasim.errors import ConfigError
 from hydrasim.fxp import (
     QFormat,
     QValue,
-    WideAcc,
-    acc_init_bias,
-    acc_mac,
-    acc_round,
     dequantize,
-    guard_bits_for,
     quantize,
+    round_acc,
     round_half_even_shift,
     saturate_raw,
 )
+from hydrasim.model import LayerParams, NetworkConfig, Params, forward_quantized
 
 Q83 = QFormat(8, 3)
 
@@ -151,56 +149,59 @@ def test_roundtrip_exhaustive(fmt):
 
 
 # =============================================================================
-# Wide accumulator
+# Exact accumulation and the single rounding point
 # =============================================================================
 
+def _neuron(fmt, bias, x, w):
+    """forward_quantized's raw output of one identity neuron: bias, inputs x, weights w."""
+    cfg = NetworkConfig((len(x), 1), max_fma=1, qformat=fmt, af_per_layer=(AfKind.IDENTITY,))
+    params = Params([LayerParams(np.array([w], np.int64), np.array([bias], np.int64))], fmt)
+    return forward_quantized(cfg, params, [QValue(int(v), fmt) for v in x])[0].raw
+
+
 def test_acc_init_bias_examples():
-    assert acc_init_bias(QValue(32, Q83), 196).raw == 1024
-    assert acc_init_bias(QValue(0, Q83), 196).raw == 0
-    assert acc_init_bias(QValue(-128, Q83), 196).raw == -4096
+    bank = FmaBank(3)
+    bank.preload([32, 0, -128], Q83.frac_bits)
+    assert bank.acc == [1024, 0, -4096]
 
 
 def test_acc_mac_examples():
-    acc = acc_init_bias(QValue(0, Q83), 196)
-    acc = acc_mac(acc, QValue(16, Q83), QValue(16, Q83))   # 0.5 * 0.5
-    assert acc.raw == 256                                  # 0.25 at 2^-10 scale
-    # zero annihilator
-    before = acc.raw
-    acc2 = acc_mac(acc, QValue(0, Q83), QValue(-77, Q83))
-    assert acc2.raw == before
+    bank = FmaBank(1)
+    bank.preload([0], Q83.frac_bits)
+    bank.step(16, [16])             # 0.5 * 0.5
+    assert bank.acc == [256]        # 0.25 at 2^-10 scale
+    bank.step(0, [-77])             # zero annihilator
+    assert bank.acc == [256]
     # bias 1.0 then 0.5*0.5 reads back 1.25
-    acc3 = acc_mac(acc_init_bias(QValue(32, Q83), 196), QValue(16, Q83), QValue(16, Q83))
-    assert acc3.raw == 1280
-    assert dequantize(acc_round(acc3)) == 1.25
-
-
-def test_acc_mac_format_mismatch():
-    acc = acc_init_bias(QValue(0, Q83), 4)
-    with pytest.raises(ValueError):
-        acc_mac(acc, QValue(1, QFormat(8, 4)), QValue(1, Q83))
+    bank.preload([32], Q83.frac_bits)
+    bank.step(16, [16])
+    assert bank.acc == [1280]
+    assert dequantize(QValue(round_acc(bank.acc[0], Q83), Q83)) == 1.25
 
 
 def test_acc_round_examples():
-    assert acc_round(WideAcc(1280, Q83, guard_bits_for(196))).raw == 40
+    assert round_acc(1280, Q83) == 40
     # 1.5 ulp at product scale rounds half to even: 48/32 = 1.5 -> 2
-    assert acc_round(WideAcc(48, Q83, guard_bits_for(196))).raw == 2
+    assert round_acc(48, Q83) == 2
     # 3.9 + 2.0*2.0 = 7.9 saturates to the format maximum
-    acc = acc_init_bias(quantize(3.9, Q83), 196)
-    acc = acc_mac(acc, quantize(2.0, Q83), quantize(2.0, Q83))
-    out = acc_round(acc)
-    assert out.raw == 127 and out.value == 3.96875
+    raw = _neuron(Q83, quantize(3.9, Q83).raw, [quantize(2.0, Q83).raw], [quantize(2.0, Q83).raw])
+    assert raw == 127 and QValue(raw, Q83).value == 3.96875
 
 
 def test_acc_round_matches_fraction_oracle():
     rng = np.random.RandomState(7)
-    g = guard_bits_for(196)
     for _ in range(2000):
         raw = int(rng.randint(-(1 << 18), 1 << 18))
-        got = acc_round(WideAcc(raw, Q83, g)).raw
         expected = saturate_raw(
             round_fraction_half_even(Fraction(raw, 1 << Q83.frac_bits)), Q83
         )
-        assert got == expected, raw
+        assert round_acc(raw, Q83) == expected, raw
+        # The same product-scale sum through the oracle: raw = -128 * sum(w) + v,
+        # 17 inputs of -128 against weights summing to W, and v * 1.
+        v = raw % 128
+        q, rem = divmod((v - raw) // 128, 17)
+        w = [q + 1] * rem + [q] * (17 - rem) + [1]
+        assert _neuron(Q83, 0, [-128] * 17 + [v], w) == expected, raw
 
 
 def test_round_half_even_shift_basics():
@@ -213,7 +214,7 @@ def test_round_half_even_shift_basics():
 
 
 def test_single_rounding_matches_rational_dot_product():
-    """Fused pipeline == rational dot product rounded exactly once."""
+    """The oracle == rational dot product rounded exactly once."""
     rng = np.random.RandomState(3)
     for fmt in (Q83, QFormat(5, 2), QFormat(16, 4)):
         for _ in range(60):
@@ -221,10 +222,7 @@ def test_single_rounding_matches_rational_dot_product():
             a = rng.randint(fmt.raw_min, fmt.raw_max + 1, n)
             w = rng.randint(fmt.raw_min, fmt.raw_max + 1, n)
             bias = int(rng.randint(fmt.raw_min, fmt.raw_max + 1))
-            acc = acc_init_bias(QValue(bias, fmt), 196)
-            for ai, wi in zip(a, w):
-                acc = acc_mac(acc, QValue(int(ai), fmt), QValue(int(wi), fmt))
-            got = acc_round(acc).raw
+            got = _neuron(fmt, bias, a, w)
             scale = Fraction(1, 1 << fmt.frac_bits)
             exact = Fraction(bias) * scale + sum(
                 Fraction(int(ai)) * scale * Fraction(int(wi)) * scale for ai, wi in zip(a, w)
@@ -234,39 +232,18 @@ def test_single_rounding_matches_rational_dot_product():
 
 
 def test_guard_bits_worst_case_never_overflows():
-    # 196 full-scale products plus a full-scale bias: the exact worst case.
-    acc = acc_init_bias(QValue(127, Q83), 196)
-    x = QValue(-128, Q83)
+    # 196 full-scale products plus a full-scale bias: the exact worst case,
+    # inside the 2t + bitlen(196 - 1) + 1 signed bits of a hardware accumulator.
+    limit = 1 << (2 * Q83.total_bits + (196 - 1).bit_length())
+    bank = FmaBank(1)
+    bank.preload([127], Q83.frac_bits)
     for _ in range(196):
-        acc = acc_mac(acc, x, x)
-    assert acc.raw == 127 * 32 + 196 * (128 * 128)
-    acc = acc_init_bias(QValue(-128, Q83), 196)
+        bank.step(-128, [-128])
+    assert bank.acc == [127 * 32 + 196 * (128 * 128)] and bank.acc[0] < limit
+    bank.preload([-128], Q83.frac_bits)
     for _ in range(196):
-        acc = acc_mac(acc, QValue(-128, Q83), QValue(127, Q83))
-    assert acc.raw == -128 * 32 + 196 * (-128 * 127)
-
-
-def test_guard_bit_overflow_detected():
-    acc = acc_init_bias(QValue(0, Q83), 4)
-    x = QValue(-128, Q83)
-    with pytest.raises(ConfigError, match="guard-bit overflow"):
-        for _ in range(200):
-            acc = acc_mac(acc, x, x)
-
-
-def test_guard_bits_sizing():
-    assert guard_bits_for(1) == 1
-    assert guard_bits_for(2) == 2
-    assert guard_bits_for(196) == 9
-    with pytest.raises(ConfigError):
-        guard_bits_for(0)
-
-
-def test_acc_round_to_different_format():
-    # 1.25 held at Q<8,3> product scale, rounded into Q<8,5> (3 frac bits)
-    acc = WideAcc(1280, Q83, guard_bits_for(4))
-    out = acc_round(acc, QFormat(8, 5))
-    assert out.raw == 10 and out.value == 1.25
+        bank.step(-128, [127])
+    assert bank.acc == [-128 * 32 + 196 * (-128 * 127)] and -limit <= bank.acc[0]
 
 
 def test_integer_only_format_zero_frac_bits():
@@ -276,6 +253,4 @@ def test_integer_only_format_zero_frac_bits():
     assert quantize(200.0, fmt).raw == 127
     for raw in range(-128, 128):
         assert quantize(dequantize(QValue(raw, fmt)), fmt).raw == raw
-    acc = acc_init_bias(QValue(3, fmt), 4)
-    acc = acc_mac(acc, QValue(10, fmt), QValue(-2, fmt))
-    assert acc_round(acc).raw == -17
+    assert _neuron(fmt, 3, [10], [-2]) == -17

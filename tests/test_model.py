@@ -188,6 +188,14 @@ def test_forward_float_identityish_single_neuron():
     assert forward_float(cfg, params, [2.0])[0] == 2.0
 
 
+@pytest.mark.parametrize("x", [[2.0, 1.0], 2.0])
+def test_forward_float_rejects_input_that_is_not_one_vector(x):
+    cfg = NetworkConfig((1, 1), max_fma=1, af_per_layer=(AfKind.RELU,))
+    params = Params([LayerParams(np.array([[1.0]]), np.array([0.0]))], None)
+    with pytest.raises(ConfigError, match="input length"):
+        forward_float(cfg, params, x)
+
+
 def test_forward_float_zero_input_zero_bias():
     cfg = NetworkConfig((4, 3, 2), max_fma=4)
     params = Params(
@@ -263,16 +271,6 @@ def test_forward_quantized_rejects_bad_inputs():
     float_params = Params([LayerParams(np.zeros((3, 4)), np.zeros(3))], None)
     with pytest.raises(ConfigError):
         forward_quantized(cfg, float_params, [QValue(0, Q83)] * 4)
-
-
-def test_per_step_rounding_differs_from_fused():
-    cfg = NetworkConfig((2, 1), max_fma=1, af_per_layer=(AfKind.IDENTITY,))
-    params = Params([LayerParams(np.array([[127, 127]]), np.array([0]))], Q83)
-    x = [QValue(127, Q83), QValue(-128, Q83)]
-    fused = forward_quantized(cfg, params, x)[0].raw
-    stepped = forward_quantized(cfg, params, x, per_step_rounding=True)[0].raw
-    assert fused == -4       # exact sum 127*(127-128) = -127 at product scale
-    assert stepped == -128   # first step saturates at +max, second at -min
 
 
 @pytest.mark.parametrize("bits", [5, 8, 16, 32])

@@ -38,7 +38,7 @@ from .model import (
     train_minimal,
     validate,
 )
-from .timing import TimingInputs, af_savings, per_layer_af_savings, t_parallel, t_reuse, throughput_report
+from .timing import af_savings, per_layer_af_savings, t_parallel, t_reuse, throughput_report
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "PisoBuffer",
     "QFormat",
     "QValue",
-    "TimingInputs",
     "TraceRecord",
     "af_savings",
     "build_sigmoid_lut",

@@ -10,10 +10,10 @@ Subcommands:
     trace      dump the per-cycle FSM trace of one inference
 
 Simulated cycles depend only on the network config, never on the data, so
-`simulate` and `sweep` step the cycle engine once per command.  Set
-HYDRA_TRACE=1 to stream that inference's per-cycle trace (image 0) to stderr
-during `simulate`.  All CSV output is deterministic for fixed inputs: rows are
-ordered by input index and floats are printed with a fixed format.
+`simulate` and `sweep` step the cycle engine once per command.  All CSV output
+is deterministic for fixed inputs: rows are ordered by input index and floats
+are printed with a fixed format.  Errors print as one `error: ...` line and
+warnings as one `warning: ...` line each, both on stderr.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -44,15 +44,9 @@ from .model import (
     read_json_object,
     save_params,
     train_minimal,
+    validate,
 )
-from .timing import (
-    TimingInputs,
-    af_savings,
-    per_layer_af_savings,
-    t_parallel,
-    t_reuse,
-    throughput_report,
-)
+from .timing import af_savings, per_layer_af_savings, t_parallel, t_reuse, throughput_report
 
 SIMULATE_SCHEMA = "hydrasim.simulate.v1"
 SWEEP_SCHEMA = "hydrasim.sweep.v1"
@@ -147,12 +141,8 @@ def cmd_simulate(args) -> int:
     rows = []
     if n:
         # The stepped engine is ground truth: its one inference gives the cycle
-        # report and the trace, and must reproduce the kernel's outputs.
-        trace = os.environ.get("HYDRA_TRACE") == "1"
-        engine = Engine(
-            cfg, qparams, trace_hook=(lambda r: print(r.line(), file=sys.stderr)) if trace else None
-        )
-        outputs, report = engine.run(to_input_vector(ds.images[0], cfg.qformat))
+        # report, and must reproduce the kernel's outputs.
+        outputs, report = Engine(cfg, qparams).run(to_input_vector(ds.images[0], cfg.qformat))
         tp = throughput_report(report, args.clock_hz)
         engine_raw = [v.raw for v in outputs]
         if engine_raw != out_raw[0].tolist():
@@ -191,16 +181,15 @@ def cmd_simulate(args) -> int:
 def cmd_timing(args) -> int:
     if args.n_list:
         n = _int_list(args.n_list, "--n-list")
-        t = TimingInputs(n, len(n))
-        print(f"n = {list(n)} (literal)")
-        print(f"t_parallel = {t_parallel(t)}")
-        print(f"t_reuse    = {t_reuse(t)}")
+        tp, tr = t_parallel(n), t_reuse(n)   # both validate n before anything prints
+        print(f"n = {n} (literal)")
+        print(f"t_parallel = {tp}")
+        print(f"t_reuse    = {tr}")
         return 0
 
     params = load_params(args.params) if args.params else None
     cfg = _build_config(args, params)
-    full = TimingInputs(cfg.layer_sizes, len(cfg.layer_sizes))
-    compute = TimingInputs(cfg.layer_sizes[1:], cfg.n_layers)
+    full, compute = cfg.layer_sizes, cfg.layer_sizes[1:]
     print(f"layer configuration   {':'.join(str(s) for s in cfg.layer_sizes)}")
     print("closed forms (n including the input stage):")
     print(f"  t_parallel = {t_parallel(full)}")
@@ -213,11 +202,11 @@ def cmd_timing(args) -> int:
 
     sf = _cycle_report(dataclasses.replace(cfg, mode=Mode.STORE_AND_FORWARD))
     print(f"simulated store-and-forward total = {sf.total_cycles}")
-    if cfg.tiling and any(w > cfg.max_fma for w in cfg.layer_sizes[1:]):
+    streamed = dataclasses.replace(cfg, mode=Mode.STREAMED)
+    if validate(streamed):   # only tiled layers stop a valid config from streaming
         print("simulated streamed total = n/a (tiled layers require store-and-forward)")
     else:
-        st = _cycle_report(dataclasses.replace(cfg, mode=Mode.STREAMED))
-        print(f"simulated streamed total = {st.total_cycles}")
+        print(f"simulated streamed total = {_cycle_report(streamed).total_cycles}")
     print(f"af units saved        {af_savings(cfg)} (per layer: {per_layer_af_savings(cfg)})")
     return 0
 
@@ -388,11 +377,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():   # restores the caller's handler on exit
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1

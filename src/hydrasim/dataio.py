@@ -8,16 +8,16 @@ are selectable for experiments.
 
 IDX parsing is total: any byte stream yields either parsed data or one of the
 typed IdxFormatError subclasses, never a partial result.  Files ending in .gz
-are decompressed transparently.
+are decompressed transparently.  load_dataset reads each file once and keeps
+only the folded images and their labels.
 """
 
 from __future__ import annotations
 
 import gzip
-import hashlib
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,10 +80,7 @@ def _header(data: bytes, path, expected_magic: int, kind: str, fields: int) -> t
 
 def load_idx_images(path) -> np.ndarray:
     """Parse a big-endian IDX image file into uint8 images of shape [N, 28, 28]."""
-    return _parse_idx_images(_read_file(path), path)
-
-
-def _parse_idx_images(data: bytes, path) -> np.ndarray:
+    data = _read_file(path)
     count, rows, cols = _header(data, path, IDX_IMAGE_MAGIC, "image", 3)
     if (rows, cols) != (28, 28):
         raise IdxShapeError(f"{path}: expected 28x28 images, got {rows}x{cols}")
@@ -100,10 +97,7 @@ def _parse_idx_images(data: bytes, path) -> np.ndarray:
 
 def load_idx_labels(path) -> np.ndarray:
     """Parse a big-endian IDX label file into uint8 labels 0..9 of shape [N]."""
-    return _parse_idx_labels(_read_file(path), path)
-
-
-def _parse_idx_labels(data: bytes, path) -> np.ndarray:
+    data = _read_file(path)
     (count,) = _header(data, path, IDX_LABEL_MAGIC, "label", 1)
     payload = data[8:]
     if len(payload) < count:
@@ -152,11 +146,10 @@ def to_input_vector(img14, fmt: QFormat) -> list[QValue]:
 
 @dataclass
 class Dataset:
-    """Half-folded images in [0, 1) with labels and source-file digests."""
+    """Half-folded images in [0, 1) with their labels."""
 
     images: np.ndarray                          # [N, 14, 14] float64
     labels: np.ndarray                          # [N] int64
-    source_checksums: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -171,10 +164,8 @@ def load_dataset(images_path, labels_path, fold: str = "mean", limit: int | None
     """Load and pair an IDX image/label file set, half-folding every image."""
     if limit is not None and limit < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
-    image_bytes = _read_file(images_path)
-    label_bytes = _read_file(labels_path)
-    raw_images = _parse_idx_images(image_bytes, images_path)
-    labels = _parse_idx_labels(label_bytes, labels_path)
+    raw_images = load_idx_images(images_path)
+    labels = load_idx_labels(labels_path)
     if len(raw_images) != len(labels):
         raise IdxShapeError(
             f"{len(raw_images)} images but {len(labels)} labels "
@@ -183,9 +174,4 @@ def load_dataset(images_path, labels_path, fold: str = "mean", limit: int | None
     if limit is not None:
         raw_images = raw_images[:limit]
         labels = labels[:limit]
-    images = _fold_batch(raw_images, fold)
-    checksums = {
-        str(images_path): hashlib.sha256(image_bytes).hexdigest(),
-        str(labels_path): hashlib.sha256(label_bytes).hexdigest(),
-    }
-    return Dataset(images=images, labels=labels.astype(np.int64), source_checksums=checksums)
+    return Dataset(images=_fold_batch(raw_images, fold), labels=labels.astype(np.int64))

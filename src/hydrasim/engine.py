@@ -9,6 +9,9 @@ capture, serialize) and yields once per clock cycle, so each step() call is
 one cycle.  The Phase it sets is checked against LEGAL_PHASE_TRANSITIONS, and
 the cycle report is read off the event log.  Config, parameters and input are
 checked by model.check_forward and model.check_input, the oracle's own rules.
+Every setting, the mode included, comes from the config the engine is built
+with: to run another mode, build an engine from dataclasses.replace(cfg,
+mode=...).
 
 Cycle accounting, store-and-forward mode
 ----------------------------------------
@@ -44,7 +47,7 @@ from enum import Enum
 from .datapath import ActivationUnit, AfKind, FmaBank, PisoBuffer, build_sigmoid_lut
 from .errors import ConfigError, ControlFault
 from .fxp import QFormat, QValue, round_acc
-from .model import Mode, NetworkConfig, Params, check_forward, check_input, ensure_valid
+from .model import Mode, NetworkConfig, Params, check_forward, check_input
 
 
 class Phase(Enum):
@@ -123,7 +126,6 @@ class CycleReport:
     softmax_cycles: int
     mode: Mode
     last_output_cycle: int    # cycle the final layer's last activation is stored
-    bank_load_cycles: int     # hypothetical serial weight/input bank loading (not simulated)
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,6 @@ class Engine:
         check_forward(cfg, params)
         self.cfg = cfg
         self.fmt: QFormat = cfg.qformat
-        self.mode: Mode = cfg.mode
         self.trace_hook = trace_hook
         self.fma_bank = FmaBank(cfg.max_fma)
         self.piso = PisoBuffer(cfg.max_fma)
@@ -199,12 +200,6 @@ class Engine:
     @property
     def gate_mask(self) -> list[bool]:
         return self.fma_bank.gate_mask
-
-    def set_mode(self, mode: Mode) -> None:
-        if self.phase is not Phase.IDLE:
-            raise ControlFault("mode change while the engine is running")
-        ensure_valid(dataclasses.replace(self.cfg, mode=mode))
-        self.mode = mode
 
     def load_input(self, x) -> None:
         if self.phase is not Phase.IDLE:
@@ -240,7 +235,7 @@ class Engine:
 
     def _control(self):
         """The control sequence: yields once per clock cycle, the active FMA count."""
-        streamed = self.mode is Mode.STREAMED
+        streamed = self.cfg.mode is Mode.STREAMED
         fed = False   # this pass's MAC already ran in the upstream store cycles
         for n, p in enumerate(self._schedule):
             self.layer_index = p.layer
@@ -337,7 +332,7 @@ class Engine:
                 first[e.layer] = e.cycle
             else:   # LAYER_FINISHED, or ANN_DONE for the last layer
                 finish[e.layer] = e.cycle
-        streamed = self.mode is Mode.STREAMED and cfg.n_layers > 1
+        streamed = cfg.mode is Mode.STREAMED and cfg.n_layers > 1
         per_layer = [
             LayerTiming(
                 layer=l,
@@ -351,9 +346,6 @@ class Engine:
             for l in range(cfg.n_layers)
         ]
         total_cycles = (first[-1] if streamed else finish[-1]) + cfg.softmax_cycles
-        bank_load = sum(
-            cfg.inputs_of(l) * (cfg.width_of(l) + 1) for l in range(cfg.n_layers)
-        )
         return CycleReport(
             per_layer=per_layer,
             total_cycles=total_cycles,
@@ -361,24 +353,14 @@ class Engine:
             af_invocations=self.af_invocations,
             fma_utilization=self.mac_ops / (cfg.max_fma * total_cycles),
             softmax_cycles=cfg.softmax_cycles,
-            mode=self.mode,
+            mode=cfg.mode,
             last_output_cycle=finish[-1],
-            bank_load_cycles=bank_load,
         )
 
 
-def run_inference(
-    cfg: NetworkConfig,
-    params: Params,
-    x,
-    mode: Mode | None = None,
-    trace_hook=None,
-) -> tuple[list[QValue], CycleReport]:
-    """One-shot convenience wrapper around Engine."""
-    engine = Engine(cfg, params, trace_hook=trace_hook)
-    if mode is not None:
-        engine.set_mode(mode)
-    return engine.run(x)
+def run_inference(cfg: NetworkConfig, params: Params, x) -> tuple[list[QValue], CycleReport]:
+    """One inference of x on a fresh engine: Engine(cfg, params).run(x)."""
+    return Engine(cfg, params).run(x)
 
 
 def classify(outputs) -> int:

@@ -1,7 +1,7 @@
 """Closed-form timing models and comparative reporting.
 
 The two closed forms are evaluated literally from a list n of per-layer unit
-counts and a layer count L:
+counts, whose length is the layer count L:
 
     t_parallel = sum(n[0..L-2]) + L - 1
     t_reuse    = sum(n[0..L-1]) + 2L - 3
@@ -23,37 +23,32 @@ from .errors import ConfigError
 from .model import NetworkConfig
 
 
-@dataclass(frozen=True)
-class TimingInputs:
-    """Per-layer unit counts n(l) and layer count L for the closed forms."""
-
-    n: tuple[int, ...]
-    L: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        if self.L != len(self.n):
-            raise ConfigError(f"L={self.L} does not match len(n)={len(self.n)}")
-        if any(v < 1 for v in self.n):
-            raise ConfigError(f"all n(l) must be >= 1, got {self.n}")
+def _layer_counts(n, form: str) -> list[int]:
+    """n as a list of ints, each n(l) >= 1; L is its length."""
+    n = [int(v) for v in n]
+    if not n:
+        raise ConfigError(f"{form} needs at least one layer")
+    if any(v < 1 for v in n):
+        raise ConfigError(f"all n(l) must be >= 1, got {tuple(n)}")
+    return n
 
 
-def t_parallel(t: TimingInputs) -> int:
+def t_parallel(n) -> int:
     """Fully parallel architecture clock count."""
-    if t.L < 1:
-        raise ConfigError("t_parallel needs at least one layer")
-    return sum(t.n[: t.L - 1]) + t.L - 1
+    n = _layer_counts(n, "t_parallel")
+    return sum(n[:-1]) + len(n) - 1
 
 
-def t_reuse(t: TimingInputs) -> int:
+def t_reuse(n) -> int:
     """Layer-reuse architecture clock count.
 
     Defined for L >= 2; L == 1 evaluates to n(1) - 1 and is permitted but
     flagged with a warning since the closed form is not meaningful there.
     """
-    if t.L == 1:
+    n = _layer_counts(n, "t_reuse")
+    if len(n) == 1:
         warnings.warn("t_reuse with L=1 is degenerate (evaluates to n(1) - 1)", stacklevel=2)
-    return sum(t.n) + 2 * t.L - 3
+    return sum(n) + 2 * len(n) - 3
 
 
 def per_layer_af_savings(cfg: NetworkConfig) -> list[int]:

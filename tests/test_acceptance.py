@@ -26,7 +26,7 @@ from hydrasim.model import (
     train_minimal,
 )
 from hydrasim.dataio import load_dataset
-from hydrasim.timing import TimingInputs, af_savings, per_layer_af_savings, t_parallel, t_reuse
+from hydrasim.timing import af_savings, per_layer_af_savings, t_parallel, t_reuse
 from test_engine import bench_engine, zero_params, zeros_input
 
 Q83 = QFormat(8, 3)
@@ -69,15 +69,14 @@ def test_criterion_2_layer2_cycle_fidelity():
 
 
 def test_criterion_3_closed_forms():
-    bench = TimingInputs((196, 64, 32, 32, 10), 5)
+    bench = (196, 64, 32, 32, 10)
     tp, tr = t_parallel(bench), t_reuse(bench)
     rng = np.random.RandomState(3)
     identity_ok = True
     for _ in range(1000):
         L = int(rng.randint(2, 9))
         n = tuple(int(v) for v in rng.randint(1, 400, L))
-        t = TimingInputs(n, L)
-        if t_reuse(t) - t_parallel(t) != n[-1] + L - 2:
+        if t_reuse(n) - t_parallel(n) != n[-1] + L - 2:
             identity_ok = False
             break
     ok = tp == 328 and tr == 341 and identity_ok
@@ -100,7 +99,7 @@ def test_criterion_4_oracle_equivalence(bits):
         cfg, params, x = random_quantized_case(rng, fmt, max_depth=3)
         golden = forward_quantized(cfg, params, x)
         for mode in (Mode.STORE_AND_FORWARD, Mode.STREAMED):
-            outputs, _ = run_inference(cfg, params, x, mode=mode)
+            outputs, _ = run_inference(dataclasses.replace(cfg, mode=mode), params, x)
             if outputs != golden:
                 mismatches += 1
     elapsed = time.perf_counter() - t0

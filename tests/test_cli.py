@@ -1,6 +1,7 @@
 """End-to-end CLI tests over synthetic IDX datasets in tmp dirs."""
 
 import json
+import warnings
 
 import pytest
 
@@ -180,11 +181,29 @@ def test_timing_benchmark_numbers(capsys):
     assert "[63, 31, 31, 9]" in out
 
 
-def test_timing_single_layer_flagged(capsys):
-    with pytest.warns(UserWarning):
-        rc = main(["timing", "--layers", "8:4", "--max-fma", "4"])
+def assert_one_warning_line(err, message):
+    assert err == f"warning: {message}\n"
+    assert "UserWarning" not in err and ".py:" not in err
+
+
+@pytest.mark.parametrize("layers, streamed", [
+    ("196:100:10", "n/a (tiled layers require store-and-forward)"),   # tiling engaged
+    ("196:40:10", "240"),                                              # tiling on, unused
+])
+def test_timing_streamed_total_under_tiling(capsys, layers, streamed):
+    rc = main(["timing", "--layers", layers, "--tiling"])
     assert rc == 0
-    assert "degenerate" in capsys.readouterr().out
+    assert f"\nsimulated streamed total = {streamed}\n" in capsys.readouterr().out
+
+
+def test_timing_single_layer_flagged(capsys):
+    handler = warnings.showwarning
+    rc = main(["timing", "--layers", "8:4", "--max-fma", "4"])
+    assert rc == 0
+    assert warnings.showwarning is handler
+    out, err = capsys.readouterr()
+    assert "degenerate" in out
+    assert_one_warning_line(err, "t_reuse with L=1 is degenerate (evaluates to n(1) - 1)")
 
 
 def test_timing_literal_n_list(capsys):
@@ -194,13 +213,22 @@ def test_timing_literal_n_list(capsys):
     assert "t_parallel = 328" in out and "t_reuse    = 341" in out
 
 
-@pytest.mark.parametrize("argv", [["--n-list", ","], ["--n-list", "1,x"], ["--layers", "196:x"],
-                                  ["--layers", ":"]])
-def test_timing_bad_integer_list_prints_nothing(capsys, argv):
+_BAD_TIMING_LISTS = [
+    (["--n-list", ","], "--n-list"),
+    (["--n-list", "1,x"], "--n-list"),
+    (["--layers", "196:x"], "--layers"),
+    (["--layers", ":"], "--layers"),
+    (["--n-list", "5,0"], "all n(l) must be >= 1, got (5, 0)"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _BAD_TIMING_LISTS,
+                         ids=[f"argv{i}" for i in range(len(_BAD_TIMING_LISTS))])
+def test_timing_bad_integer_list_prints_nothing(capsys, argv, named):
     rc = main(["timing", *argv])
     assert rc == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and argv[0] in err
+    assert out == "" and err.startswith("error: ") and named in err
 
 
 def test_sweep_bad_bits_list_names_the_flag(tmp_path, float_params_file, synth_dataset_dir, capsys):
@@ -251,20 +279,22 @@ def test_sweep_rejects_quantized_params(tmp_path, float_params_file, synth_datas
     assert "float parameter file" in capsys.readouterr().err
 
 
-def test_sweep_width4_accepted_with_warning(tmp_path, float_params_file, synth_dataset_dir):
+def test_sweep_width4_accepted_with_warning(tmp_path, float_params_file, synth_dataset_dir,
+                                            capsys):
     out = tmp_path / "w4.csv"
-    with pytest.warns(UserWarning, match="nonstandard bit-width 4"):
-        rc = main([
-            "sweep",
-            "--params", str(float_params_file),
-            "--images", str(synth_dataset_dir["test_images"]),
-            "--labels", str(synth_dataset_dir["test_labels"]),
-            "--limit", "10",
-            "--bits-list", "4",
-            "--out", str(out),
-        ])
+    rc = main([
+        "sweep",
+        "--params", str(float_params_file),
+        "--images", str(synth_dataset_dir["test_images"]),
+        "--labels", str(synth_dataset_dir["test_labels"]),
+        "--limit", "10",
+        "--bits-list", "4",
+        "--out", str(out),
+    ])
     assert rc == 0
     assert out.read_text().splitlines()[2].startswith("4,")
+    assert_one_warning_line(capsys.readouterr().err,
+                            "nonstandard bit-width 4 (standard set is (5, 8, 16, 32)); accepted")
 
 
 def test_trace_command(tmp_path, float_params_file, synth_dataset_dir):
@@ -292,24 +322,6 @@ def test_rejected_trace_leaves_out_file_as_it_was(tmp_path, float_params_file, c
     assert rc == 1
     assert "error: parameter shapes" in capsys.readouterr().err
     assert out.read_bytes() == b"an earlier trace\n"
-
-
-def test_hydra_trace_env_streams_to_stderr(tmp_path, float_params_file, synth_dataset_dir,
-                                           monkeypatch, capsys):
-    monkeypatch.setenv("HYDRA_TRACE", "1")
-    rc = main([
-        "simulate",
-        "--params", str(float_params_file),
-        "--images", str(synth_dataset_dir["test_images"]),
-        "--labels", str(synth_dataset_dir["test_labels"]),
-        "--limit", "2",
-        "--out", str(tmp_path / "t.csv"),
-    ])
-    assert rc == 0
-    err = capsys.readouterr().err
-    assert "cycle=1 phase=mac layer=0" in err
-    # only the first image is traced
-    assert err.count("cycle=1 ") == 1
 
 
 def test_af_override(tmp_path, float_params_file, synth_dataset_dir, capsys):

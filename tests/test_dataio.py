@@ -1,6 +1,5 @@
 """IDX parsing and half-folding tests, including a totality fuzz pass."""
 
-import hashlib
 import struct
 from fractions import Fraction
 
@@ -227,18 +226,8 @@ def test_load_dataset_end_to_end(tmp_path):
     assert ds.flat.shape == (20, 196)
     assert np.all(ds.images >= 0.0) and np.all(ds.images < 1.0)
     assert np.all(ds.labels < 10)
-    assert len(ds.source_checksums) == 2
     # batch fold equals the scalar fold
     np.testing.assert_array_equal(ds.images[0], half_fold(images[0]))
-
-
-def test_load_dataset_checksums_stable(tmp_path):
-    images, labels = synthetic_digits(3, seed=8)
-    ip = write_idx_images(tmp_path / "imgs", images)
-    lp = write_idx_labels(tmp_path / "labels", labels)
-    a = load_dataset(ip, lp).source_checksums
-    b = load_dataset(ip, lp).source_checksums
-    assert a == b
 
 
 def test_load_dataset_reads_each_file_once(tmp_path, monkeypatch):
@@ -248,12 +237,8 @@ def test_load_dataset_reads_each_file_once(tmp_path, monkeypatch):
     reads = []
     real_read = dataio._read_file
     monkeypatch.setattr(dataio, "_read_file", lambda path: reads.append(path) or real_read(path))
-    ds = load_dataset(ip, lp)
+    load_dataset(ip, lp)
     assert sorted(map(str, reads)) == sorted([str(ip), str(lp)])
-    assert ds.source_checksums == {
-        str(ip): hashlib.sha256(real_read(ip)).hexdigest(),
-        str(lp): hashlib.sha256(lp.read_bytes()).hexdigest(),
-    }
 
 
 def test_load_dataset_negative_limit_rejected(tmp_path):

@@ -131,7 +131,6 @@ def test_utilization_and_op_counts():
     assert report.mac_ops == mac_ops == 15936
     assert report.af_invocations == 64 + 32 + 32 + 10
     assert report.fma_utilization == mac_ops / (64 * 470)
-    assert report.bank_load_cycles == 196 * 65 + 64 * 33 + 32 * 33 + 32 * 11
 
 
 # =============================================================================
@@ -160,7 +159,7 @@ def test_streamed_overlap_law_random_configs():
     rng = np.random.default_rng(77)
     for _ in range(20):
         cfg, params, x = random_quantized_case(rng, Q83)
-        _, report = run_inference(cfg, params, x, mode=Mode.STREAMED)
+        _, report = run_inference(dataclasses.replace(cfg, mode=Mode.STREAMED), params, x)
         prev = 0
         for lt in report.per_layer:
             if cfg.n_layers > 1:
@@ -175,33 +174,18 @@ def test_modes_produce_identical_outputs():
     rng = np.random.default_rng(33)
     for _ in range(30):
         cfg, params, x = random_quantized_case(rng, Q83)
-        sf, _ = run_inference(cfg, params, x, mode=Mode.STORE_AND_FORWARD)
-        st, _ = run_inference(cfg, params, x, mode=Mode.STREAMED)
+        sf, _ = run_inference(dataclasses.replace(cfg, mode=Mode.STORE_AND_FORWARD), params, x)
+        st, _ = run_inference(dataclasses.replace(cfg, mode=Mode.STREAMED), params, x)
         assert sf == st
 
 
 def test_single_layer_modes_equal_reports():
     cfg = NetworkConfig((6, 3), max_fma=4)
-    params = zero_params(cfg)
-    _, sf = run_inference(cfg, params, zeros_input(cfg), mode=Mode.STORE_AND_FORWARD)
-    _, st = run_inference(cfg, params, zeros_input(cfg), mode=Mode.STREAMED)
+    params, x = zero_params(cfg), zeros_input(cfg)
+    _, sf = run_inference(dataclasses.replace(cfg, mode=Mode.STORE_AND_FORWARD), params, x)
+    _, st = run_inference(dataclasses.replace(cfg, mode=Mode.STREAMED), params, x)
     assert sf.total_cycles == st.total_cycles == 6 + 3 + 2
     assert [lt.total_cycles for lt in sf.per_layer] == [lt.total_cycles for lt in st.per_layer]
-
-
-def test_mode_change_mid_run_is_a_fault():
-    engine, cfg = bench_engine()
-    engine.load_input(zeros_input(cfg))
-    engine.step()
-    with pytest.raises(ControlFault):
-        engine.set_mode(Mode.STREAMED)
-
-
-def test_set_mode_before_run():
-    engine, cfg = bench_engine()
-    engine.set_mode(Mode.STREAMED)
-    _, report = engine.run(zeros_input(cfg))
-    assert report.total_cycles == 332
 
 
 def test_streamed_trace_shows_overlapped_mac():
@@ -230,7 +214,7 @@ def test_engine_matches_functional_golden_model():
         cfg, params, x = random_quantized_case(rng, Q83)
         golden = forward_quantized(cfg, params, x)
         for mode in (Mode.STORE_AND_FORWARD, Mode.STREAMED):
-            outputs, _ = run_inference(cfg, params, x, mode=mode)
+            outputs, _ = run_inference(dataclasses.replace(cfg, mode=mode), params, x)
             assert outputs == golden
 
 
@@ -320,13 +304,6 @@ def test_streamed_with_engaged_tiling_rejected():
     cfg = NetworkConfig((8, 100), max_fma=64, tiling=True, mode=Mode.STREAMED)
     with pytest.raises(ConfigError, match="store-and-forward"):
         Engine(cfg, Params([LayerParams(np.zeros((100, 8), np.int64), np.zeros(100, np.int64))], Q83))
-    # the same guard applies when switching modes after construction
-    engine = Engine(
-        NetworkConfig((8, 100), max_fma=64, tiling=True),
-        Params([LayerParams(np.zeros((100, 8), np.int64), np.zeros(100, np.int64))], Q83),
-    )
-    with pytest.raises(ConfigError, match="store-and-forward"):
-        engine.set_mode(Mode.STREAMED)
 
 
 # =============================================================================
@@ -509,8 +486,7 @@ def test_events_agree_with_report():
     rng = np.random.default_rng(88)
     for mode in (Mode.STORE_AND_FORWARD, Mode.STREAMED):
         cfg, params, x = random_quantized_case(rng, Q83)
-        engine = Engine(cfg, params)
-        engine.set_mode(mode)
+        engine = Engine(dataclasses.replace(cfg, mode=mode), params)
         _, report = engine.run(x)
         firsts = {e.layer: e.cycle for e in engine.events if e.kind is EventKind.FIRST_OUTPUT}
         assert firsts == {lt.layer: lt.first_output_cycle for lt in report.per_layer}
@@ -533,7 +509,7 @@ def test_integer_only_format_end_to_end():
         cfg, params, x = random_quantized_case(rng, fmt, max_depth=3)
         golden = forward_quantized(cfg, params, x)
         for mode in (Mode.STORE_AND_FORWARD, Mode.STREAMED):
-            outputs, _ = run_inference(cfg, params, x, mode=mode)
+            outputs, _ = run_inference(dataclasses.replace(cfg, mode=mode), params, x)
             assert outputs == golden
 
 
@@ -546,7 +522,7 @@ def assert_three_way_agreement(cfg, params, x, modes=tuple(Mode)):
     batch = forward_quantized_batch(cfg, params, np.array([[v.raw for v in x]], dtype=object))
     assert [v.raw for v in golden] == [int(v) for v in batch[0]]
     for mode in modes:
-        outputs, _ = run_inference(cfg, params, x, mode=mode)
+        outputs, _ = run_inference(dataclasses.replace(cfg, mode=mode), params, x)
         assert outputs == golden
 
 

@@ -1,8 +1,13 @@
-"""The package's public surface: __all__ names exactly what it exports."""
+"""The package's public surface, its README examples and its imports."""
 
+import ast
+import re
 import types
+from pathlib import Path
 
 import hydrasim
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_lists_every_public_name_and_each_resolves():
@@ -12,3 +17,33 @@ def test_all_lists_every_public_name_and_each_resolves():
     namespace = {}
     exec("from hydrasim import *", namespace)   # a stale name raises AttributeError
     assert public <= namespace.keys()
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "470"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = [p for d in ("src/hydrasim", "tests") for p in sorted((ROOT / d).glob("*.py"))
+             if p.name != "__init__.py"]   # __init__ imports to re-export
+    assert paths
+    assert [u for p in paths for u in _unused_imports(p)] == []

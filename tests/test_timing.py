@@ -9,7 +9,6 @@ from hydrasim.engine import CycleReport
 from hydrasim.errors import ConfigError
 from hydrasim.model import Mode, NetworkConfig
 from hydrasim.timing import (
-    TimingInputs,
     af_savings,
     per_layer_af_savings,
     t_parallel,
@@ -17,32 +16,33 @@ from hydrasim.timing import (
     throughput_report,
 )
 
-BENCH5 = TimingInputs((196, 64, 32, 32, 10), 5)
-BENCH4 = TimingInputs((64, 32, 32, 10), 4)
+BENCH5 = (196, 64, 32, 32, 10)
+BENCH4 = (64, 32, 32, 10)
 
 
 def test_t_parallel_examples():
     assert t_parallel(BENCH5) == 328
     assert t_parallel(BENCH4) == 131
-    assert t_parallel(TimingInputs((7,), 1)) == 0
+    assert t_parallel((7,)) == 0
 
 
 def test_t_reuse_examples():
     assert t_reuse(BENCH5) == 341
     assert t_reuse(BENCH4) == 143
-    assert t_reuse(TimingInputs((1, 1), 2)) == 3
+    assert t_reuse((1, 1)) == 3
 
 
 def test_t_reuse_single_layer_flagged():
     with pytest.warns(UserWarning, match="degenerate"):
-        assert t_reuse(TimingInputs((9,), 1)) == 8
+        assert t_reuse((9,)) == 8
 
 
 def test_timing_inputs_validation():
-    with pytest.raises(ConfigError):
-        TimingInputs((1, 2), 3)
-    with pytest.raises(ConfigError):
-        TimingInputs((1, 0), 2)
+    for form in (t_parallel, t_reuse):
+        with pytest.raises(ConfigError, match=f"^{form.__name__} needs at least one layer$"):
+            form([])
+        with pytest.raises(ConfigError, match=r"^all n\(l\) must be >= 1, got \(1, 0\)$"):
+            form([1, 0])
 
 
 def test_reuse_minus_parallel_identity():
@@ -50,9 +50,8 @@ def test_reuse_minus_parallel_identity():
     for _ in range(1000):
         L = int(rng.randint(1, 9))
         n = tuple(int(v) for v in rng.randint(1, 300, L))
-        t = TimingInputs(n, L)
         with pytest.warns(UserWarning) if L == 1 else _nullcontext():
-            assert t_reuse(t) - t_parallel(t) == n[-1] + L - 2
+            assert t_reuse(n) - t_parallel(n) == n[-1] + L - 2
 
 
 class _nullcontext:
@@ -92,7 +91,6 @@ def _report(total_cycles, mac_ops):
         softmax_cycles=0,
         mode=Mode.STORE_AND_FORWARD,
         last_output_cycle=total_cycles,
-        bank_load_cycles=0,
     )
 
 

@@ -6,13 +6,17 @@ a random depth, mode and activation mix (sigmoid through 16 bits), and, in
 store mode, tiling with an array narrower than the widest layer.  The cases
 of every other width hold only extreme raws, and in every case row 0 meets
 raw_min weights and a raw_max bias in neuron 0 of layer 0.
+
+The same cases also pin the engine's control sequence: its trace, its
+LayerTimings and its MAC count must equal those derived from the README's
+cycle rules alone.
 """
 
 import numpy as np
 import pytest
 
 from hydrasim.datapath import AfKind
-from hydrasim.engine import Engine
+from hydrasim.engine import Engine, LayerTiming
 from hydrasim.fxp import QFormat, QValue
 from hydrasim.model import (
     LayerParams,
@@ -84,3 +88,75 @@ def test_engine_oracle_and_batch_agree_on_random_configs():
             stepped = [v.raw for v in engine.run(xq)[0]]
             assert oracle == stepped == out, (case, str(fmt), cfg)
     assert modes == set(Mode) and tiled and sigmoid
+
+
+def _pass_widths(cfg, l):
+    """Layer l's pass widths: one pass, or ceil(n / max_fma) of them when tiled."""
+    n = cfg.width_of(l)
+    return [min(cfg.max_fma, n - off) for off in range(0, n, cfg.max_fma)]
+
+
+def _expected_trace(cfg):
+    """(phase, layer, active_fma) of every cycle, from the README's cycle rules.
+
+    Per pass: inputs MAC cycles, one PISO capture, width serialize cycles, then
+    layer_done (ann_done after the net's last pass).  In streamed mode the next
+    layer's MAC rides on serialize cycles 2..width+1, under this layer's label,
+    and that layer's own pass starts at its PISO capture.
+    """
+    streamed = cfg.mode is Mode.STREAMED
+    seq = []
+    for l in range(cfg.n_layers):
+        widths = _pass_widths(cfg, l)
+        feeds = cfg.width_of(l + 1) if streamed and l + 1 < cfg.n_layers else 0
+        for j, w in enumerate(widths):
+            if not (streamed and l):
+                seq += [("mac", l, w)] * cfg.inputs_of(l)
+            seq += [("piso_load", l, 0), ("serialize", l, 0)] + [("serialize", l, feeds)] * (w - 1)
+            last = l == cfg.n_layers - 1 and j == len(widths) - 1
+            seq.append(("ann_done" if last else "layer_done", l, feeds))
+    return seq
+
+
+def _expected_timing(cfg):
+    """Every LayerTiming, from the README's cycle rules.
+
+    Store mode: a layer costs the sum of inputs + width + 2 over its passes.
+    Streamed mode: each layer's first output comes inputs + 2 cycles after the
+    previous layer's, which is where that layer starts.
+    """
+    streamed = cfg.mode is Mode.STREAMED and cfg.n_layers > 1
+    timings, start = [], 0
+    for l in range(cfg.n_layers):
+        inputs, widths = cfg.inputs_of(l), _pass_widths(cfg, l)
+        total = inputs + 2 if streamed else sum(inputs + w + 2 for w in widths)
+        timings.append(LayerTiming(
+            layer=l, start_cycle=start, mac_cycles=inputs * len(widths),
+            first_output_cycle=start + inputs + 2,
+            serialize_cycles=sum(w + 1 for w in widths), total_cycles=total,
+        ))
+        start += total
+    return timings
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+def test_engine_steps_the_cycle_sequence_of_the_readme_rules():
+    rng = np.random.default_rng(20261018)
+    overlapped = tiled = 0
+    for case, (cfg, params, x) in enumerate(_cases(rng)):
+        overlapped += cfg.mode is Mode.STREAMED and cfg.n_layers > 1
+        tiled += any(len(_pass_widths(cfg, l)) > 1 for l in range(cfg.n_layers))
+        trace = []
+        engine = Engine(cfg, params, trace_hook=trace.append)
+        _, report = engine.run([QValue(int(v), cfg.qformat) for v in x[0]])
+        seq = _expected_trace(cfg)
+        assert [(r.phase, r.layer, r.active_fma) for r in trace] == seq, (case, cfg)
+        assert [r.cycle for r in trace] == list(range(1, len(seq) + 1))
+        assert report.per_layer == _expected_timing(cfg), (case, cfg)
+        assert report.total_cycles == sum(lt.total_cycles for lt in report.per_layer) \
+            + cfg.softmax_cycles
+        assert report.last_output_cycle == len(seq)
+        # Gated units do no MAC: the count is the layers' MACs, cycle by cycle.
+        macs = sum(cfg.inputs_of(l) * cfg.width_of(l) for l in range(cfg.n_layers))
+        assert report.mac_ops == sum(r.active_fma for r in trace) == macs
+    assert case + 1 == 122 and overlapped and tiled

@@ -9,7 +9,7 @@ timing models, functional golden models with a minimal trainer, and MNIST IDX
 ingestion with half-folding.
 """
 
-from .datapath import ActivationUnit, AfKind, FmaBank, PisoBuffer, build_sigmoid_lut
+from .datapath import ActivationUnit, AfKind, FmaBank, build_sigmoid_lut
 from .dataio import Dataset, half_fold, load_dataset, load_idx_images, load_idx_labels, to_input_vector
 from .engine import (
     CycleReport,
@@ -59,7 +59,6 @@ __all__ = [
     "Params",
     "ParamsFileError",
     "Phase",
-    "PisoBuffer",
     "QFormat",
     "QValue",
     "TraceRecord",

@@ -1,10 +1,10 @@
 """Structural models of the datapath blocks.
 
-Three pieces, mirroring the physical layer: the bank of array slots that fuse
-multiply-accumulate with bias preload (FmaBank), the parallel-in-serial-out
-register bank that captures all slot outputs in one cycle and drains them one
-per cycle (PisoBuffer), and the single shared activation unit the drained
-values pass through (ActivationUnit).  All three carry raw integer codes;
+The bank of array slots that fuse multiply-accumulate with bias preload
+(FmaBank) and the single shared activation unit (ActivationUnit) that the
+values drained from the parallel-in-serial-out capture stage pass through.
+The capture stage itself is the engine's list of a pass's rounded
+accumulators, drained by index.  Both blocks carry raw integer codes;
 `activate_raw` is the one activation rule, shared with the golden models.
 
 Cycle costs are not modeled here; the engine charges one cycle per PISO load,
@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ControlFault
-from .fxp import QFormat, QValue, saturate_raw, sign_extend
+from .fxp import QFormat, saturate_raw, sign_extend
 
 
 class AfKind(Enum):
@@ -42,33 +42,17 @@ class FmaBank:
     def __init__(self, size: int):
         self.size = size
         self.acc: list[int] = []       # slots [0, widest preload so far)
-        self._steps: list[int] = []    # per slot, its count when last gated off
-        self._count = 0                # steps since the last preload
         self.width = 0                 # armed slots are [0, width)
-
-    @property
-    def gate_mask(self) -> list[bool]:
-        return [j < self.width for j in range(self.size)]
-
-    @property
-    def steps_taken(self) -> list[int]:
-        """Per slot, the MAC steps since its last bias preload."""
-        steps = self._steps + [0] * (self.size - len(self._steps))
-        steps[:self.width] = [self._count] * self.width
-        return steps
 
     def preload(self, bias_raws: list[int], frac_bits: int) -> None:
         """Load biases into slots [0, len(bias_raws)), aligned to product scale."""
         w = len(bias_raws)
         if w > self.size:
             raise ConfigError(f"preload of {w} biases exceeds {self.size} FMA slots")
-        self.gate_off()
         self.acc[:w] = [b << frac_bits for b in bias_raws]
-        self._count = 0
         self.width = w
 
     def gate_off(self) -> None:
-        self._steps[:self.width] = [self._count] * self.width
         self.width = 0
 
     def step(self, x_raw: int, wcol_raws: list[int]) -> None:
@@ -77,37 +61,6 @@ class FmaBank:
         if not w:
             raise ControlFault("stepped a power-gated FMA bank")
         self.acc[:w] = [a + x_raw * c for a, c in zip(self.acc[:w], wcol_raws, strict=True)]
-        self._count += 1
-
-
-class PisoBuffer:
-    """Parallel-in-serial-out bank: loaded in one cycle, drained one value per cycle."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigError(f"PISO capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.slots: list[int] = []
-        self.loaded_count = 0
-        self.shift_index = 0
-
-    def load(self, values) -> None:
-        values = list(values)
-        if len(values) > self.capacity:
-            raise ConfigError(
-                f"PISO load of {len(values)} values exceeds capacity {self.capacity}"
-            )
-        self.slots = values
-        self.loaded_count = len(values)
-        self.shift_index = 0
-
-    def shift(self) -> int:
-        """Emit the next value in load order."""
-        if self.shift_index >= self.loaded_count:
-            raise ControlFault("PISO shift past loaded count")
-        v = self.slots[self.shift_index]
-        self.shift_index += 1
-        return v
 
 
 @functools.lru_cache(maxsize=8)
@@ -164,8 +117,3 @@ class ActivationUnit:
 
     def apply_raw(self, raw: int) -> int:
         return activate_raw(self.kind, raw, self.fmt, self.lut)
-
-    def apply(self, x: QValue) -> QValue:
-        if x.fmt != self.fmt:
-            raise ValueError(f"activation input format {x.fmt} != unit format {self.fmt}")
-        return QValue(self.apply_raw(x.raw), self.fmt)

@@ -6,9 +6,12 @@ raw integer codes (QValues only enter at load_input and leave from run).  The
 controller is one generator, Engine._control, written as the control sequence
 itself: it walks the pass schedule one pass after another (arm, MAC, PISO
 capture, serialize) and yields once per clock cycle, so each step() call is
-one cycle.  The Phase it sets is checked against LEGAL_PHASE_TRANSITIONS, and
-the cycle report is read off the event log.  Config, parameters and input are
-checked by model.check_forward and model.check_input, the oracle's own rules.
+one cycle.  The PISO capture is the list of a pass's rounded accumulators,
+drained by index; the Phase labels each cycle for the trace, and the cycle
+report is read off the event log.  That the sequence follows the cycle rules
+below is checked by the test suite, not at run time.  Config, parameters and
+input are checked by model.check_forward and model.check_input, the oracle's
+own rules.
 Every setting, the mode included, comes from the config the engine is built
 with: to run another mode, build an engine from dataclasses.replace(cfg,
 mode=...).
@@ -44,7 +47,7 @@ import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
-from .datapath import ActivationUnit, AfKind, FmaBank, PisoBuffer, build_sigmoid_lut
+from .datapath import ActivationUnit, AfKind, FmaBank, build_sigmoid_lut
 from .errors import ConfigError, ControlFault
 from .fxp import QFormat, QValue, round_acc
 from .model import Mode, NetworkConfig, Params, check_forward, check_input
@@ -52,7 +55,6 @@ from .model import Mode, NetworkConfig, Params, check_forward, check_input
 
 class Phase(Enum):
     IDLE = "idle"
-    LOAD_BIAS = "load_bias"
     MAC = "mac"
     PISO_LOAD = "piso_load"
     SERIALIZE = "serialize"
@@ -60,32 +62,11 @@ class Phase(Enum):
     ANN_DONE = "ann_done"
 
 
-LEGAL_PHASE_TRANSITIONS = {
-    Phase.IDLE: {Phase.LOAD_BIAS},
-    Phase.LOAD_BIAS: {Phase.MAC},
-    Phase.MAC: {Phase.MAC, Phase.PISO_LOAD},
-    Phase.PISO_LOAD: {Phase.SERIALIZE},
-    Phase.SERIALIZE: {Phase.SERIALIZE, Phase.LAYER_DONE, Phase.ANN_DONE},
-    Phase.LAYER_DONE: {Phase.LOAD_BIAS},
-    Phase.ANN_DONE: set(),
-}
-
-
 class EventKind(Enum):
     LAYER_STARTED = "layer_started"
     FIRST_OUTPUT = "first_output"
     LAYER_FINISHED = "layer_finished"
     ANN_DONE = "ann_done"
-
-
-# When two land on the same cycle only the most significant is returned from
-# step(); the full log is kept on engine.events.
-_EVENT_PRIORITY = {
-    EventKind.ANN_DONE: 3,
-    EventKind.LAYER_FINISHED: 2,
-    EventKind.FIRST_OUTPUT: 1,
-    EventKind.LAYER_STARTED: 0,
-}
 
 
 @dataclass(frozen=True)
@@ -169,7 +150,6 @@ class Engine:
         self.fmt: QFormat = cfg.qformat
         self.trace_hook = trace_hook
         self.fma_bank = FmaBank(cfg.max_fma)
-        self.piso = PisoBuffer(cfg.max_fma)
         lut = build_sigmoid_lut(self.fmt) if AfKind.SIGMOID in cfg.afs else None
         self.afu = ActivationUnit(self.fmt, lut)
         # Pre-banked weight memory: one column of raw codes per MAC step.
@@ -197,10 +177,6 @@ class Engine:
         # would hold self in a reference cycle.
         self._clock = None
 
-    @property
-    def gate_mask(self) -> list[bool]:
-        return self.fma_bank.gate_mask
-
     def load_input(self, x) -> None:
         if self.phase is not Phase.IDLE:
             raise ControlFault("input load while the engine is running")
@@ -208,18 +184,13 @@ class Engine:
         check_input(self.cfg, len(x), (v.fmt for v in x))
         self.in_buf = [v.raw for v in x]
 
-    def _set_phase(self, new: Phase) -> None:
-        if new not in LEGAL_PHASE_TRANSITIONS[self.phase]:
-            raise ControlFault(f"illegal phase transition {self.phase} -> {new}")
-        self.phase = new
-
     def _event(self, kind: EventKind, layer: int) -> None:
         self.events.append(Event(kind, layer, self.cycle))
 
     # -- the controller -------------------------------------------------------
 
     def _arm_units(self, p: _Pass) -> None:
-        """Bias preload + gate mask for a pass; costs no cycle (overlaps fetch)."""
+        """Bias preload, arming the pass's slots; costs no cycle (overlaps fetch)."""
         self.fma_bank.preload(
             self._biases[p.layer][p.offset:p.offset + p.width], self.fmt.frac_bits
         )
@@ -239,21 +210,19 @@ class Engine:
         fed = False   # this pass's MAC already ran in the upstream store cycles
         for n, p in enumerate(self._schedule):
             self.layer_index = p.layer
-            self._set_phase(Phase.LOAD_BIAS)
             if not fed:
                 self._arm_units(p)
-            self._set_phase(Phase.MAC)
-            if not fed:
+                self.phase = Phase.MAC
                 for k in range(p.inputs):
                     yield self._mac(p, k, self.in_buf[k])
             # PISO capture through the single rounding point (round, saturate).
-            self._set_phase(Phase.PISO_LOAD)
+            self.phase = Phase.PISO_LOAD
             self.afu.configure(self.cfg.afs[p.layer])
-            self.piso.load(round_acc(a, self.fmt) for a in self.fma_bank.acc[:p.width])
+            piso = [round_acc(a, self.fmt) for a in self.fma_bank.acc[:p.width]]
             yield 0
             # Serialize: the AF output of cycle i is stored on cycle i + 1; in
             # streamed mode the next layer's MAC consumes it on that cycle.
-            self._set_phase(Phase.SERIALIZE)
+            self.phase = Phase.SERIALIZE
             fed = streamed and p.last and not p.last_of_net
             q = self._schedule[n + 1] if fed else None
             for i in range(p.width + 1):
@@ -265,17 +234,17 @@ class Engine:
                             self._arm_units(q)
                         active = self._mac(q, i - 1, out)
                 if i < p.width:
-                    out = self.afu.apply_raw(self.piso.shift())
+                    out = self.afu.apply_raw(piso[i])
                     self.af_invocations += 1
                     if i == 0 and p.first:
                         self._event(EventKind.FIRST_OUTPUT, p.layer)
                 self._ser_cycles[p.layer] += 1
                 if i == p.width:
                     if p.last_of_net:
-                        self._set_phase(Phase.ANN_DONE)
+                        self.phase = Phase.ANN_DONE
                         self._event(EventKind.ANN_DONE, p.layer)
                     else:
-                        self._set_phase(Phase.LAYER_DONE)
+                        self.phase = Phase.LAYER_DONE
                         if p.last:
                             self._event(EventKind.LAYER_FINISHED, p.layer)
                 yield active
@@ -288,8 +257,8 @@ class Engine:
 
     # -- the clock ------------------------------------------------------------
 
-    def step(self) -> Event | None:
-        """Advance one clock cycle; returns the most significant event, if any."""
+    def step(self) -> None:
+        """Advance one clock cycle; its events are appended to engine.events."""
         if self.phase is Phase.ANN_DONE:
             raise ControlFault("step after 'ANN done'")
         if self._clock is None:
@@ -297,7 +266,6 @@ class Engine:
                 raise ControlFault("step before load_input")
             self._clock = self._control()
         self.cycle += 1
-        seen = len(self.events)
         active = next(self._clock)
         if self.phase is Phase.ANN_DONE:
             self._clock = None
@@ -305,9 +273,6 @@ class Engine:
             self.trace_hook(
                 TraceRecord(self.cycle, self.phase.value, self.layer_index, active)
             )
-        if len(self.events) > seen:
-            return max(self.events[seen:], key=lambda e: _EVENT_PRIORITY[e.kind])
-        return None
 
     def run(self, x) -> tuple[list[QValue], CycleReport]:
         """Load an input, clock the engine to 'ANN done', return outputs + report."""

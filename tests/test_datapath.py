@@ -1,13 +1,15 @@
-"""Datapath block tests: FMA bank gating, PISO ordering, shared AF behavior."""
+"""Datapath block tests: FMA bank gating, PISO ordering in the engine, shared AF behavior."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hydrasim.datapath import ActivationUnit, AfKind, FmaBank, PisoBuffer, build_sigmoid_lut
+from hydrasim.datapath import ActivationUnit, AfKind, FmaBank, build_sigmoid_lut
+from hydrasim.engine import Engine
 from hydrasim.errors import ConfigError, ControlFault
 from hydrasim.fxp import QFormat, QValue, quantize, sign_extend
+from hydrasim.model import LayerParams, NetworkConfig, Params
 
 Q83 = QFormat(8, 3)
 F = Q83.frac_bits
@@ -32,7 +34,6 @@ def test_fma_196_step_composition_matches_integer_oracle():
         bank.step(int(ai), [int(wi)])
     expected = (bias << 5) + int(sum(int(x) * int(y) for x, y in zip(a, w)))
     assert bank.acc[0] == expected
-    assert bank.steps_taken[0] == 196
 
 
 def test_fma_zero_input_leaves_acc_unchanged():
@@ -41,7 +42,6 @@ def test_fma_zero_input_leaves_acc_unchanged():
     before = bank.acc[0]
     bank.step(0, [-100])
     assert bank.acc[0] == before
-    assert bank.steps_taken[0] == 1
 
 
 def test_stepping_disabled_unit_is_a_fault():
@@ -71,43 +71,30 @@ def test_preload_resets_step_count():
     bank.preload([0], F)
     bank.step(1, [1])
     bank.preload([3], F)
-    assert bank.steps_taken[0] == 0
     assert bank.acc[0] == 3 << 5
 
 
 # =============================================================================
-# PisoBuffer
+# PISO capture, in the engine
 # =============================================================================
 
-def test_piso_load_and_counts():
-    p = PisoBuffer(64)
-    p.load([qv(1), qv(2), qv(3)])
-    assert p.loaded_count == 3 and p.shift_index == 0
+def _identity_layer(n):
+    """One identity layer of n neurons whose outputs are their biases, i - 30."""
+    cfg = NetworkConfig((1, n), max_fma=64, af_per_layer=(AfKind.IDENTITY,))
+    lp = LayerParams(np.zeros((n, 1), np.int64), np.arange(n, dtype=np.int64) - 30)
+    return cfg, Params([lp], Q83)
 
 
 def test_piso_capacity_64_accepts_64_rejects_65():
-    p = PisoBuffer(64)
-    p.load([qv(i % 100) for i in range(64)])
-    assert p.loaded_count == 64
-    with pytest.raises(ConfigError):
-        p.load([qv(0)] * 65)
+    Engine(*_identity_layer(64))
+    with pytest.raises(ConfigError, match="max_fma"):
+        Engine(*_identity_layer(65))
 
 
 def test_piso_drain_order_all_lengths():
     for n in range(1, 65):
-        p = PisoBuffer(64)
-        values = [qv(i - 30) for i in range(n)]
-        p.load(values)
-        drained = [p.shift() for _ in range(n)]
-        assert drained == values
-        with pytest.raises(ControlFault):
-            p.shift()
-
-
-def test_piso_shift_empty_is_a_fault():
-    p = PisoBuffer(8)
-    with pytest.raises(ControlFault):
-        p.shift()
+        outputs, _ = Engine(*_identity_layer(n)).run([qv(0)])
+        assert [v.raw for v in outputs] == [i - 30 for i in range(n)]
 
 
 # =============================================================================
@@ -117,23 +104,23 @@ def test_piso_shift_empty_is_a_fault():
 def test_relu_examples():
     afu = ActivationUnit(Q83)
     afu.configure(AfKind.RELU)
-    assert afu.apply(quantize(-1.0, Q83)).value == 0.0
-    assert afu.apply(quantize(1.5, Q83)).value == 1.5
+    assert afu.apply_raw(quantize(-1.0, Q83).raw) == 0
+    assert afu.apply_raw(quantize(1.5, Q83).raw) == quantize(1.5, Q83).raw
 
 
 def test_identity_all_raws():
     afu = ActivationUnit(Q83)
     afu.configure(AfKind.IDENTITY)
     for raw in range(-128, 128):
-        assert afu.apply(qv(raw)).raw == raw
+        assert afu.apply_raw(raw) == raw
 
 
 def test_relu_idempotent_all_raws():
     afu = ActivationUnit(Q83)
     afu.configure(AfKind.RELU)
     for raw in range(-128, 128):
-        once = afu.apply(qv(raw))
-        assert afu.apply(once) == once
+        once = afu.apply_raw(raw)
+        assert afu.apply_raw(once) == once
 
 
 def test_sigmoid_lut_center_entry():
@@ -165,26 +152,20 @@ def test_sigmoid_lut_monotone_in_represented_order():
 def test_sigmoid_unit_applies_lut():
     afu = ActivationUnit(Q83, build_sigmoid_lut(Q83))
     afu.configure(AfKind.SIGMOID)
-    assert afu.apply(qv(0)).raw == 16
-    assert afu.apply(qv(-128)).raw == 1
+    assert afu.apply_raw(0) == 16
+    assert afu.apply_raw(-128) == 1
 
 
 def test_sigmoid_without_table_is_config_error():
     afu = ActivationUnit(Q83)
     afu.configure(AfKind.SIGMOID)
     with pytest.raises(ConfigError):
-        afu.apply(qv(0))
+        afu.apply_raw(0)
 
 
 def test_sigmoid_lut_oversized_format_rejected():
     with pytest.raises(ConfigError):
         build_sigmoid_lut(QFormat(32, 3))
-
-
-def test_af_format_mismatch_rejected():
-    afu = ActivationUnit(Q83)
-    with pytest.raises(ValueError):
-        afu.apply(QValue(0, QFormat(16, 3)))
 
 
 def test_construction_audit_counter():

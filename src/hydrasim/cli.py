@@ -299,7 +299,7 @@ def cmd_trace(args) -> int:
 # Argument parsing
 # =============================================================================
 
-def _add_common(p: argparse.ArgumentParser, *, dataset: bool) -> None:
+def _add_common(p: argparse.ArgumentParser, *, dataset: bool, limit: bool = False) -> None:
     p.add_argument("--config", help="JSON network config file")
     p.add_argument("--layers", help="layer sizes as input:n1:...:nk (e.g. 196:64:32:32:10)")
     p.add_argument("--max-fma", type=int, default=None, help="physical FMA units (default 64)")
@@ -319,9 +319,8 @@ def _add_common(p: argparse.ArgumentParser, *, dataset: bool) -> None:
         p.add_argument("--labels", help="MNIST IDX label file (.gz ok)")
         p.add_argument("--fold", choices=FOLD_MODES, default="mean",
                        help="28x28 -> 14x14 reduction (default mean)")
+    if limit:
         p.add_argument("--limit", type=int, default=None, help="use at most N images")
-        p.add_argument("--seed", type=int, default=0,
-                       help="PRNG seed (used by train; accepted everywhere)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run the cycle engine over a dataset")
-    _add_common(p, dataset=True)
+    _add_common(p, dataset=True, limit=True)
     p.add_argument("--params", required=True, help="parameter file (float or quantized)")
     p.add_argument("--out", default="-", help="per-image CSV output path (default stdout)")
     p.add_argument("--clock-hz", type=float, default=100e6, help="clock for GOPS (default 100 MHz)")
@@ -346,14 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_timing)
 
     p = sub.add_parser("sweep", help="bit-width sweep of a float model")
-    _add_common(p, dataset=True)
+    _add_common(p, dataset=True, limit=True)
     p.add_argument("--params", required=True, help="float parameter file")
     p.add_argument("--bits-list", default="5,8,16,32", help="comma-separated widths")
     p.add_argument("--out", default="-", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("train", help="train a float model (deterministic)")
-    _add_common(p, dataset=True)
+    _add_common(p, dataset=True, limit=True)
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch-size", type=int, default=32)

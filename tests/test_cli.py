@@ -441,6 +441,24 @@ def test_negative_limit_and_index_are_errors(tmp_path, float_params_file, synth_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "1"],
+    ["sweep", "--seed", "1"],
+    ["trace", "--seed", "1"],
+    ["trace", "--index", "3", "--limit", "0"],
+])
+def test_flags_a_command_never_reads_are_unrecognized(float_params_file, synth_dataset_dir,
+                                                      capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [
+            "--params", str(float_params_file),
+            "--images", str(synth_dataset_dir["test_images"]),
+            "--labels", str(synth_dataset_dir["test_labels"]),
+        ])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
 # The CLI flags of each case and the NetworkConfig fields they stand for.
 SIMULATE_CASES = {
     "store": ([], {}),

@@ -1,11 +1,12 @@
 """Structural models of the datapath blocks.
 
-The bank of array slots that fuse multiply-accumulate with bias preload
-(FmaBank) and the single shared activation unit (ActivationUnit) that the
-values drained from the parallel-in-serial-out capture stage pass through.
-The capture stage itself is the engine's list of a pass's rounded
-accumulators, drained by index.  Both blocks carry raw integer codes;
-`activate_raw` is the one activation rule, shared with the golden models.
+Two blocks of the physical layer: the bank of array slots that fuse
+multiply-accumulate with bias preload (FmaBank), and the single shared
+activation unit (ActivationUnit) that the values drained from the
+parallel-in-serial-out capture stage pass through.  The capture stage itself
+is the engine's list of a pass's rounded accumulators, drained by index.
+Both blocks carry raw integer codes; `activate_raw` is the one activation
+rule, shared with the golden models.
 
 Cycle costs are not modeled here; the engine charges one cycle per PISO load,
 one cycle of activation latency, and one cycle per drained element.

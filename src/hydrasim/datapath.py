@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ControlFault
-from .fxp import QFormat, saturate_raw, sign_extend
+from .fxp import QFormat, saturate_raw
 
 
 class AfKind(Enum):
@@ -64,29 +64,49 @@ class FmaBank:
         self.acc[:w] = [a + x_raw * c for a, c in zip(self.acc[:w], wcol_raws, strict=True)]
 
 
+# Entries whose scaled value lies this many of its ulps from a .5 tie are
+# recomputed by the scalar definition.  A k-ulp error in exp moves that value
+# by at most about 2k + 2 ulps, so 32 covers any exp within 15 ulps.
+_TIE_ULPS = 32
+
+
+def _sigmoid_raw(raw: int, fmt: QFormat) -> int:
+    """The scalar definition of one table entry: quantize(sigmoid(raw * 2^-f))."""
+    try:
+        s = 1.0 / (1.0 + math.exp(-(raw * 2.0 ** -fmt.frac_bits)))
+    except OverflowError:
+        s = 0.0   # exp(-v) beyond binary64: sigmoid(v) is at its limit 0
+    return saturate_raw(round(s * (1 << fmt.frac_bits)), fmt)
+
+
 @functools.lru_cache(maxsize=8)
-def build_sigmoid_lut(fmt: QFormat) -> tuple[int, ...]:
-    """Sigmoid lookup table: entry i is quantize(sigmoid(value of raw i)).
+def build_sigmoid_lut(fmt: QFormat) -> np.ndarray:
+    """Sigmoid lookup table: entry i is _sigmoid_raw(raw i), as read-only int64.
 
     Indexed by the raw encoding reinterpreted as unsigned, so a table has
-    2^total_bits entries; formats wider than 16 bits are rejected.
+    2^total_bits entries; formats wider than 16 bits are rejected.  One numpy
+    pass computes every entry.  numpy's exp may differ from math.exp by a few
+    ulps, which can move a rounding only where the scaled value lies next to
+    a .5 tie, so those few entries are recomputed by the scalar definition
+    and the table equals it exactly.  The cache hands one table to every
+    caller, so it cannot be written.
     """
-    if fmt.total_bits > 16:
-        raise ConfigError(
-            f"sigmoid LUT limited to total_bits <= 16, got {fmt.total_bits}"
-        )
-    lsb = 2.0 ** -fmt.frac_bits
-    entries = []
-    for i in range(1 << fmt.total_bits):
-        try:
-            s = 1.0 / (1.0 + math.exp(-(sign_extend(i, fmt.total_bits) * lsb)))
-        except OverflowError:
-            s = 0.0   # exp(-v) beyond binary64: sigmoid(v) is at its limit 0
-        entries.append(saturate_raw(round(s * (1 << fmt.frac_bits)), fmt))
-    return tuple(entries)
+    t, f = fmt.total_bits, fmt.frac_bits
+    if t > 16:
+        raise ConfigError(f"sigmoid LUT limited to total_bits <= 16, got {t}")
+    raws = np.arange(1 << t, dtype=np.int64)
+    raws[1 << (t - 1):] -= 1 << t   # sign-extend the upper half of the codes
+    with np.errstate(over="ignore"):   # exp(-v) = inf gives sigmoid 0, as above
+        y = np.ldexp(1.0 / (1.0 + np.exp(-np.ldexp(raws, -f))), f)
+    lut = np.clip(np.rint(y), fmt.raw_min, fmt.raw_max).astype(np.int64)   # halves to even
+    near_tie = np.abs(y - np.floor(y) - 0.5) <= _TIE_ULPS * np.spacing(y)
+    for i in np.flatnonzero(near_tie):
+        lut[i] = _sigmoid_raw(int(raws[i]), fmt)
+    lut.flags.writeable = False
+    return lut
 
 
-def activate_raw(kind: AfKind, raw, fmt: QFormat, lut: tuple[int, ...] | None = None):
+def activate_raw(kind: AfKind, raw, fmt: QFormat, lut: np.ndarray | None = None):
     """The activation rule on raw codes of fmt: a Python int or an int64 ndarray."""
     if kind is AfKind.RELU:
         return raw * (raw > 0)   # max(0, raw), one expression for ints and arrays
@@ -95,7 +115,7 @@ def activate_raw(kind: AfKind, raw, fmt: QFormat, lut: tuple[int, ...] | None = 
     if lut is None:
         raise ConfigError("sigmoid selected but no LUT was built for this unit")
     index = raw & ((1 << fmt.total_bits) - 1)
-    return lut[index] if isinstance(index, int) else np.take(lut, index)
+    return int(lut[index]) if isinstance(index, int) else np.take(lut, index)
 
 
 class ActivationUnit:
@@ -107,7 +127,7 @@ class ActivationUnit:
 
     instances_created = 0
 
-    def __init__(self, fmt: QFormat, lut: tuple[int, ...] | None = None):
+    def __init__(self, fmt: QFormat, lut: np.ndarray | None = None):
         self.fmt = fmt
         self.kind = AfKind.IDENTITY
         self.lut = lut

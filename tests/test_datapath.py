@@ -1,5 +1,6 @@
 """Datapath block tests: FMA bank gating, PISO order (via the engine), shared AF."""
 
+import functools
 import math
 
 import numpy as np
@@ -166,6 +167,60 @@ def test_sigmoid_without_table_is_config_error():
 def test_sigmoid_lut_oversized_format_rejected():
     with pytest.raises(ConfigError):
         build_sigmoid_lut(QFormat(32, 3))
+
+
+def test_sigmoid_unit_returns_python_ints():
+    afu = ActivationUnit(QFormat(16, 3), build_sigmoid_lut(QFormat(16, 3)))
+    afu.configure(AfKind.SIGMOID)
+    assert all(type(afu.apply_raw(raw)) is int for raw in (-32768, -1, 0, 1, 32767))
+
+
+def test_sigmoid_lut_is_read_only():
+    lut = build_sigmoid_lut(Q83)
+    with pytest.raises(ValueError):
+        lut[0] = 0
+    assert lut[0] == 16
+
+
+@functools.cache
+def _scalar_sigmoid_lut(fmt):
+    """The table's definition, one math.exp per code, written independently."""
+    half, lsb, scale = 1 << (fmt.total_bits - 1), 2.0 ** -fmt.frac_bits, 1 << fmt.frac_bits
+    lo, hi = -half, half - 1
+    entries = []
+    for raw in [*range(half), *range(-half, 0)]:   # codes 0 .. 2^t - 1, sign-extended
+        try:
+            s = 1.0 / (1.0 + math.exp(-(raw * lsb)))
+        except OverflowError:
+            s = 0.0
+        entries.append(min(max(round(s * scale), lo), hi))
+    return entries
+
+
+# Every format up to 14 bits, and at 15 and 16 bits int_bits 1, 3 and all.
+_LUT_FORMATS = [(t, i) for t in range(4, 15) for i in range(1, t + 1)]
+_LUT_FORMATS += [(t, i) for t in (15, 16) for i in (1, 3, t)]
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits, int_bits", _LUT_FORMATS)
+def test_sigmoid_lut_equals_scalar_definition(total_bits, int_bits):
+    fmt = QFormat(total_bits, int_bits)
+    lut = build_sigmoid_lut(fmt)
+    assert lut.dtype == np.int64 and lut.shape == (1 << total_bits,)
+    assert lut.tolist() == _scalar_sigmoid_lut(fmt)
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("ulps", [4, -4])
+@pytest.mark.parametrize("total_bits, int_bits", [(8, 8), (12, 12), (8, 3), (16, 3), (16, 16)])
+def test_sigmoid_lut_exact_under_perturbed_exp(monkeypatch, total_bits, int_bits, ulps):
+    # At int_bits == total_bits raw 0 maps to exactly 0.5, a tie: an exp off by
+    # a few ulps must not move it, nor any other entry.
+    fmt = QFormat(total_bits, int_bits)
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: exp(x) * (1.0 + ulps * 2.0 ** -52))
+    assert build_sigmoid_lut.__wrapped__(fmt).tolist() == _scalar_sigmoid_lut(fmt)
 
 
 def test_construction_audit_counter():

@@ -286,6 +286,22 @@ def test_batch_forward_matches_scalar_oracle(bits):
         assert [v.raw for v in scalar] == [int(v) for v in batch[0]]
 
 
+def test_batch_sigmoid_q16_matches_scalar_oracle():
+    # Small weights keep the sums inside Q<16,3>, so the table is read off its rails.
+    fmt = QFormat(16, 3)
+    sig = AfKind.SIGMOID
+    cfg = NetworkConfig((12, 8, 6, 4), qformat=fmt, af_per_layer=(sig, sig, AfKind.IDENTITY))
+    rng = np.random.default_rng(16)
+    w = 1 << (fmt.frac_bits - 2)   # |weight| <= 0.25
+    params = Params([LayerParams(rng.integers(-w, w + 1, size=(n, k)), rng.integers(-w, w + 1, size=n))
+                     for k, n in zip(cfg.layer_sizes[:-1], cfg.layer_sizes[1:])], fmt)
+    x = rng.integers(fmt.raw_min, fmt.raw_max + 1, size=(20, 12))
+    batch = forward_quantized_batch(cfg, params, x)
+    assert batch.dtype == np.int64
+    for row, out in zip(x.tolist(), batch.tolist()):
+        assert [v.raw for v in forward_quantized(cfg, params, [QValue(r, fmt) for r in row])] == out
+
+
 # =============================================================================
 # Trainer
 # =============================================================================

@@ -65,8 +65,11 @@ def _int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _build_config(args, params: Params | None) -> NetworkConfig:
-    """Resolve each config field from a flag, else --config, else params, else its default."""
+def _build_config(args, params: Params | None, mode: Mode | None = None) -> NetworkConfig:
+    """Resolve each config field from a flag, else --config, else params, else its default.
+
+    A given mode replaces the resolved one before the config is validated.
+    """
     doc = {}
     if params is not None:
         doc["layer_sizes"] = list(params.layer_sizes)
@@ -87,6 +90,8 @@ def _build_config(args, params: Params | None) -> NetworkConfig:
     if args.af:   # hidden layers only; the output layer stays identity
         afs = (AfKind(args.af),) * (cfg.n_layers - 1) + (AfKind.IDENTITY,)
         cfg = dataclasses.replace(cfg, af_per_layer=afs)
+    if mode is not None:
+        cfg = dataclasses.replace(cfg, mode=mode)
     ensure_valid(cfg)
     return cfg
 
@@ -187,8 +192,9 @@ def cmd_timing(args) -> int:
         print(f"t_reuse    = {tr}")
         return 0
 
+    # Both totals are printed, so the resolved mode is checked but never used.
     params = load_params(args.params) if args.params else None
-    cfg = _build_config(args, params)
+    cfg = _build_config(args, params, Mode.STORE_AND_FORWARD)
     full, compute = cfg.layer_sizes, cfg.layer_sizes[1:]
     print(f"layer configuration   {':'.join(str(s) for s in cfg.layer_sizes)}")
     print("closed forms (n including the input stage):")
@@ -200,8 +206,7 @@ def cmd_timing(args) -> int:
     if cfg.n_layers == 1:
         print("  note: single-layer network; t_reuse closed form is degenerate")
 
-    sf = _cycle_report(dataclasses.replace(cfg, mode=Mode.STORE_AND_FORWARD))
-    print(f"simulated store-and-forward total = {sf.total_cycles}")
+    print(f"simulated store-and-forward total = {_cycle_report(cfg).total_cycles}")
     streamed = dataclasses.replace(cfg, mode=Mode.STREAMED)
     if validate(streamed):   # only tiled layers stop a valid config from streaming
         print("simulated streamed total = n/a (tiled layers require store-and-forward)")

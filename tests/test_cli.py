@@ -196,6 +196,21 @@ def test_timing_streamed_total_under_tiling(capsys, layers, streamed):
     assert f"\nsimulated streamed total = {streamed}\n" in capsys.readouterr().out
 
 
+def test_timing_output_does_not_depend_on_mode(tmp_path, capsys):
+    # timing prints the store and the streamed total, so a streamed mode with
+    # tiled layers, by flag or by --config, is not an error there.
+    base = ["timing", "--layers", "8:100:4", "--tiling"]
+    assert main(base) == 0
+    expected = capsys.readouterr().out
+    assert "simulated streamed total = n/a" in expected
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"layer_sizes": [8, 100, 4], "tiling": True, "mode": "stream"}))
+    for argv in (base + ["--mode", "stream"], base + ["--mode", "store"],
+                 ["timing", "--config", str(cfg_path)]):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (expected, "")
+
+
 def test_timing_single_layer_flagged(capsys):
     handler = warnings.showwarning
     rc = main(["timing", "--layers", "8:4", "--max-fma", "4"])

@@ -192,7 +192,7 @@ def cmd_timing(args) -> int:
         print(f"t_reuse    = {tr}")
         return 0
 
-    # Both totals are printed, so the resolved mode is checked but never used.
+    # Both totals are printed, so the config is validated in store mode whatever mode it names.
     params = load_params(args.params) if args.params else None
     cfg = _build_config(args, params, Mode.STORE_AND_FORWARD)
     full, compute = cfg.layer_sizes, cfg.layer_sizes[1:]

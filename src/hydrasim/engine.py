@@ -4,14 +4,14 @@ One FmaBank of MAX_FMA multiply-accumulate slots, one PISO capture stage, and
 one shared activation unit execute every layer of the network in sequence, on
 raw integer codes (QValues only enter at load_input and leave from run).  The
 controller is one generator, Engine._control, written as the control sequence
-itself: it walks the pass schedule one pass after another (arm, MAC, PISO
-capture, serialize) and yields once per clock cycle, so each step() call is
-one cycle.  The PISO capture is the list of a pass's rounded accumulators,
-drained by index; the Phase labels each cycle for the trace, and the cycle
-report is read off the event log.  That the sequence follows the cycle rules
-below is checked by the test suite, not at run time.  Config, parameters and
-input are checked by model.check_forward and model.check_input, the oracle's
-own rules.
+itself: for each layer, for each pass of at most MAX_FMA units, it arms the
+units, MACs, captures into the PISO and serializes, and yields once per clock
+cycle, so each step() call is one cycle.  The PISO capture is the list of a
+pass's rounded accumulators, drained by index; the Phase labels each cycle for
+the trace, and the cycle report is read off the event log.  That the
+sequence follows the cycle rules below is checked by the test suite, not at
+run time.  Config, parameters and input are checked by model.check_forward and
+model.check_input, the oracle's own rules.
 Every setting, the mode included, comes from the config the engine is built
 with: to run another mode, build an engine from dataclasses.replace(cfg,
 mode=...).
@@ -43,7 +43,6 @@ phase but only real layer boundaries emit events.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,38 +108,6 @@ class CycleReport:
     last_output_cycle: int    # cycle the final layer's last activation is stored
 
 
-@dataclass(frozen=True)
-class _Pass:
-    layer: int
-    width: int        # neurons computed this pass
-    offset: int       # neuron offset within the layer
-    inputs: int
-    first: bool       # first pass of its layer
-    last: bool        # last pass of its layer
-    last_of_net: bool
-
-
-def _build_schedule(cfg: NetworkConfig) -> list[_Pass]:
-    passes = []
-    for l in range(cfg.n_layers):
-        n, inputs = cfg.width_of(l), cfg.inputs_of(l)
-        offsets = list(range(0, n, cfg.max_fma))
-        for i, off in enumerate(offsets):
-            passes.append(
-                _Pass(
-                    layer=l,
-                    width=min(cfg.max_fma, n - off),
-                    offset=off,
-                    inputs=inputs,
-                    first=i == 0,
-                    last=i == len(offsets) - 1,
-                    last_of_net=False,
-                )
-            )
-    passes[-1] = dataclasses.replace(passes[-1], last_of_net=True)
-    return passes
-
-
 class Engine:
     """Cycle-accurate execution of one network on the multiplexed layer."""
 
@@ -155,7 +122,6 @@ class Engine:
         # Pre-banked weight memory: one column of raw codes per MAC step.
         self._wcols = [lp.weights.T.tolist() for lp in params.layers]
         self._biases = [lp.biases.tolist() for lp in params.layers]
-        self._schedule = _build_schedule(cfg)
         self.reset()
 
     # -- state management ---------------------------------------------------
@@ -189,71 +155,76 @@ class Engine:
 
     # -- the controller -------------------------------------------------------
 
-    def _arm_units(self, p: _Pass) -> None:
+    def _arm_units(self, l: int, off: int, w: int) -> None:
         """Bias preload, arming the pass's slots; costs no cycle (overlaps fetch)."""
-        self.fma_bank.preload(
-            self._biases[p.layer][p.offset:p.offset + p.width], self.fmt.frac_bits
-        )
-        if p.first:
-            self._event(EventKind.LAYER_STARTED, p.layer)
+        self.fma_bank.preload(self._biases[l][off:off + w], self.fmt.frac_bits)
+        if off == 0:
+            self._event(EventKind.LAYER_STARTED, l)
 
-    def _mac(self, p: _Pass, k: int, x_raw: int) -> int:
-        """One MAC cycle of pass p: layer input k, of value x_raw, into the bank."""
-        self.fma_bank.step(x_raw, self._wcols[p.layer][k][p.offset:p.offset + p.width])
-        self.mac_ops += p.width
-        self._mac_cycles[p.layer] += 1
-        return p.width
+    def _mac(self, l: int, off: int, w: int, k: int, x_raw: int) -> int:
+        """One MAC cycle of the pass (l, off, w): layer input k, of value x_raw."""
+        self.fma_bank.step(x_raw, self._wcols[l][k][off:off + w])
+        self.mac_ops += w
+        self._mac_cycles[l] += 1
+        return w
 
     def _control(self):
         """The control sequence: yields once per clock cycle, the active FMA count."""
-        streamed = self.cfg.mode is Mode.STREAMED
+        cfg = self.cfg
+        streamed = cfg.mode is Mode.STREAMED
         fed = False   # this pass's MAC already ran in the upstream store cycles
-        for n, p in enumerate(self._schedule):
-            self.layer_index = p.layer
-            if not fed:
-                self._arm_units(p)
-                self.phase = Phase.MAC
-                for k in range(p.inputs):
-                    yield self._mac(p, k, self.in_buf[k])
-            # PISO capture through the single rounding point (round, saturate).
-            self.phase = Phase.PISO_LOAD
-            self.afu.configure(self.cfg.afs[p.layer])
-            piso = [round_acc(a, self.fmt) for a in self.fma_bank.acc[:p.width]]
-            yield 0
-            # Serialize: the AF output of cycle i is stored on cycle i + 1; in
-            # streamed mode the next layer's MAC consumes it on that cycle.
-            self.phase = Phase.SERIALIZE
-            fed = streamed and p.last and not p.last_of_net
-            q = self._schedule[n + 1] if fed else None
-            for i in range(p.width + 1):
-                active = 0
-                if i:
-                    self.out_buf.append(out)
-                    if fed:
-                        if i == 1:
-                            self._arm_units(q)
-                        active = self._mac(q, i - 1, out)
-                if i < p.width:
-                    out = self.afu.apply_raw(piso[i])
-                    self.af_invocations += 1
-                    if i == 0 and p.first:
-                        self._event(EventKind.FIRST_OUTPUT, p.layer)
-                self._ser_cycles[p.layer] += 1
-                if i == p.width:
-                    if p.last_of_net:
-                        self.phase = Phase.ANN_DONE
-                        self._event(EventKind.ANN_DONE, p.layer)
-                    else:
-                        self.phase = Phase.LAYER_DONE
-                        if p.last:
-                            self._event(EventKind.LAYER_FINISHED, p.layer)
-                yield active
-            if p.last:
-                # Hand the stored activations to the next layer (store-and-
-                # forward); in streamed mode they were consumed as they arrived.
+        for l in range(cfg.n_layers):
+            self.layer_index = l
+            self.afu.configure(cfg.afs[l])
+            n = cfg.width_of(l)
+            for off in range(0, n, cfg.max_fma):
+                w = min(cfg.max_fma, n - off)
+                last = off + w == n
+                last_of_net = last and l == cfg.n_layers - 1
                 if not fed:
-                    self.in_buf = self.out_buf
-                self.out_buf = []
+                    self._arm_units(l, off, w)
+                    self.phase = Phase.MAC
+                    for k in range(cfg.inputs_of(l)):
+                        yield self._mac(l, off, w, k, self.in_buf[k])
+                # PISO capture through the single rounding point (round, saturate).
+                self.phase = Phase.PISO_LOAD
+                piso = [round_acc(a, self.fmt) for a in self.fma_bank.acc[:w]]
+                yield 0
+                # Serialize: the AF output of cycle i is stored on cycle i + 1; in
+                # streamed mode the next layer's MAC consumes it on that cycle.  A
+                # streamed config has no tiled layer (validate rejects one), so
+                # that MAC is the next layer's whole single pass.
+                self.phase = Phase.SERIALIZE
+                fed = streamed and last and not last_of_net
+                w_next = cfg.width_of(l + 1) if fed else 0
+                for i in range(w + 1):
+                    active = 0
+                    if i:
+                        self.out_buf.append(out)
+                        if fed:
+                            if i == 1:
+                                self._arm_units(l + 1, 0, w_next)
+                            active = self._mac(l + 1, 0, w_next, i - 1, out)
+                    if i < w:
+                        out = self.afu.apply_raw(piso[i])
+                        self.af_invocations += 1
+                        if i == 0 and off == 0:
+                            self._event(EventKind.FIRST_OUTPUT, l)
+                    self._ser_cycles[l] += 1
+                    if i == w:
+                        if last_of_net:
+                            self.phase = Phase.ANN_DONE
+                            self._event(EventKind.ANN_DONE, l)
+                        else:
+                            self.phase = Phase.LAYER_DONE
+                            if last:
+                                self._event(EventKind.LAYER_FINISHED, l)
+                    yield active
+            # Hand the stored activations to the next layer (store-and-forward);
+            # in streamed mode they were consumed as they arrived.
+            if not fed:
+                self.in_buf = self.out_buf
+            self.out_buf = []
 
     # -- the clock ------------------------------------------------------------
 

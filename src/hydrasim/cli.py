@@ -224,14 +224,19 @@ def cmd_sweep(args) -> int:
     widths = _int_list(args.bits_list, "--bits-list")
     ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
 
-    base = _build_config(args, params)
+    # --int-bits is applied to the swept widths only: with --bits' default of 8
+    # it could fail the base config on a format that is never swept.
+    base = _build_config(argparse.Namespace(**{**vars(args), "bits": None, "int_bits": None}),
+                         params)
+    int_bits = base.qformat.int_bits if args.int_bits is None else args.int_bits
+    cfgs = [dataclasses.replace(base, qformat=QFormat(w, int_bits)) for w in widths]
+    for cfg in cfgs:
+        ensure_valid(cfg)
     cycles = _cycle_report(base).total_cycles
     rows = []
-    for width in widths:
-        fmt = QFormat(width, base.qformat.int_bits)
-        cfg = dataclasses.replace(base, qformat=fmt)
-        qparams = quantize_params(params, fmt)
-        out_raw = forward_quantized_batch(cfg, qparams, quantize_array(ds.flat, fmt))
+    for width, cfg in zip(widths, cfgs):
+        qparams = quantize_params(params, cfg.qformat)
+        out_raw = forward_quantized_batch(cfg, qparams, quantize_array(ds.flat, cfg.qformat))
         preds = np.argmax(out_raw, axis=1)
         accuracy = float(np.mean(preds == ds.labels)) if len(ds) else 0.0
         rows.append((width, accuracy, cycles))
@@ -278,16 +283,19 @@ def cmd_quantize(args) -> int:
 def cmd_trace(args) -> int:
     if bool(args.images) != bool(args.labels):
         raise ConfigError("trace needs both --images and --labels, or neither")
-    if args.index < 0:
-        raise ConfigError(f"--index must be >= 0, got {args.index}")
+    if args.index is not None and not args.images:
+        raise ConfigError("trace --index needs --images and --labels")
+    index = args.index or 0
+    if index < 0:
+        raise ConfigError(f"--index must be >= 0, got {index}")
     params = load_params(args.params)
     cfg = _build_config(args, params)
     qparams = _quantized_for(cfg, params)
-    if args.images and args.labels:
-        ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.index + 1)
-        if args.index >= len(ds):
-            raise ConfigError(f"--index {args.index} out of range for dataset of {len(ds)}")
-        x = to_input_vector(ds.images[args.index], cfg.qformat)
+    if args.images:
+        ds = load_dataset(args.images, args.labels, fold=args.fold, limit=index + 1)
+        if index >= len(ds):
+            raise ConfigError(f"--index {index} out of range for dataset of {len(ds)}")
+        x = to_input_vector(ds.images[index], cfg.qformat)
     else:
         x = [QValue(0, cfg.qformat)] * cfg.layer_sizes[0]
 
@@ -304,11 +312,14 @@ def cmd_trace(args) -> int:
 # Argument parsing
 # =============================================================================
 
-def _add_common(p: argparse.ArgumentParser, *, dataset: bool, limit: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, dataset: bool, limit: bool = False,
+                bits: bool = True) -> None:
     p.add_argument("--config", help="JSON network config file")
     p.add_argument("--layers", help="layer sizes as input:n1:...:nk (e.g. 196:64:32:32:10)")
     p.add_argument("--max-fma", type=int, default=None, help="physical FMA units (default 64)")
-    p.add_argument("--bits", type=int, default=None, help="total bits of the fixed-point format")
+    if bits:
+        p.add_argument("--bits", type=int, default=None,
+                       help="total bits of the fixed-point format")
     p.add_argument("--int-bits", type=int, default=None,
                    help="integer bits incl. sign (default 3)")
     p.add_argument("--mode", choices=_MODE_NAMES, default=None,
@@ -349,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated n(l) list for literal closed-form evaluation")
     p.set_defaults(func=cmd_timing)
 
-    p = sub.add_parser("sweep", help="bit-width sweep of a float model")
-    _add_common(p, dataset=True, limit=True)
+    # No abbreviations: --bits, which sweep does not take, would abbreviate --bits-list.
+    p = sub.add_parser("sweep", help="bit-width sweep of a float model", allow_abbrev=False)
+    _add_common(p, dataset=True, limit=True, bits=False)
     p.add_argument("--params", required=True, help="float parameter file")
     p.add_argument("--bits-list", default="5,8,16,32", help="comma-separated widths")
     p.add_argument("--out", default="-", help="CSV output path (default stdout)")
@@ -375,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="dump the per-cycle FSM trace of one inference")
     _add_common(p, dataset=True)
     p.add_argument("--params", required=True, help="parameter file (float or quantized)")
-    p.add_argument("--index", type=int, default=0, help="dataset image index (default 0)")
+    p.add_argument("--index", type=int, default=None,
+                   help="dataset image index (default 0); needs --images and --labels")
     p.add_argument("--out", default="-", help="trace output path (default stdout)")
     p.set_defaults(func=cmd_trace)
 
@@ -390,7 +403,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():   # restores the caller's handler on exit
+        # A warning prints as one line whatever the caller's filters, which
+        # catch_warnings restores on exit, with the caller's handler.
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", UserWarning)
             warnings.showwarning = _print_warning
             return args.func(args)
     except FileNotFoundError as exc:

@@ -15,6 +15,7 @@ only the folded images and their labels.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -62,51 +63,45 @@ def _read_file(path) -> bytes:
         raise IdxTruncationError(f"{path}: unreadable or truncated stream: {exc}") from exc
 
 
-def _header(data: bytes, path, expected_magic: int, kind: str, fields: int) -> tuple[int, ...]:
+def _load_idx(path, magic: int, kind: str, dims: int) -> np.ndarray:
+    """The uint8 payload of the IDX file at path, in the shape of its dims header
+    counts, whose product must equal the payload length exactly."""
+    data = _read_file(path)
     # Magic is validated first so a wrong file kind reports as such even when
     # the stream is shorter than the full header of the expected kind.
     if len(data) < 4:
         raise IdxTruncationError(f"{path}: {len(data)} bytes is too short for an IDX magic")
-    (magic,) = struct.unpack(">I", data[:4])
-    if magic != expected_magic:
+    (found,) = struct.unpack(">I", data[:4])
+    if found != magic:
         raise IdxMagicError(
-            f"{path}: magic {magic:#010x} is not an IDX {kind} file ({expected_magic:#010x})"
+            f"{path}: magic {found:#010x} is not an IDX {kind} file ({magic:#010x})"
         )
-    need = 4 * (fields + 1)
-    if len(data) < need:
+    start = 4 * (dims + 1)
+    if len(data) < start:
         raise IdxTruncationError(f"{path}: {len(data)} bytes is too short for an IDX header")
-    return struct.unpack(f">{fields}I", data[4:need])
-
-
-def load_idx_images(path) -> np.ndarray:
-    """Parse a big-endian IDX image file into uint8 images of shape [N, 28, 28]."""
-    data = _read_file(path)
-    count, rows, cols = _header(data, path, IDX_IMAGE_MAGIC, "image", 3)
-    if (rows, cols) != (28, 28):
-        raise IdxShapeError(f"{path}: expected 28x28 images, got {rows}x{cols}")
-    payload = data[16:]
-    expected = count * rows * cols
+    shape = struct.unpack(f">{dims}I", data[4:start])
+    payload, expected = data[start:], math.prod(shape)
     if len(payload) < expected:
         raise IdxTruncationError(
             f"{path}: payload has {len(payload)} bytes, header declares {expected}"
         )
     if len(payload) > expected:
         raise IdxShapeError(f"{path}: {len(payload) - expected} trailing bytes after payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+
+
+def load_idx_images(path) -> np.ndarray:
+    """Parse a big-endian IDX image file into uint8 images of shape [N, 28, 28]."""
+    images = _load_idx(path, IDX_IMAGE_MAGIC, "image", 3)
+    rows, cols = images.shape[1:]
+    if (rows, cols) != (28, 28):
+        raise IdxShapeError(f"{path}: expected 28x28 images, got {rows}x{cols}")
+    return images
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Parse a big-endian IDX label file into uint8 labels 0..9 of shape [N]."""
-    data = _read_file(path)
-    (count,) = _header(data, path, IDX_LABEL_MAGIC, "label", 1)
-    payload = data[8:]
-    if len(payload) < count:
-        raise IdxTruncationError(
-            f"{path}: payload has {len(payload)} bytes, header declares {count}"
-        )
-    if len(payload) > count:
-        raise IdxShapeError(f"{path}: {len(payload) - count} trailing bytes after payload")
-    labels = np.frombuffer(payload, dtype=np.uint8)
+    labels = _load_idx(path, IDX_LABEL_MAGIC, "label", 1)
     if labels.size and labels.max() > 9:
         bad = int(np.argmax(labels > 9))
         raise IdxValueError(f"{path}: label {int(labels[bad])} at index {bad} is not in 0..9")

@@ -95,6 +95,16 @@ def _json_value(name: str, value, kind):
     return value
 
 
+def int_tuple(values, name: str) -> tuple[int, ...]:
+    """values as a tuple of ints; a numpy integer passes, while a bool, float, str
+    or any other non-integer is a ConfigError naming it, never truncated."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ConfigError(f"{name} must be integers, got {v!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Runtime network description: sizes, hardware bounds, formats, activations.
@@ -113,7 +123,7 @@ class NetworkConfig:
     tiling: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        object.__setattr__(self, "layer_sizes", int_tuple(self.layer_sizes, "layer_sizes"))
         if self.af_per_layer is not None:
             object.__setattr__(self, "af_per_layer", tuple(self.af_per_layer))
 

@@ -20,16 +20,16 @@ from dataclasses import dataclass
 
 from .engine import CycleReport
 from .errors import ConfigError
-from .model import NetworkConfig
+from .model import NetworkConfig, int_tuple
 
 
-def _layer_counts(n, form: str) -> list[int]:
-    """n as a list of ints, each n(l) >= 1; L is its length."""
-    n = [int(v) for v in n]
+def _layer_counts(n, form: str) -> tuple[int, ...]:
+    """n as a tuple of ints, each n(l) >= 1; L is its length."""
+    n = int_tuple(n, "n(l)")
     if not n:
         raise ConfigError(f"{form} needs at least one layer")
     if any(v < 1 for v in n):
-        raise ConfigError(f"all n(l) must be >= 1, got {tuple(n)}")
+        raise ConfigError(f"all n(l) must be >= 1, got {n}")
     return n
 
 

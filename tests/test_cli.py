@@ -461,6 +461,7 @@ def test_negative_limit_and_index_are_errors(tmp_path, float_params_file, synth_
     ["sweep", "--seed", "1"],
     ["trace", "--seed", "1"],
     ["trace", "--index", "3", "--limit", "0"],
+    ["sweep", "--bits", "16"],
 ])
 def test_flags_a_command_never_reads_are_unrecognized(float_params_file, synth_dataset_dir,
                                                       capsys, argv):
@@ -732,3 +733,29 @@ def test_sweep_takes_int_bits_from_the_config(tmp_path, float_params_file, synth
                "--limit", "5", "--bits-list", "8,16", "--out", str(tmp_path / "s.csv")])
     assert rc == 0
     assert formats == [QFormat(8, 5), QFormat(16, 5)]
+
+
+def test_sweep_applies_int_bits_to_the_swept_widths_only(tmp_path, float_params_file,
+                                                         synth_dataset_dir, monkeypatch):
+    formats = []
+
+    def recording(cfg, params, x_raw):
+        formats.append(params.qformat)
+        return forward_quantized_batch(cfg, params, x_raw)
+
+    monkeypatch.setattr(cli, "forward_quantized_batch", recording)
+    rc = main(["sweep", "--params", str(float_params_file), "--int-bits", "12",
+               "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]),
+               "--limit", "5", "--bits-list", "16,32", "--out", str(tmp_path / "s.csv")])
+    assert rc == 0
+    assert formats == [QFormat(16, 12), QFormat(32, 12)]
+
+
+@pytest.mark.parametrize("index", ["0", "99999999999999999999"])
+def test_trace_index_without_a_dataset_is_an_error(tmp_path, float_params_file, capsys, index):
+    out = tmp_path / "trace.log"
+    rc = main(["trace", "--params", str(float_params_file), "--index", index, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: trace --index needs --images")
+    assert not out.exists()

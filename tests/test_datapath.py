@@ -230,7 +230,11 @@ def test_construction_audit_counter():
     assert ActivationUnit.instances_created == before + 2
 
 
-@pytest.mark.parametrize("fmt", [QFormat(16, 12), QFormat(12, 12)])
+with pytest.warns(UserWarning, match="nonstandard bit-width 12"):
+    WIDE_INTEGER_FORMATS = [QFormat(16, 12), QFormat(12, 12)]
+
+
+@pytest.mark.parametrize("fmt", WIDE_INTEGER_FORMATS)
 def test_sigmoid_lut_wide_integer_formats_build_monotone(fmt):
     # exp(-v) overflows binary64 for the most negative values of these formats
     lut = build_sigmoid_lut(fmt)

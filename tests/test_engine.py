@@ -480,7 +480,8 @@ def assert_three_way_agreement(cfg, params, x, modes=tuple(Mode)):
 
 
 def test_q64_engine_oracle_batch_agree():
-    fmt = QFormat(64, 3)
+    with pytest.warns(UserWarning, match="nonstandard bit-width 64"):
+        fmt = QFormat(64, 3)
     rng = np.random.default_rng(64)
     for _ in range(25):
         assert_three_way_agreement(*random_quantized_case(rng, fmt))

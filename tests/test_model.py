@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ BENCH = NetworkConfig((196, 64, 32, 32, 10))
 
 def test_benchmark_config_valid():
     assert validate(BENCH) == []
+    from_numpy = NetworkConfig(np.array(BENCH.layer_sizes))   # numpy integers become ints
+    assert from_numpy == BENCH and type(from_numpy.layer_sizes[0]) is int
+
+
+@pytest.mark.parametrize("sizes, bad", [
+    ((196.9, "12", 10.2), "196.9"),
+    ((4, "12", 2), "'12'"),
+    ((4, True, 2), "True"),
+])
+def test_non_integer_layer_sizes_rejected(sizes, bad):
+    with pytest.raises(ConfigError, match=rf"^layer_sizes must be integers, got {re.escape(bad)}$"):
+        NetworkConfig(sizes)
 
 
 def test_zero_width_layer_rejected():

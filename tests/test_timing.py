@@ -43,6 +43,10 @@ def test_timing_inputs_validation():
             form([])
         with pytest.raises(ConfigError, match=r"^all n\(l\) must be >= 1, got \(1, 0\)$"):
             form([1, 0])
+        for bad, n in ((2.7, [2.7, 3.9]), ("'4'", ["4", 5]), (True, [4, True, 2])):
+            with pytest.raises(ConfigError, match=rf"^n\(l\) must be integers, got {bad}$"):
+                form(n)
+    assert t_parallel(np.array([196, 64, 10])) == t_parallel([196, 64, 10])
 
 
 def test_reuse_minus_parallel_identity():

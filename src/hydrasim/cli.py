@@ -9,10 +9,13 @@ Subcommands:
     quantize   convert a float parameter file to a quantized one
     trace      dump the per-cycle FSM trace of one inference
 
-Simulated cycles depend only on the network config, never on the data, so
-`simulate` and `sweep` step the cycle engine once per command.  All CSV output
-is deterministic for fixed inputs: rows are ordered by input index and floats
-are printed with a fixed format.  Errors print as one `error: ...` line and
+Each subcommand registers only the flags it reads, and no parser accepts an
+abbreviated flag, so a flag that would change nothing exits 2.  A network flag
+overrides --config, which overrides the parameter file; each command then
+validates exactly the configs it runs.  Simulated cycles depend only on the
+network config, never on the data, so `simulate` and `sweep` step the cycle
+engine once per command.  All CSV output is deterministic for fixed inputs:
+rows are ordered by input index and floats are printed with a fixed format.  Errors print as one `error: ...` line and
 warnings as one `warning: ...` line each, both on stderr.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import re
 import sys
 import warnings
 
@@ -55,44 +59,45 @@ _AF_NAMES = sorted(k.value for k in AfKind)
 
 
 def _int_list(text: str, flag: str) -> list[int]:
-    """The integers of a comma-separated list flag, whose name every error holds."""
+    """The integers of a comma-separated list flag, whose name every error holds; a
+    token is an optional sign and ASCII digits, so an empty one is an error."""
     try:
-        values = [int(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
+        bad = [tok for tok in text.split(",") if not re.fullmatch(r"[+-]?[0-9]+", tok)]
+        if bad:
+            raise ValueError(f"{bad[0]!r} is not an integer")
+        return [int(tok) for tok in text.split(",")]
+    except ValueError as exc:   # int() also refuses a token past its digit limit
         raise ConfigError(f"{flag}: {exc}") from None
-    if not values:
-        raise ConfigError(f"{flag} names no values")
-    return values
 
 
-def _build_config(args, params: Params | None, mode: Mode | None = None) -> NetworkConfig:
+def _build_config(args, params: Params | None) -> NetworkConfig:
     """Resolve each config field from a flag, else --config, else params, else its default.
 
-    A given mode replaces the resolved one before the config is validated.
-    """
+    A flag the command does not register counts as not given.  Each command
+    validates the configs it runs."""
+    flag = vars(args).get
     doc = {}
     if params is not None:
         doc["layer_sizes"] = list(params.layer_sizes)
         if params.is_quantized:
             doc["qformat"] = dataclasses.asdict(params.qformat)
-    if args.config:
+    if flag("config"):
         doc.update(read_json_object(args.config, ConfigError)[0])
-    if args.layers:
+    if flag("layers"):
         doc["layer_sizes"] = _int_list(args.layers.replace(":", ","), "--layers")
-    if args.bits is not None or args.int_bits is not None:
-        doc["qformat"] = {"total_bits": 8 if args.bits is None else args.bits,
-                          "int_bits": 3 if args.int_bits is None else args.int_bits}
-    flags = {name: getattr(args, name) for name in ("max_fma", "mode", "softmax_cycles", "tiling")}
-    doc.update({name: value for name, value in flags.items() if value is not None})
-    if args.af:
+    bits, int_bits = flag("bits"), flag("int_bits")
+    if bits is not None or int_bits is not None:   # a flag replaces the whole format
+        q = NetworkConfig.qformat
+        doc["qformat"] = {"total_bits": q.total_bits if bits is None else bits,
+                          "int_bits": q.int_bits if int_bits is None else int_bits}
+    fields = ("max_fma", "mode", "softmax_cycles", "tiling")
+    doc.update({name: flag(name) for name in fields if flag(name) is not None})
+    if flag("af"):
         doc.pop("af_per_layer", None)
     cfg = NetworkConfig.from_dict(doc)
-    if args.af:   # hidden layers only; the output layer stays identity
+    if flag("af"):   # hidden layers only; the output layer stays identity
         afs = (AfKind(args.af),) * (cfg.n_layers - 1) + (AfKind.IDENTITY,)
         cfg = dataclasses.replace(cfg, af_per_layer=afs)
-    if mode is not None:
-        cfg = dataclasses.replace(cfg, mode=mode)
-    ensure_valid(cfg)
     return cfg
 
 
@@ -102,13 +107,8 @@ def _quantized_for(cfg: NetworkConfig, params: Params) -> Params:
 
 
 def _zero_params(cfg: NetworkConfig) -> Params:
-    layers = [
-        LayerParams(
-            np.zeros((n, k), dtype=np.int64),
-            np.zeros(n, dtype=np.int64),
-        )
-        for k, n in zip(cfg.layer_sizes[:-1], cfg.layer_sizes[1:])
-    ]
+    layers = [LayerParams(np.zeros((n, k), dtype=np.int64), np.zeros(n, dtype=np.int64))
+              for k, n in zip(cfg.layer_sizes[:-1], cfg.layer_sizes[1:])]
     return Params(layers, cfg.qformat)
 
 
@@ -137,6 +137,7 @@ def cmd_simulate(args) -> int:
     _require_dataset(args, "simulate")
     params = load_params(args.params)
     cfg = _build_config(args, params)
+    ensure_valid(cfg)
     qparams = _quantized_for(cfg, params)
     ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
     out_raw = forward_quantized_batch(cfg, qparams, quantize_array(ds.flat, cfg.qformat))
@@ -194,7 +195,8 @@ def cmd_timing(args) -> int:
 
     # Both totals are printed, so the config is validated in store mode whatever mode it names.
     params = load_params(args.params) if args.params else None
-    cfg = _build_config(args, params, Mode.STORE_AND_FORWARD)
+    cfg = dataclasses.replace(_build_config(args, params), mode=Mode.STORE_AND_FORWARD)
+    ensure_valid(cfg)
     full, compute = cfg.layer_sizes, cfg.layer_sizes[1:]
     print(f"layer configuration   {':'.join(str(s) for s in cfg.layer_sizes)}")
     print("closed forms (n including the input stage):")
@@ -224,15 +226,12 @@ def cmd_sweep(args) -> int:
     widths = _int_list(args.bits_list, "--bits-list")
     ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
 
-    # --int-bits is applied to the swept widths only: with --bits' default of 8
-    # it could fail the base config on a format that is never swept.
-    base = _build_config(argparse.Namespace(**{**vars(args), "bits": None, "int_bits": None}),
-                         params)
-    int_bits = base.qformat.int_bits if args.int_bits is None else args.int_bits
+    base = _build_config(args, params)
+    int_bits = base.qformat.int_bits if args.swept_int_bits is None else args.swept_int_bits
     cfgs = [dataclasses.replace(base, qformat=QFormat(w, int_bits)) for w in widths]
     for cfg in cfgs:
         ensure_valid(cfg)
-    cycles = _cycle_report(base).total_cycles
+    cycles = _cycle_report(cfgs[0]).total_cycles
     rows = []
     for width, cfg in zip(widths, cfgs):
         qparams = quantize_params(params, cfg.qformat)
@@ -256,6 +255,7 @@ def cmd_train(args) -> int:
     if args.layers is None and args.config is None:
         args.layers = "196:64:32:32:10"
     cfg = _build_config(args, None)
+    ensure_valid(cfg)
     ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
     params = train_minimal(
         ds.flat,
@@ -290,6 +290,7 @@ def cmd_trace(args) -> int:
         raise ConfigError(f"--index must be >= 0, got {index}")
     params = load_params(args.params)
     cfg = _build_config(args, params)
+    ensure_valid(cfg)
     qparams = _quantized_for(cfg, params)
     if args.images:
         ds = load_dataset(args.images, args.labels, fold=args.fold, limit=index + 1)
@@ -312,85 +313,81 @@ def cmd_trace(args) -> int:
 # Argument parsing
 # =============================================================================
 
-def _add_common(p: argparse.ArgumentParser, *, dataset: bool, limit: bool = False,
-                bits: bool = True) -> None:
-    p.add_argument("--config", help="JSON network config file")
-    p.add_argument("--layers", help="layer sizes as input:n1:...:nk (e.g. 196:64:32:32:10)")
-    p.add_argument("--max-fma", type=int, default=None, help="physical FMA units (default 64)")
-    if bits:
-        p.add_argument("--bits", type=int, default=None,
-                       help="total bits of the fixed-point format")
-    p.add_argument("--int-bits", type=int, default=None,
-                   help="integer bits incl. sign (default 3)")
-    p.add_argument("--mode", choices=_MODE_NAMES, default=None,
-                   help="engine mode (default store)")
-    p.add_argument("--af", choices=_AF_NAMES, default=None,
-                   help="hidden-layer activation (output layer stays identity)")
-    p.add_argument("--softmax-cycles", type=int, default=None,
-                   help="constant added to total cycles for the output stage")
-    p.add_argument("--tiling", action="store_true", default=None,
-                   help="allow layers wider than max_fma via multiple passes")
-    if dataset:
-        p.add_argument("--images", help="MNIST IDX image file (.gz ok)")
-        p.add_argument("--labels", help="MNIST IDX label file (.gz ok)")
-        p.add_argument("--fold", choices=FOLD_MODES, default="mean",
-                       help="28x28 -> 14x14 reduction (default mean)")
-    if limit:
-        p.add_argument("--limit", type=int, default=None, help="use at most N images")
+# Each shared flag's argparse settings; a subcommand registers the ones it reads.
+_FLAGS = {
+    "--config": dict(help="JSON network config file"),
+    "--layers": dict(help="layer sizes as input:n1:...:nk (e.g. 196:64:32:32:10)"),
+    "--max-fma": dict(type=int, help="physical FMA units (default 64)"),
+    "--bits": dict(type=int, help="total bits of the fixed-point format (default 8)"),
+    "--int-bits": dict(type=int, help="integer bits incl. sign (default 3)"),
+    "--mode": dict(choices=_MODE_NAMES, help="engine mode (default store)"),
+    "--af": dict(choices=_AF_NAMES, help="hidden-layer activation (output layer stays identity)"),
+    "--softmax-cycles": dict(type=int, help="constant added to total cycles for the output stage"),
+    "--tiling": dict(action="store_true", default=None,
+                     help="allow layers wider than max_fma via multiple passes"),
+    "--images": dict(help="MNIST IDX image file (.gz ok)"),
+    "--labels": dict(help="MNIST IDX label file (.gz ok)"),
+    "--fold": dict(choices=FOLD_MODES, default="mean",
+                   help="28x28 -> 14x14 reduction (default mean)"),
+    "--limit": dict(type=int, help="use at most N images"),
+}
+_NETWORK = "--config --layers --max-fma --bits --int-bits --mode --af --softmax-cycles --tiling"
+_DATASET = "--images --labels --fold"
+
+
+def _subparser(sub, name: str, summary: str, func, flags: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    for flag in flags.split():
+        p.add_argument(flag, **_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hydrasim",
-        description="Cycle-accurate simulator for a layer-multiplexed DNN accelerator",
-    )
+    parser = argparse.ArgumentParser(prog="hydrasim", allow_abbrev=False, description=(
+        "Cycle-accurate simulator for a layer-multiplexed DNN accelerator"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run the cycle engine over a dataset")
-    _add_common(p, dataset=True, limit=True)
+    p = _subparser(sub, "simulate", "run the cycle engine over a dataset", cmd_simulate,
+                   f"{_NETWORK} {_DATASET} --limit")
     p.add_argument("--params", required=True, help="parameter file (float or quantized)")
     p.add_argument("--out", default="-", help="per-image CSV output path (default stdout)")
     p.add_argument("--clock-hz", type=float, default=100e6, help="clock for GOPS (default 100 MHz)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("timing", help="closed-form and simulated cycle counts")
-    _add_common(p, dataset=False)
-    p.add_argument("--params", default=None, help="parameter file to derive layer sizes from")
-    p.add_argument("--n-list", default=None,
-                   help="comma-separated n(l) list for literal closed-form evaluation")
-    p.set_defaults(func=cmd_timing)
+    p = _subparser(sub, "timing", "closed-form and simulated cycle counts", cmd_timing,
+                   "--config --layers --max-fma --mode --softmax-cycles --tiling")
+    p.add_argument("--params", help="parameter file to derive layer sizes from")
+    p.add_argument("--n-list", help="comma-separated n(l) list for literal closed-form evaluation")
 
-    # No abbreviations: --bits, which sweep does not take, would abbreviate --bits-list.
-    p = sub.add_parser("sweep", help="bit-width sweep of a float model", allow_abbrev=False)
-    _add_common(p, dataset=True, limit=True, bits=False)
+    p = _subparser(sub, "sweep", "bit-width sweep of a float model", cmd_sweep,
+                   f"--config --layers --max-fma --mode --af --softmax-cycles --tiling "
+                   f"{_DATASET} --limit")
+    p.add_argument("--int-bits", dest="swept_int_bits", type=int, metavar="INT_BITS",
+                   help="integer bits of every swept width (default: the config's)")
     p.add_argument("--params", required=True, help="float parameter file")
     p.add_argument("--bits-list", default="5,8,16,32", help="comma-separated widths")
     p.add_argument("--out", default="-", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("train", help="train a float model (deterministic)")
-    _add_common(p, dataset=True, limit=True)
+    p = _subparser(sub, "train", "train a float model (deterministic)", cmd_train,
+                   f"--config --layers --af {_DATASET} --limit")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--out", required=True, help="output parameter file")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("quantize", help="quantize a float parameter file")
+    p = _subparser(sub, "quantize", "quantize a float parameter file", cmd_quantize,
+                   "--bits --int-bits")
+    p.set_defaults(bits=NetworkConfig.qformat.total_bits, int_bits=NetworkConfig.qformat.int_bits)
     p.add_argument("--params", required=True, help="float parameter file")
-    p.add_argument("--bits", type=int, default=8)
-    p.add_argument("--int-bits", type=int, default=3)
     p.add_argument("--out", required=True, help="output parameter file")
-    p.set_defaults(func=cmd_quantize)
 
-    p = sub.add_parser("trace", help="dump the per-cycle FSM trace of one inference")
-    _add_common(p, dataset=True)
+    p = _subparser(sub, "trace", "dump the per-cycle FSM trace of one inference", cmd_trace,
+                   f"{_NETWORK} {_DATASET}")
     p.add_argument("--params", required=True, help="parameter file (float or quantized)")
     p.add_argument("--index", type=int, default=None,
                    help="dataset image index (default 0); needs --images and --labels")
     p.add_argument("--out", default="-", help="trace output path (default stdout)")
-    p.set_defaults(func=cmd_trace)
 
     return parser
 

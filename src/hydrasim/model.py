@@ -95,12 +95,16 @@ def _json_value(name: str, value, kind):
     return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def int_tuple(values, name: str) -> tuple[int, ...]:
     """values as a tuple of ints; a numpy integer passes, while a bool, float, str
     or any other non-integer is a ConfigError naming it, never truncated."""
     values = tuple(values)
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if not _is_int(v):
             raise ConfigError(f"{name} must be integers, got {v!r}")
     return tuple(int(v) for v in values)
 
@@ -123,9 +127,21 @@ class NetworkConfig:
     tiling: bool = False
 
     def __post_init__(self):
+        """Each field must have its declared type (a numpy integer passes as an
+        int, and becomes one); a value of another type is a ConfigError."""
         object.__setattr__(self, "layer_sizes", int_tuple(self.layer_sizes, "layer_sizes"))
+        for name in ("max_fma", "softmax_cycles"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, kind in (("tiling", bool), ("mode", Mode), ("qformat", QFormat)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.af_per_layer is not None:
             object.__setattr__(self, "af_per_layer", tuple(self.af_per_layer))
+            for kind in self.af_per_layer:
+                if not isinstance(kind, AfKind):
+                    raise ConfigError(f"af_per_layer entries must be AfKind values, got {kind!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> NetworkConfig:
@@ -171,8 +187,6 @@ def validate(cfg: NetworkConfig) -> list[str]:
                 f"af_per_layer has {len(cfg.af_per_layer)} entries for "
                 f"{cfg.n_layers} compute layers"
             )
-        if any(not isinstance(k, AfKind) for k in cfg.af_per_layer):
-            errors.append("af_per_layer entries must be AfKind values")
     if cfg.softmax_cycles < 0:
         errors.append(f"softmax_cycles must be >= 0, got {cfg.softmax_cycles}")
     if len(cfg.layer_sizes) >= 2 and all(s >= 1 for s in cfg.layer_sizes):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests over synthetic IDX datasets in tmp dirs."""
 
 import json
+import re
 import warnings
 
 import pytest
@@ -234,6 +235,11 @@ _BAD_TIMING_LISTS = [
     (["--layers", "196:x"], "--layers"),
     (["--layers", ":"], "--layers"),
     (["--n-list", "5,0"], "all n(l) must be >= 1, got (5, 0)"),
+    (["--layers", "6::3"], "--layers"),    # an empty token is no integer
+    (["--layers", ":6:3"], "--layers"),
+    (["--layers", "6:3_0"], "--layers"),   # nor is a digit group int() would read
+    (["--n-list", "5,,3"], "--n-list"),
+    (["--n-list", "5, 3"], "--n-list"),
 ]
 
 
@@ -405,10 +411,13 @@ def test_quantized_params_with_mismatched_bits_rejected(tmp_path, float_params_f
     assert not (tmp_path / "m.csv").exists()
 
 
-def test_timing_sigmoid_wide_integer_format(capsys):
-    # exp() of the most negative Q<16,12> value overflows binary64
-    rc = main(["timing", "--layers", "196:64:10", "--af", "sigmoid",
-               "--bits", "16", "--int-bits", "12"])
+def test_timing_sigmoid_wide_integer_format(tmp_path, capsys):
+    # exp() of the most negative Q<16,12> value overflows binary64.  timing
+    # takes no --af, --bits or --int-bits, so the format comes from --config.
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(json.dumps({"qformat": {"total_bits": 16, "int_bits": 12},
+                                    "af_per_layer": ["sigmoid", "identity"]}))
+    rc = main(["timing", "--layers", "196:64:10", "--config", str(cfg_path)])
     assert rc == 0
     assert "store-and-forward total" in capsys.readouterr().out
 
@@ -456,23 +465,64 @@ def test_negative_limit_and_index_are_errors(tmp_path, float_params_file, synth_
     assert not out.exists()
 
 
+# The flags each command needs to get past argparse, before the one it rejects.
+_REQUIRED = {
+    "simulate": ["--params", "{params}", "--images", "{images}", "--labels", "{labels}"],
+    "sweep": ["--params", "{params}", "--images", "{images}", "--labels", "{labels}"],
+    "trace": ["--params", "{params}", "--images", "{images}", "--labels", "{labels}"],
+    "train": ["--images", "{images}", "--labels", "{labels}", "--out", "p.json"],
+    "timing": [],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--seed", "1"],
     ["sweep", "--seed", "1"],
     ["trace", "--seed", "1"],
     ["trace", "--index", "3", "--limit", "0"],
     ["sweep", "--bits", "16"],
+    ["train", "--max-fma", "8"],
+    ["train", "--bits", "32"],
+    ["train", "--int-bits", "4"],
+    ["train", "--mode", "stream"],
+    ["train", "--softmax-cycles", "5"],
+    ["train", "--tiling"],
+    ["timing", "--bits", "16"],
+    ["timing", "--int-bits", "4"],
+    ["timing", "--af", "sigmoid"],
+    ["timing", "--lay", "8:4"],          # no abbreviation stands for a flag
+    ["simulate", "--par", "{params}"],
+    ["trace", "--ind", "3"],
+    ["train", "--epoch", "2"],
 ])
 def test_flags_a_command_never_reads_are_unrecognized(float_params_file, synth_dataset_dir,
                                                       capsys, argv):
+    paths = {"params": float_params_file, "images": synth_dataset_dir["test_images"],
+             "labels": synth_dataset_dir["test_labels"]}
+    command, *flags = [tok.format(**paths) for tok in argv]
     with pytest.raises(SystemExit) as exc:
-        main(argv + [
-            "--params", str(float_params_file),
-            "--images", str(synth_dataset_dir["test_images"]),
-            "--labels", str(synth_dataset_dir["test_labels"]),
-        ])
+        main([command, *[tok.format(**paths) for tok in _REQUIRED[command]], *flags])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    rejected = flags[max(i for i, tok in enumerate(flags) if tok.startswith("--")):]
+    assert f"unrecognized arguments: {' '.join(rejected)}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, dropped", [
+    ("simulate", []),
+    ("timing", ["--bits", "--int-bits", "--af", "--images", "--limit"]),
+    ("sweep", ["--bits", "--seed"]),
+    ("train", ["--max-fma", "--bits", "--int-bits", "--mode", "--softmax-cycles", "--tiling"]),
+    ("quantize", ["--layers", "--af"]),
+    ("trace", ["--limit", "--seed"]),
+])
+def test_help_names_only_registered_flags(capsys, command, dropped):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage, _, rest = capsys.readouterr().out.partition("\n\n")
+    registered = set(re.findall(r"--[a-z][a-z-]*", usage)) | {"--help"}   # usage says -h
+    assert set(re.findall(r"--[a-z][a-z-]*", rest)) <= registered
+    assert not registered & set(dropped)
 
 
 # The CLI flags of each case and the NetworkConfig fields they stand for.
@@ -642,26 +692,25 @@ def test_deeply_nested_json_is_an_error(tmp_path, capsys, flag):
     assert capsys.readouterr().err.startswith("error: truncated or malformed JSON")
 
 
-def test_config_resolution_order_flag_then_config_then_params(tmp_path, monkeypatch):
+def test_config_resolution_order_flag_then_config_then_params(tmp_path):
     qpath = tmp_path / "q.json"
     save_params(qpath, quantize_params(init_params(NetworkConfig((6, 4, 3)), seed=0),
                                        QFormat(16, 5)))
     cfg_path = tmp_path / "net.json"
     cfg_path.write_text(json.dumps({"max_fma": 2, "tiling": True, "softmax_cycles": 3,
                                     "qformat": {"total_bits": 16, "int_bits": 4}}))
-    seen = []
-    real = cli._cycle_report
-    monkeypatch.setattr(cli, "_cycle_report", lambda cfg: seen.append(cfg) or real(cfg))
-    argv = ["timing", "--params", str(qpath), "--config", str(cfg_path),
-            "--softmax-cycles", "1", "--af", "sigmoid"]
-    assert main(argv) == 0
-    cfg = seen[-1]
+    def resolved(*flags):
+        args = cli.build_parser().parse_args(["trace", "--params", str(qpath), *flags])
+        return cli._build_config(args, load_params(qpath))
+
+    argv = ["--config", str(cfg_path), "--softmax-cycles", "1", "--af", "sigmoid"]
+    cfg = resolved(*argv)
     assert cfg.layer_sizes == (6, 4, 3)                                      # params
     assert (cfg.qformat, cfg.max_fma, cfg.tiling) == (QFormat(16, 4), 2, True)   # --config
     assert cfg.softmax_cycles == 1                                           # flags
     assert cfg.afs == (AfKind.SIGMOID, AfKind.IDENTITY)
-    assert main(argv + ["--int-bits", "2"]) == 0
-    assert seen[-1].qformat == QFormat(8, 2)   # a flag replaces the whole format
+    # A flag replaces the whole format.
+    assert resolved(*argv, "--int-bits", "2").qformat == QFormat(8, 2)
 
 
 @pytest.mark.parametrize("flag", ["--params", "--out"])
@@ -703,7 +752,7 @@ def test_train_rejects_bad_hyperparameters(tmp_path, synth_dataset_dir, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bits_list", ["", ","])
+@pytest.mark.parametrize("bits_list", ["", ",", ",8,,16,", "8,16,"])
 def test_sweep_empty_bits_list_is_an_error(tmp_path, float_params_file, synth_dataset_dir,
                                            capsys, bits_list):
     out = tmp_path / "s.csv"
@@ -750,6 +799,29 @@ def test_sweep_applies_int_bits_to_the_swept_widths_only(tmp_path, float_params_
                "--limit", "5", "--bits-list", "16,32", "--out", str(tmp_path / "s.csv")])
     assert rc == 0
     assert formats == [QFormat(16, 12), QFormat(32, 12)]
+
+
+def test_sweep_validates_only_the_swept_formats(tmp_path, float_params_file, synth_dataset_dir,
+                                                monkeypatch, capsys):
+    # The config's own Q<32,3> is never swept, so sigmoid's 16-bit bound does not apply to it.
+    formats = []
+
+    def recording(cfg, params, x_raw):
+        formats.append(cfg.qformat)
+        return forward_quantized_batch(cfg, params, x_raw)
+
+    monkeypatch.setattr(cli, "forward_quantized_batch", recording)
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(json.dumps({"qformat": {"total_bits": 32, "int_bits": 3}}))
+    argv = ["sweep", "--params", str(float_params_file), "--config", str(cfg_path),
+            "--images", str(synth_dataset_dir["test_images"]),
+            "--labels", str(synth_dataset_dir["test_labels"]),
+            "--limit", "5", "--af", "sigmoid", "--out", str(tmp_path / "s.csv")]
+    assert main(argv + ["--bits-list", "16"]) == 0
+    assert formats == [QFormat(16, 3)]
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["--bits-list", "16,32"]) == 1   # a swept Q<32,3> is still checked
+    assert capsys.readouterr().err == "error: sigmoid LUT needs total_bits <= 16, got 32\n"
 
 
 @pytest.mark.parametrize("index", ["0", "99999999999999999999"])

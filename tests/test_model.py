@@ -54,6 +54,27 @@ def test_non_integer_layer_sizes_rejected(sizes, bad):
         NetworkConfig(sizes)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ({"mode": "stream"}, "mode must be a Mode, got 'stream'"),
+    ({"tiling": "no"}, "tiling must be a bool, got 'no'"),
+    ({"softmax_cycles": 1.5}, "softmax_cycles must be an integer, got 1.5"),
+    ({"max_fma": True}, "max_fma must be an integer, got True"),
+    ({"max_fma": 64.5}, "max_fma must be an integer, got 64.5"),
+    ({"qformat": (8, 3)}, "qformat must be a QFormat, got (8, 3)"),
+    ({"af_per_layer": ("relu", "identity")},
+     "af_per_layer entries must be AfKind values, got 'relu'"),
+])
+def test_every_field_is_typed(field, bad):
+    with pytest.raises(ConfigError, match=f"^{re.escape(bad)}$"):
+        NetworkConfig((4, 2, 2), **field)
+
+
+def test_numpy_integer_fields_become_ints():
+    cfg = NetworkConfig((4, 2), max_fma=np.int64(8), softmax_cycles=np.uint8(3))
+    assert (cfg.max_fma, cfg.softmax_cycles) == (8, 3)
+    assert type(cfg.max_fma) is int and type(cfg.softmax_cycles) is int
+
+
 def test_zero_width_layer_rejected():
     errors = validate(NetworkConfig((196, 0, 10)))
     assert any("layer size" in e for e in errors)

@@ -58,14 +58,14 @@ _MODE_NAMES = sorted(m.value for m in Mode)
 _AF_NAMES = sorted(k.value for k in AfKind)
 
 
-def _int_list(text: str, flag: str) -> list[int]:
-    """The integers of a comma-separated list flag, whose name every error holds; a
+def _int_list(text: str, flag: str, sep: str = ",") -> list[int]:
+    """The integers of a sep-separated list flag, whose name every error holds; a
     token is an optional sign and ASCII digits, so an empty one is an error."""
     try:
-        bad = [tok for tok in text.split(",") if not re.fullmatch(r"[+-]?[0-9]+", tok)]
+        bad = [tok for tok in text.split(sep) if not re.fullmatch(r"[+-]?[0-9]+", tok)]
         if bad:
             raise ValueError(f"{bad[0]!r} is not an integer")
-        return [int(tok) for tok in text.split(",")]
+        return [int(tok) for tok in text.split(sep)]
     except ValueError as exc:   # int() also refuses a token past its digit limit
         raise ConfigError(f"{flag}: {exc}") from None
 
@@ -84,13 +84,13 @@ def _build_config(args, params: Params | None) -> NetworkConfig:
     if flag("config"):
         doc.update(read_json_object(args.config, ConfigError)[0])
     if flag("layers"):
-        doc["layer_sizes"] = _int_list(args.layers.replace(":", ","), "--layers")
+        doc["layer_sizes"] = _int_list(args.layers, "--layers", ":")
     bits, int_bits = flag("bits"), flag("int_bits")
     if bits is not None or int_bits is not None:   # a flag replaces the whole format
         q = NetworkConfig.qformat
         doc["qformat"] = {"total_bits": q.total_bits if bits is None else bits,
                           "int_bits": q.int_bits if int_bits is None else int_bits}
-    fields = ("max_fma", "mode", "softmax_cycles", "tiling")
+    fields = ("max_fma", "mode", "softmax_cycles")
     doc.update({name: flag(name) for name in fields if flag(name) is not None})
     if flag("af"):
         doc.pop("af_per_layer", None)
@@ -317,21 +317,19 @@ def cmd_trace(args) -> int:
 _FLAGS = {
     "--config": dict(help="JSON network config file"),
     "--layers": dict(help="layer sizes as input:n1:...:nk (e.g. 196:64:32:32:10)"),
-    "--max-fma": dict(type=int, help="physical FMA units (default 64)"),
+    "--max-fma": dict(type=int, help="physical FMA units (default 64); wider layers run in passes"),
     "--bits": dict(type=int, help="total bits of the fixed-point format (default 8)"),
     "--int-bits": dict(type=int, help="integer bits incl. sign (default 3)"),
     "--mode": dict(choices=_MODE_NAMES, help="engine mode (default store)"),
     "--af": dict(choices=_AF_NAMES, help="hidden-layer activation (output layer stays identity)"),
     "--softmax-cycles": dict(type=int, help="constant added to total cycles for the output stage"),
-    "--tiling": dict(action="store_true", default=None,
-                     help="allow layers wider than max_fma via multiple passes"),
     "--images": dict(help="MNIST IDX image file (.gz ok)"),
     "--labels": dict(help="MNIST IDX label file (.gz ok)"),
     "--fold": dict(choices=FOLD_MODES, default="mean",
                    help="28x28 -> 14x14 reduction (default mean)"),
     "--limit": dict(type=int, help="use at most N images"),
 }
-_NETWORK = "--config --layers --max-fma --bits --int-bits --mode --af --softmax-cycles --tiling"
+_NETWORK = "--config --layers --max-fma --bits --int-bits --mode --af --softmax-cycles"
 _DATASET = "--images --labels --fold"
 
 
@@ -355,13 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clock-hz", type=float, default=100e6, help="clock for GOPS (default 100 MHz)")
 
     p = _subparser(sub, "timing", "closed-form and simulated cycle counts", cmd_timing,
-                   "--config --layers --max-fma --mode --softmax-cycles --tiling")
+                   "--config --layers --max-fma --softmax-cycles")
     p.add_argument("--params", help="parameter file to derive layer sizes from")
     p.add_argument("--n-list", help="comma-separated n(l) list for literal closed-form evaluation")
 
     p = _subparser(sub, "sweep", "bit-width sweep of a float model", cmd_sweep,
-                   f"--config --layers --max-fma --mode --af --softmax-cycles --tiling "
-                   f"{_DATASET} --limit")
+                   f"--config --layers --max-fma --mode --af --softmax-cycles {_DATASET} --limit")
     p.add_argument("--int-bits", dest="swept_int_bits", type=int, metavar="INT_BITS",
                    help="integer bits of every swept width (default: the config's)")
     p.add_argument("--params", required=True, help="float parameter file")

@@ -36,9 +36,9 @@ where its own output stream begins.  Reported total_cycles is the cycle the
 final layer's output stream starts; last_output_cycle records when the final
 element lands.  Outputs are bit-identical across modes.
 
-Tiling (off by default) splits an oversized layer into ceil(n/MAX_FMA) passes
-of inputs + pass_width + 2 cycles each; pass boundaries reuse the layer-done
-phase but only real layer boundaries emit events.
+Tiling splits a layer wider than MAX_FMA into ceil(n/MAX_FMA) passes of
+inputs + pass_width + 2 cycles each, in store-and-forward mode only; pass
+boundaries reuse the layer-done phase but only real layer boundaries emit events.
 """
 
 from __future__ import annotations

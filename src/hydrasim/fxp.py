@@ -21,12 +21,27 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 
 # Bit-widths accepted silently; anything else in [4, 64] works but warns.
 STANDARD_WIDTHS = (5, 8, 16, 32)
 MIN_TOTAL_BITS = 4
 MAX_TOTAL_BITS = 64
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def as_int(value, name: str) -> int:
+    """value as an int; a numpy integer passes, while a bool, float, str or any
+    other non-integer is a ConfigError naming name and value, never truncated."""
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class QFormat:
@@ -36,6 +51,8 @@ class QFormat:
     int_bits: int
 
     def __post_init__(self):
+        for name in ("total_bits", "int_bits"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not (MIN_TOTAL_BITS <= self.total_bits <= MAX_TOTAL_BITS):
             raise ConfigError(
                 f"total_bits={self.total_bits} outside supported range "
@@ -89,6 +106,7 @@ class QValue:
     fmt: QFormat
 
     def __post_init__(self):
+        object.__setattr__(self, "raw", as_int(self.raw, "raw"))
         if not (self.fmt.raw_min <= self.raw <= self.fmt.raw_max):
             raise ValueError(f"raw {self.raw} does not fit in {self.fmt}")
 
@@ -96,14 +114,6 @@ class QValue:
     def value(self) -> float:
         """Represented real value (exact for total_bits <= 53)."""
         return self.raw * 2.0 ** -self.fmt.frac_bits
-
-
-def sign_extend(bits: int, total_bits: int) -> int:
-    """Interpret the low total_bits of an unsigned encoding as two's-complement."""
-    bits &= (1 << total_bits) - 1
-    if bits & (1 << (total_bits - 1)):
-        bits -= 1 << total_bits
-    return bits
 
 
 def round_half_even_shift(value, shift: int):

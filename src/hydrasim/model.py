@@ -32,7 +32,7 @@ import numpy as np
 
 from .datapath import AfKind, activate_raw, build_sigmoid_lut
 from .errors import ConfigError, ParamsFileError
-from .fxp import QFormat, QValue, round_acc, round_quotient
+from .fxp import QFormat, QValue, _is_int, as_int, round_acc, round_quotient
 
 
 class Mode(Enum):
@@ -95,10 +95,6 @@ def _json_value(name: str, value, kind):
     return value
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def int_tuple(values, name: str) -> tuple[int, ...]:
     """values as a tuple of ints; a numpy integer passes, while a bool, float, str
     or any other non-integer is a ConfigError naming it, never truncated."""
@@ -114,8 +110,8 @@ class NetworkConfig:
     """Runtime network description: sizes, hardware bounds, formats, activations.
 
     layer_sizes[0] is the input dimension; the remaining entries are compute
-    layer widths.  af_per_layer has one entry per compute layer (None picks
-    the default ReLU/.../identity assignment).
+    layer widths, each run in ceil(n / max_fma) passes.  af_per_layer has one
+    entry per compute layer (None picks the default ReLU/.../identity assignment).
     """
 
     layer_sizes: tuple[int, ...]
@@ -124,17 +120,14 @@ class NetworkConfig:
     af_per_layer: tuple[AfKind, ...] | None = None
     mode: Mode = Mode.STORE_AND_FORWARD
     softmax_cycles: int = 0
-    tiling: bool = False
 
     def __post_init__(self):
         """Each field must have its declared type (a numpy integer passes as an
         int, and becomes one); a value of another type is a ConfigError."""
         object.__setattr__(self, "layer_sizes", int_tuple(self.layer_sizes, "layer_sizes"))
         for name in ("max_fma", "softmax_cycles"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name, kind in (("tiling", bool), ("mode", Mode), ("qformat", QFormat)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        for name, kind in (("mode", Mode), ("qformat", QFormat)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.af_per_layer is not None:
@@ -152,7 +145,7 @@ class NetworkConfig:
         config's invariants are left to ensure_valid.
         """
         kinds = {"layer_sizes": (int,), "max_fma": int, "qformat": QFormat,
-                 "af_per_layer": (AfKind,), "mode": Mode, "softmax_cycles": int, "tiling": bool}
+                 "af_per_layer": (AfKind,), "mode": Mode, "softmax_cycles": int}
         return cls(**_json_fields(doc, kinds, ("layer_sizes",)))
 
     @property
@@ -190,12 +183,7 @@ def validate(cfg: NetworkConfig) -> list[str]:
     if cfg.softmax_cycles < 0:
         errors.append(f"softmax_cycles must be >= 0, got {cfg.softmax_cycles}")
     if len(cfg.layer_sizes) >= 2 and all(s >= 1 for s in cfg.layer_sizes):
-        oversized = [w for w in cfg.layer_sizes[1:] if w > cfg.max_fma]
-        if oversized and not cfg.tiling:
-            errors.append(
-                f"layer widths {oversized} exceed max_fma={cfg.max_fma} and tiling is off"
-            )
-        if oversized and cfg.tiling and cfg.mode is Mode.STREAMED:
+        if cfg.mode is Mode.STREAMED and max(cfg.layer_sizes[1:]) > cfg.max_fma:
             errors.append("tiled layers require store-and-forward mode")
         if cfg.af_per_layer is None or len(cfg.af_per_layer) == cfg.n_layers:
             if AfKind.SIGMOID in cfg.afs and cfg.qformat.total_bits > 16:

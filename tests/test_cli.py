@@ -188,28 +188,26 @@ def assert_one_warning_line(err, message):
 
 
 @pytest.mark.parametrize("layers, streamed", [
-    ("196:100:10", "n/a (tiled layers require store-and-forward)"),   # tiling engaged
-    ("196:40:10", "240"),                                              # tiling on, unused
+    ("196:100:10", "n/a (tiled layers require store-and-forward)"),   # runs in two passes
+    ("196:40:10", "240"),                                              # fits in one pass
 ])
 def test_timing_streamed_total_under_tiling(capsys, layers, streamed):
-    rc = main(["timing", "--layers", layers, "--tiling"])
+    rc = main(["timing", "--layers", layers])
     assert rc == 0
     assert f"\nsimulated streamed total = {streamed}\n" in capsys.readouterr().out
 
 
 def test_timing_output_does_not_depend_on_mode(tmp_path, capsys):
-    # timing prints the store and the streamed total, so a streamed mode with
-    # tiled layers, by flag or by --config, is not an error there.
-    base = ["timing", "--layers", "8:100:4", "--tiling"]
-    assert main(base) == 0
+    # timing prints the store and the streamed total, so a --config naming
+    # streamed mode with tiled layers is not an error there.
+    assert main(["timing", "--layers", "8:100:4"]) == 0
     expected = capsys.readouterr().out
-    assert "simulated streamed total = n/a" in expected
+    assert "\nsimulated store-and-forward total = 226\n" in expected
+    assert "\nsimulated streamed total = n/a (tiled layers require store-and-forward)\n" in expected
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"layer_sizes": [8, 100, 4], "tiling": True, "mode": "stream"}))
-    for argv in (base + ["--mode", "stream"], base + ["--mode", "store"],
-                 ["timing", "--config", str(cfg_path)]):
-        assert main(argv) == 0
-        assert capsys.readouterr() == (expected, "")
+    cfg_path.write_text(json.dumps({"layer_sizes": [8, 100, 4], "mode": "stream"}))
+    assert main(["timing", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_timing_single_layer_flagged(capsys):
@@ -240,6 +238,7 @@ _BAD_TIMING_LISTS = [
     (["--layers", "6:3_0"], "--layers"),   # nor is a digit group int() would read
     (["--n-list", "5,,3"], "--n-list"),
     (["--n-list", "5, 3"], "--n-list"),
+    (["--layers", "6,3"], "--layers: '6,3' is not an integer"),
 ]
 
 
@@ -494,6 +493,11 @@ _REQUIRED = {
     ["simulate", "--par", "{params}"],
     ["trace", "--ind", "3"],
     ["train", "--epoch", "2"],
+    ["simulate", "--tiling"],
+    ["sweep", "--tiling"],
+    ["trace", "--tiling"],
+    ["timing", "--tiling"],
+    ["timing", "--mode", "stream"],
 ])
 def test_flags_a_command_never_reads_are_unrecognized(float_params_file, synth_dataset_dir,
                                                       capsys, argv):
@@ -509,7 +513,7 @@ def test_flags_a_command_never_reads_are_unrecognized(float_params_file, synth_d
 
 @pytest.mark.parametrize("command, dropped", [
     ("simulate", []),
-    ("timing", ["--bits", "--int-bits", "--af", "--images", "--limit"]),
+    ("timing", ["--bits", "--int-bits", "--mode", "--af", "--images", "--limit"]),
     ("sweep", ["--bits", "--seed"]),
     ("train", ["--max-fma", "--bits", "--int-bits", "--mode", "--softmax-cycles", "--tiling"]),
     ("quantize", ["--layers", "--af"]),
@@ -529,7 +533,7 @@ def test_help_names_only_registered_flags(capsys, command, dropped):
 SIMULATE_CASES = {
     "store": ([], {}),
     "stream": (["--mode", "stream"], {"mode": Mode.STREAMED}),
-    "tiled": (["--max-fma", "8", "--tiling"], {"max_fma": 8, "tiling": True}),
+    "tiled": (["--max-fma", "8"], {"max_fma": 8}),
     "sigmoid": (["--af", "sigmoid", "--bits", "16"],
                 {"qformat": QFormat(16, 3), "af_per_layer": (AfKind.SIGMOID, AfKind.IDENTITY)}),
 }
@@ -624,7 +628,7 @@ def test_config_values_are_not_coerced(tmp_path, capsys, field):
 
 _VALID_CONFIG = {
     "layer_sizes": [6, 4, 3], "max_fma": 4, "qformat": {"total_bits": 8, "int_bits": 3},
-    "af_per_layer": ["relu", "identity"], "mode": "stream", "softmax_cycles": 2, "tiling": False,
+    "af_per_layer": ["relu", "identity"], "mode": "stream", "softmax_cycles": 2,
 }
 _JSON_POOL = [None, True, False, 0, -1, 3, 2**70, 1.5, "relu", "stream", "", [], [3], [6, 4, 3],
               ["sigmoid", "relu"], {}, {"total_bits": 16, "int_bits": 16}]
@@ -636,12 +640,16 @@ def _field_values(doc):
             yield pytest.param(name, value, id=f"{name}={json.dumps(value)}")
 
 
-@pytest.mark.parametrize("name, value", _field_values(_VALID_CONFIG))
+# "tiling" is no field (a wider layer always runs in passes): every value of it
+# is an unknown field, never accepted and ignored.
+@pytest.mark.parametrize("name, value", _field_values({**_VALID_CONFIG, "tiling": None}))
 def test_every_json_value_in_every_config_field_is_used_or_named(tmp_path, capsys, name, value):
     cfg_path = tmp_path / "net.json"
     cfg_path.write_text(json.dumps({**_VALID_CONFIG, name: value}))
     rc = main(["timing", "--config", str(cfg_path)])
     err = capsys.readouterr().err
+    if name not in _VALID_CONFIG:
+        assert (rc, err) == (1, f"error: unknown field(s) [{name!r}]\n")
     assert rc == 0 or (rc == 1 and err.startswith("error: ") and name in err), err
 
 
@@ -697,7 +705,7 @@ def test_config_resolution_order_flag_then_config_then_params(tmp_path):
     save_params(qpath, quantize_params(init_params(NetworkConfig((6, 4, 3)), seed=0),
                                        QFormat(16, 5)))
     cfg_path = tmp_path / "net.json"
-    cfg_path.write_text(json.dumps({"max_fma": 2, "tiling": True, "softmax_cycles": 3,
+    cfg_path.write_text(json.dumps({"max_fma": 2, "softmax_cycles": 3,
                                     "qformat": {"total_bits": 16, "int_bits": 4}}))
     def resolved(*flags):
         args = cli.build_parser().parse_args(["trace", "--params", str(qpath), *flags])
@@ -706,7 +714,7 @@ def test_config_resolution_order_flag_then_config_then_params(tmp_path):
     argv = ["--config", str(cfg_path), "--softmax-cycles", "1", "--af", "sigmoid"]
     cfg = resolved(*argv)
     assert cfg.layer_sizes == (6, 4, 3)                                      # params
-    assert (cfg.qformat, cfg.max_fma, cfg.tiling) == (QFormat(16, 4), 2, True)   # --config
+    assert (cfg.qformat, cfg.max_fma) == (QFormat(16, 4), 2)                 # --config
     assert cfg.softmax_cycles == 1                                           # flags
     assert cfg.afs == (AfKind.SIGMOID, AfKind.IDENTITY)
     # A flag replaces the whole format.
@@ -750,6 +758,16 @@ def test_train_rejects_bad_hyperparameters(tmp_path, synth_dataset_dir, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flags[0][2:].replace("-", "_") in err
     assert not out.exists()
+
+
+def test_train_runs_a_layer_wider_than_the_array(tmp_path, synth_dataset_dir, capsys):
+    out = tmp_path / "p.json"
+    rc = main(["train", "--images", str(synth_dataset_dir["train_images"]),
+               "--labels", str(synth_dataset_dir["train_labels"]), "--limit", "20",
+               "--epochs", "1", "--layers", "196:100:10", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"wrote float parameters for 196:100:10 to {out}\n"
+    assert load_params(out).layer_sizes == (196, 100, 10)
 
 
 @pytest.mark.parametrize("bits_list", ["", ",", ",8,,16,", "8,16,"])

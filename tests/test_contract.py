@@ -17,6 +17,7 @@ from hydrasim import (
     ConfigError,
     Engine,
     LayerParams,
+    Mode,
     NetworkConfig,
     Params,
     QFormat,
@@ -87,6 +88,10 @@ CASES = {
         "layer 0 biases contain raw codes outside Q<8,3>"),
     "input-length": (
         {"x": (QValue(1, Q83),) * 3}, PATHS, ConfigError, "input length 3 != input dimension 4"),
+    "streamed-tiled": (
+        {"cfg": NetworkConfig((4, 100, 2), mode=Mode.STREAMED),
+         "shapes": ((100, 4, 100), (2, 100, 2))},
+        PATHS, ConfigError, "tiled layers require store-and-forward mode"),
     "input-format": (
         {"x": (QValue(1, Q163),) * 4}, ("engine", "forward_quantized"), ConfigError,
         "input format Q<16,3> != config format Q<8,3>"),

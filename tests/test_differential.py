@@ -44,7 +44,7 @@ def _random_case(rng, fmt, fan_in, extreme):
     tiled = mode is Mode.STORE_AND_FORWARD and max(widths) > 1 and rng.integers(2)
     max_fma = int(rng.integers(1, max(widths))) if tiled else max(widths) + int(rng.integers(3))
     cfg = NetworkConfig((fan_in, *widths), max_fma=max_fma, qformat=fmt,
-                        af_per_layer=afs, mode=mode, tiling=bool(tiled))
+                        af_per_layer=afs, mode=mode)
 
     lo, hi = fmt.raw_min, fmt.raw_max
 

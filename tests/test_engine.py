@@ -251,14 +251,16 @@ def test_gated_units_perform_zero_mac_steps():
 # Tiling
 # =============================================================================
 
-def test_oversized_layer_without_tiling_rejected():
-    cfg = NetworkConfig((8, 100), max_fma=64)
-    with pytest.raises(ConfigError, match="max_fma"):
-        Engine(cfg, Params([LayerParams(np.zeros((100, 8), np.int64), np.zeros(100, np.int64))], Q83))
+def test_oversized_layer_runs_in_passes():
+    cfg = NetworkConfig((196, 65), max_fma=64)
+    records = []
+    Engine(cfg, zero_params(cfg), trace_hook=records.append).run(zeros_input(cfg))
+    assert [r.active_fma for r in records if r.phase == "mac"] == [64] * 196 + [1] * 196
+    assert [r.phase for r in records].count("piso_load") == 2
 
 
 def test_tiling_passes_and_cycle_cost():
-    cfg = NetworkConfig((8, 100, 4), max_fma=64, tiling=True)
+    cfg = NetworkConfig((8, 100, 4), max_fma=64)
     params = zero_params(cfg)
     _, report = run_inference(cfg, params, zeros_input(cfg))
     # ceil(100/64) = 2 passes: (8+64+2) + (8+36+2) cycles for layer 0
@@ -281,14 +283,14 @@ def test_tiling_outputs_match_golden():
         for k, n in zip(sizes[:-1], sizes[1:])
     ]
     params = Params(layers, fmt)
-    cfg = NetworkConfig(sizes, max_fma=32, tiling=True)
+    cfg = NetworkConfig(sizes, max_fma=32)
     x = [QValue(int(v), fmt) for v in rng.integers(-128, 128, 5)]
     outputs, _ = run_inference(cfg, params, x)
     assert outputs == forward_quantized(cfg, params, x)
 
 
 def test_streamed_with_engaged_tiling_rejected():
-    cfg = NetworkConfig((8, 100), max_fma=64, tiling=True, mode=Mode.STREAMED)
+    cfg = NetworkConfig((8, 100), max_fma=64, mode=Mode.STREAMED)
     with pytest.raises(ConfigError, match="store-and-forward"):
         Engine(cfg, Params([LayerParams(np.zeros((100, 8), np.int64), np.zeros(100, np.int64))], Q83))
 
@@ -505,7 +507,7 @@ def test_tiled_store_mode_engine_oracle_batch_agree(fmt):
         widest = max(cfg.layer_sizes[1:])
         if widest == 1:
             continue
-        cfg = dataclasses.replace(cfg, max_fma=int(rng.integers(1, widest)), tiling=True)
+        cfg = dataclasses.replace(cfg, max_fma=int(rng.integers(1, widest)))
         assert_three_way_agreement(cfg, params, x, modes=(Mode.STORE_AND_FORWARD,))
 
 

@@ -96,7 +96,6 @@ def test_config_mutants_exit_0_or_1_with_an_error_line(tmp_path, capsys, monkeyp
     valid = json.dumps({
         "layer_sizes": [6, 4, 3], "max_fma": 4, "qformat": {"total_bits": 8, "int_bits": 3},
         "af_per_layer": ["sigmoid", "identity"], "mode": "stream", "softmax_cycles": 2,
-        "tiling": False,
     }).encode("ascii")
     rng = np.random.default_rng(81)
     codes = []

@@ -5,6 +5,7 @@ search and rational (Fraction) arithmetic, never from the implementation.
 """
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -87,6 +88,26 @@ def test_qvalue_range_checked():
         QValue(128, Q83)
     with pytest.raises(ValueError):
         QValue(-129, Q83)
+
+
+@pytest.mark.parametrize("cls, args, bad", [
+    (QFormat, (8.0, 3), "total_bits must be an integer, got 8.0"),
+    (QFormat, (8, True), "int_bits must be an integer, got True"),
+    (QFormat, ("8", 3), "total_bits must be an integer, got '8'"),
+    (QValue, (1.5, Q83), "raw must be an integer, got 1.5"),
+    (QValue, (True, Q83), "raw must be an integer, got True"),
+    (QValue, ("1", Q83), "raw must be an integer, got '1'"),
+])
+def test_integer_fields_are_typed(cls, args, bad):
+    with pytest.raises(ConfigError, match=f"^{re.escape(bad)}$"):
+        cls(*args)
+
+
+def test_numpy_integers_become_ints():
+    fmt = QFormat(np.int64(8), np.uint8(3))
+    v = QValue(np.int32(-5), fmt)
+    assert (fmt, v.raw) == (Q83, -5)
+    assert {type(fmt.total_bits), type(fmt.int_bits), type(v.raw)} == {int}
 
 
 # =============================================================================

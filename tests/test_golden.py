@@ -44,16 +44,14 @@ _ALL_WIDTHS = "4,5,6,7,8,12,16,20,24,31,32,40,48,54,55,56,60,63,64"
 
 CASES = {
     "timing-store": ["timing", "--layers", "196:64:32:32:10"],
-    "timing-stream": ["timing", "--layers", "196:64:32:32:10", "--mode", "stream"],
-    "timing-tiled": ["timing", "--layers", "8:100:4", "--max-fma", "64", "--tiling"],
-    "timing-tiling-unused": ["timing", "--layers", "196:64:32:32:10", "--tiling"],
+    "timing-tiled": ["timing", "--layers", "8:100:4", "--max-fma", "64"],
     "timing-n-list": ["timing", "--n-list", "196,64,32,32,10"],
     "timing-single-layer": ["timing", "--layers", "6:3"],
     "timing-params": ["timing", "--params", "{fparams}", "--softmax-cycles", "20"],
     "timing-config": ["timing", "--config", "{cfg_tiled}"],
     "simulate-store": [*_SIM, "--out", "run.csv"],
     "simulate-stream": [*_SIM, "--mode", "stream", "--out", "run.csv"],
-    "simulate-tiled": [*_SIM, "--max-fma", "40", "--tiling", "--out", "run.csv"],
+    "simulate-tiled": [*_SIM, "--max-fma", "40", "--out", "run.csv"],
     "simulate-sigmoid-q16": [*_SIM, "--bits", "16", "--af", "sigmoid", "--mode", "stream",
                              "--out", "run.csv"],
     "simulate-q5-2": [*_SIM, "--bits", "5", "--int-bits", "2", "--out", "run.csv"],
@@ -75,7 +73,7 @@ CASES = {
                       "--af", "sigmoid", "--mode", "stream", "--out", "trace.log"],
     "trace-zeros": ["trace", "--params", "{fparams}", "--out", "trace.log"],
     "trace-tiled-quantized": ["trace", "--params", "{qparams}", *_DATA, "--max-fma", "48",
-                              "--tiling", "--out", "trace.log"],
+                              "--out", "trace.log"],
     "trace-stdout": ["trace", "--params", "{qparams}", *_DATA, "--index", "5", "--mode", "stream"],
     "quantize-q8": ["quantize", "--params", "{fparams}", "--bits", "8", "--int-bits", "3",
                     "--out", "q.json"],
@@ -106,7 +104,7 @@ def write_inputs(root: Path) -> dict:
     docs = {
         "fparams": _params_doc("weights", "float"),
         "qparams": _params_doc("raws", {"total_bits": 8, "int_bits": 3}),
-        "cfg_tiled": {"layer_sizes": [8, 100, 4], "max_fma": 64, "tiling": True,
+        "cfg_tiled": {"layer_sizes": [8, 100, 4], "max_fma": 64,
                       "af_per_layer": ["sigmoid", "identity"], "softmax_cycles": 3},
         "cfg_int2": {"qformat": {"total_bits": 8, "int_bits": 2}},
     }

@@ -56,7 +56,7 @@ def test_non_integer_layer_sizes_rejected(sizes, bad):
 
 @pytest.mark.parametrize("field, bad", [
     ({"mode": "stream"}, "mode must be a Mode, got 'stream'"),
-    ({"tiling": "no"}, "tiling must be a bool, got 'no'"),
+    ({"softmax_cycles": "2"}, "softmax_cycles must be an integer, got '2'"),
     ({"softmax_cycles": 1.5}, "softmax_cycles must be an integer, got 1.5"),
     ({"max_fma": True}, "max_fma must be an integer, got True"),
     ({"max_fma": 64.5}, "max_fma must be an integer, got 64.5"),
@@ -80,10 +80,13 @@ def test_zero_width_layer_rejected():
     assert any("layer size" in e for e in errors)
 
 
-def test_oversized_layer_without_tiling_rejected():
-    errors = validate(NetworkConfig((196, 65), max_fma=64))
-    assert any("max_fma" in e for e in errors)
-    assert validate(NetworkConfig((196, 65), max_fma=64, tiling=True)) == []
+def test_oversized_layer_runs_in_passes():
+    cfg = NetworkConfig((196, 65), max_fma=64)
+    assert validate(cfg) == []
+    params = Params([LayerParams(np.zeros((65, 196), np.int64), np.zeros(65, np.int64))], Q83)
+    _, report = run_inference(cfg, params, [QValue(0, Q83)] * 196)
+    # Two passes of inputs + pass width + 2 cycles: (196 + 64 + 2) + (196 + 1 + 2).
+    assert report.total_cycles == 262 + 199
 
 
 def test_af_count_mismatch_rejected():
@@ -99,7 +102,7 @@ def test_sigmoid_with_wide_format_rejected():
 
 
 def test_streamed_tiling_rejected():
-    errors = validate(NetworkConfig((4, 100), max_fma=64, tiling=True, mode=Mode.STREAMED))
+    errors = validate(NetworkConfig((4, 100), max_fma=64, mode=Mode.STREAMED))
     assert any("store-and-forward" in e for e in errors)
 
 

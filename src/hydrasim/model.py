@@ -266,7 +266,7 @@ def check_input(cfg: NetworkConfig, length: int, fmts=(), raws=None) -> None:
     if length != cfg.layer_sizes[0]:
         raise ConfigError(f"input length {length} != input dimension {cfg.layer_sizes[0]}")
     for fmt in fmts:
-        if fmt != cfg.qformat:
+        if fmt is not cfg.qformat and fmt != cfg.qformat:
             raise ConfigError(f"input format {fmt} != config format {cfg.qformat}")
     if raws is not None and not raw_codes_fit(raws, cfg.qformat):
         raise ValueError(f"raw inputs outside {cfg.qformat}")

@@ -1,5 +1,6 @@
 """Model-layer tests: validation, quantization, golden forwards, trainer, file I/O."""
 
+import dataclasses
 import json
 import math
 import re
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_quantized_case, synthetic_digits
+from hydrasim.dataio import FOLD_MODES, half_fold
 from hydrasim.datapath import AfKind
 from hydrasim.engine import run_inference
 from hydrasim.errors import ConfigError, ParamsFileError
@@ -28,7 +30,7 @@ from hydrasim.model import (
     train_minimal,
     validate,
 )
-from hydrasim.model import _limb_plan
+from hydrasim.model import _CHUNK, _limb_plan
 
 Q83 = QFormat(8, 3)
 BENCH = NetworkConfig((196, 64, 32, 32, 10))
@@ -569,40 +571,134 @@ def test_load_float_file_reads_integers_past_64_bits_as_float64(tmp_path):
 # Exact batch kernel
 # =============================================================================
 
-def _plan_boundary_fan_ins(fmt):
-    """Fan-ins up to 64 on both sides of every change of the kernel's limb plan.
+def _plan_boundary_fan_ins(fmt, max_bit_length=7):
+    """Fan-ins of bit length up to max_bit_length on both sides of every
+    change of the kernel's worst-case limb plan.
 
     The plan depends on the fan-in only through its bit length, so comparing
     2^b - 1 with 2^b finds every change: the limb counts, and int64 versus
     Python-int recombination, which flips there for 55 <= t + int_bits <= 60.
     """
     fan_ins = {1}
-    for b in range(1, 7):
+    for b in range(1, max_bit_length):
         if _limb_plan(fmt, (1 << b) - 1) != _limb_plan(fmt, 1 << b):
             fan_ins |= {(1 << b) - 1, 1 << b}
     return sorted(fan_ins)
 
 
+def _assert_batch_matches_oracle(cfg, params, x, *context):
+    """forward_quantized_batch on the raw rows x equals forward_quantized on each row."""
+    fmt = cfg.qformat
+    rows = x.tolist()
+    qvalues = {v: QValue(v, fmt) for v in set().union(*rows)}   # one per distinct raw
+    batch = forward_quantized_batch(cfg, params, x)
+    assert batch.dtype == np.int64
+    for i, (row, out) in enumerate(zip(rows, batch.tolist())):
+        oracle = forward_quantized(cfg, params, [qvalues[v] for v in row])
+        assert [v.raw for v in oracle] == out, (str(fmt), *context, i)
+
+
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
 @pytest.mark.parametrize("total_bits", range(4, 65))
 def test_batch_kernel_matches_oracle_across_limb_plans(total_bits):
+    """Fan-ins through 512 at three int_bits, through 4096 at one of them."""
     rng = np.random.default_rng(900 + total_bits)
+    wide_int_bits = (1, 3, total_bits)[total_bits % 3]
     for int_bits in sorted({1, 3, total_bits}):
         fmt = QFormat(total_bits, int_bits)
         lo, hi = fmt.raw_min, fmt.raw_max
-        for fan_in in _plan_boundary_fan_ins(fmt):
+        for fan_in in _plan_boundary_fan_ins(fmt, 13 if int_bits == wide_int_bits else 10):
             cfg = NetworkConfig((fan_in, 2), max_fma=2, qformat=fmt,
                                 af_per_layer=(AfKind.IDENTITY,))
             # row/neuron 0 is all-extreme: the largest product sum plus raw_max bias
             w = rng.integers(lo, hi, size=(2, fan_in), endpoint=True)
             x = rng.integers(lo, hi, size=(2, fan_in), endpoint=True)
             w[0], x[0] = lo, lo
+            if fan_in > 64:   # row 1 from 64 random raws keeps the oracle's QValues few
+                x[1] = rng.choice(x[1, :64], size=fan_in)
             b = np.array([hi, int(rng.integers(lo, hi, endpoint=True))])
             params = Params([LayerParams(w, b)], fmt)
-            batch = forward_quantized_batch(cfg, params, x)
-            for row, out in zip(x, batch):
-                oracle = forward_quantized(cfg, params, [QValue(int(v), fmt) for v in row])
-                assert [v.raw for v in oracle] == out.tolist(), (str(fmt), fan_in)
+            # Past fan-in 512 the all-extreme row alone keeps the oracle fast.
+            _assert_batch_matches_oracle(cfg, params, x[:1] if fan_in > 512 else x, fan_in)
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("fold", FOLD_MODES)
+def test_batch_kernel_matches_oracle_on_folded_images(fold):
+    # A folded pixel is k/1024 or k/256, so its raws share a power-of-two factor.
+    images, _ = synthetic_digits(2, seed=5)
+    x = np.stack([half_fold(img, fold).reshape(-1) for img in images])
+    cfg = NetworkConfig((196, 5, 3), max_fma=5)
+    float_params = init_params(cfg, seed=2)
+    for total_bits in range(24, 65):
+        fmt = QFormat(total_bits, 3)
+        _assert_batch_matches_oracle(dataclasses.replace(cfg, qformat=fmt),
+                                     quantize_params(float_params, fmt),
+                                     quantize_array(x, fmt), fold)
+
+
+def _raw_params(rng, sizes, fmt, weight_bits=None):
+    """Random raw params for sizes: weights of magnitude up to 2^weight_bits
+    (the whole format if None) and full-range biases."""
+    lo, hi = (fmt.raw_min, fmt.raw_max) if weight_bits is None else (-(1 << weight_bits), 1 << weight_bits)
+    return Params([LayerParams(rng.integers(lo, hi, size=(n, k), endpoint=True),
+                               rng.integers(fmt.raw_min, fmt.raw_max, size=n, endpoint=True))
+                   for k, n in zip(sizes[:-1], sizes[1:])], fmt)
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits", [24, 32, 40, 48, 53, 54, 56, 64])
+def test_batch_kernel_matches_oracle_on_small_and_raw_min_inputs(total_bits):
+    """Inputs of a few bits, some times a large power of two, and rows at
+    raw_min (magnitude exactly 2^(t-1)) or holding only raw_min and 0, against
+    full-range and small weights."""
+    fmt = QFormat(total_bits, 3)
+    rng = np.random.default_rng(700 + total_bits)
+    cfg = NetworkConfig((48, 4, 3), max_fma=4, qformat=fmt,
+                        af_per_layer=(AfKind.IDENTITY, AfKind.IDENTITY))
+    small = rng.integers(-3, 3, size=(4, 48), endpoint=True)
+    shifted = small << rng.integers(0, total_bits - 3, size=(4, 1))
+    raw_min = np.full((2, 48), fmt.raw_min)
+    raw_min[1, ::2] = 0
+    blocks = [small, shifted, raw_min, np.concatenate([small, raw_min])]
+    for weight_bits in (None, 1, 9, total_bits // 2):
+        params = _raw_params(rng, cfg.layer_sizes, fmt, weight_bits)
+        for i, x in enumerate(blocks):
+            _assert_batch_matches_oracle(cfg, params, x, weight_bits, i)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_batch_kernel_matches_oracle_around_the_chunk_size(offset):
+    """Row counts one short of, at and one past a chunk: small rows that fit
+    one float matmul beside rows at raw_min that need limbs, all-zero rows,
+    and all-zero chunks before and after a non-zero one."""
+    fmt, fan_in = QFormat(32, 3), 4096
+    chunk = max(1, _CHUNK // fan_in)
+    rows = chunk + offset
+    rng = np.random.default_rng(40 + offset)
+    cfg = NetworkConfig((fan_in, 2, 2), max_fma=2, qformat=fmt)
+    params = _raw_params(rng, cfg.layer_sizes, fmt, weight_bits=16)
+    pool = rng.integers(-255, 255, size=64, endpoint=True) << 19   # like a folded pixel
+    small = rng.choice(pool, size=(rows, fan_in))
+    small[0] = 0
+    extreme = np.where(rng.integers(2, size=fan_in), fmt.raw_min, rng.choice(pool, size=fan_in) + 1)
+    zeros = np.zeros((rows, fan_in), np.int64)
+    for name, x, last in (("small then extreme", small, extreme), ("zeros then extreme", zeros, extreme),
+                          ("small then zeros", small, 0)):
+        x = x.copy()
+        x[-1] = last
+        _assert_batch_matches_oracle(cfg, params, x, name, rows)
+
+
+@pytest.mark.parametrize("afs", [(AfKind.IDENTITY, AfKind.SIGMOID, AfKind.IDENTITY),
+                                 (AfKind.RELU, AfKind.SIGMOID, AfKind.RELU)])
+def test_batch_sigmoid_layer_after_a_float_route_layer(afs):
+    fmt = QFormat(16, 3)
+    cfg = NetworkConfig((12, 8, 6, 4), qformat=fmt, af_per_layer=afs)
+    assert _float_route(fmt, 12) and _float_route(fmt, 8)
+    params = _raw_params(np.random.default_rng(17), cfg.layer_sizes, fmt, weight_bits=fmt.frac_bits - 2)
+    x = np.random.default_rng(18).integers(fmt.raw_min, fmt.raw_max, size=(20, 12), endpoint=True)
+    _assert_batch_matches_oracle(cfg, params, x)
 
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")

@@ -11,8 +11,10 @@ The two forward passes here are the reference semantics for everything else:
                           engine must match.
 
 forward_quantized_batch is a vectorized equivalent for dataset-scale work: an
-exact float64 BLAS kernel (limb-split operands, integer recombination, one
-rounding) at every width from 4 to 64 bits.  It is pinned bit-equal to the
+exact float64 BLAS kernel at every width from 4 to 64 bits.  Row chunks run
+through every layer in turn; each layer is one float64 matmul where the
+operands' measured magnitudes allow, else limb-split operands with integer
+recombination, and one rounding either way.  It is pinned bit-equal to the
 scalar oracle by tests, never by construction.
 
 What a path needs of its config, parameters and input is stated once, in
@@ -279,10 +281,10 @@ def check_input(cfg: NetworkConfig, length: int, fmts=(), raws=None) -> None:
 # Every integer below 2^53 in magnitude is a float64, so a float64 matmul whose
 # partial sums all stay below that bound is exact in any summation order.
 _F64_EXACT_BITS = 53
-# Elements per float64 temporary in quantize_array and _exact_layer (256 KiB):
-# dataset-sized temporaries cost page faults on every call, and two alive at
-# once cost several times one.
-_CHUNK = 1 << 15
+# Elements per float64 temporary in quantize_array, and per row chunk of the
+# batch kernel (1 MiB): dataset-sized temporaries cost page faults on every
+# call, and two alive at once cost several times one.
+_CHUNK = 1 << 17
 
 
 def quantize_array(x, fmt: QFormat) -> np.ndarray:
@@ -377,69 +379,105 @@ def forward_quantized(cfg: NetworkConfig, params: Params, x) -> list[QValue]:
     return [QValue(raw, fmt) for raw in acts]
 
 
-def _split_limbs(x: np.ndarray, nb: int, limbs: np.ndarray) -> np.ndarray:
-    """Fill float64 limbs [n, *x.shape] with x = sum_i limbs[i] << (i*nb).
+def _limbs(x: np.ndarray, nb: int, n: int, z: int = 0):
+    """The n float64 limbs of x >> z, low first: x >> z = sum_i limb_i << (i*nb).
 
     The low limbs are unsigned and the top limb is signed.
     """
-    n = len(limbs)
-    for i in range(n - 1):
-        np.bitwise_and(x >> (i * nb), (1 << nb) - 1, out=limbs[i])
-    limbs[n - 1] = x >> ((n - 1) * nb) if n > 1 else x
-    return limbs
+    for i in range(n):
+        limb = x >> (z + i * nb) if z or i else x
+        if i < n - 1:
+            limb = limb & ((1 << nb) - 1)
+        yield limb.astype(np.float64)
 
 
-def _limb_plan(fmt: QFormat, fan_in: int) -> tuple[int, int, int, int, type]:
+def _bits(x: np.ndarray, z: int = 0) -> int:
+    """The least m >= 1 with |x >> z| <= 2^m for every entry of the integer array x."""
+    return max(1, ((max(int(x.max()), -int(x.min())) >> z) - 1).bit_length())
+
+
+def _limb_plan(fmt: QFormat, fan_in: int, m_a: int | None = None, m_w: int | None = None,
+               z: int = 0) -> tuple[int, int, int, int, type]:
     """(n_a, nb_a, n_w, nb_w, dtype): how _exact_layer splits and rounds one layer.
 
-    Inputs are cut into n_a limbs of nb_a bits and weights into n_w limbs of
-    nb_w bits, with nb_a + nb_w + bitlen(fan_in) = 53, so every partial sum
-    of fan_in limb products stays below 2^53.  Of those splits, the one with
-    the fewest limb products wins, and on a tie the one that cuts the inputs,
-    the large operand, into fewer limbs: through 23 bits at fan-in 196 that is
-    one plain matmul, at 32 bits whole inputs against three weight limbs.
+    The inputs a are multiples of 2^z with |a >> z| <= 2^m_a and the weights
+    hold |W| <= 2^m_w; with no bounds given, the format's worst case m_a =
+    m_w = t - 1 and z = 0.  a >> z is cut into n_a limbs of nb_a bits and W
+    into n_w limbs of nb_w bits, with n_a * nb_a >= m_a, n_w * nb_w >= m_w and
+    nb_a + nb_w + bitlen(fan_in) = 53, so every partial sum of fan_in limb
+    products stays below 2^53.  Of those splits, the one with the fewest limb
+    products wins, and on a tie the one that cuts the inputs into fewer limbs.
 
-    dtype picks the rounding route.  float64 when the whole pre-rounding sum
-    S = a @ W.T + (bias << f) is a float64 integer: |a @ W.T| <= fan_in *
-    2^(2t-2) < 2^52 and |bias << f| <= 2^(t-1+f) <= 2^51, so S and S * 2^-f
-    are exact and one np.rint rounds.  Else the limb products are folded into
-    the quotient and remainder of S by 2^f, in int64 when that provably fits,
-    else in Python ints (object).
+    dtype picks the rounding route.  float64 when one matmul of a against
+    W * 2^-f plus the bias is the whole pre-rounding sum S = a @ W.T +
+    (bias << f) times 2^-f, exactly: every partial sum is a multiple of 2^u,
+    u = min(z - f, 0), and |a @ W.T| * 2^-f < 2^(bitlen(fan_in) + m_a + m_w +
+    z - f) <= 2^(52 + u) and |bias| <= 2^(t - 1) <= 2^(52 + u), so one
+    np.rint rounds.  In the worst case that is through 23 bits at fan-in 196.
+    Else the limb products are folded into the quotient and remainder of S by
+    2^f, in int64 when that provably fits, else in Python ints (object).
     """
     t, f = fmt.total_bits, fmt.frac_bits
-    budget = _F64_EXACT_BITS - fan_in.bit_length()   # fan_in * 2^budget < 2^53
+    m_a = t - 1 if m_a is None else m_a
+    m_w = t - 1 if m_w is None else m_w
+    bits = fan_in.bit_length()
+    budget = _F64_EXACT_BITS - bits   # fan_in * 2^budget < 2^53
     splits = []
-    for n_a in range(-(-(t - 1) // (budget - 1)), t):
-        nb_a = -(-(t - 1) // n_a)   # |limb| <= 2^nb: the top limb holds t-1-(n-1)*nb bits
+    for n_a in range(-(-m_a // (budget - 1)), m_a + 1):
+        nb_a = -(-m_a // n_a)   # |limb| <= 2^nb: the top limb holds m-(n-1)*nb bits
         nb_w = budget - nb_a
-        splits.append((n_a * -(-(t - 1) // nb_w), n_a, nb_a, nb_w))
+        splits.append((n_a * -(-m_w // nb_w), n_a, nb_a, nb_w))
     products, n_a, nb_a, nb_w = min(splits)
     n_w = products // n_a
-    if fan_in.bit_length() + 2 * t - 2 < _F64_EXACT_BITS and t - 1 + f < _F64_EXACT_BITS - 1:
+    u = min(z - f, 0)
+    if bits + m_a + m_w + z - f <= 52 + u and t - 1 <= 52 + u:
         return n_a, nb_a, n_w, nb_w, np.float64
-    # |q| <= fan_in * 2^(2t - f) + |bias| + small, and r < products * 2^f.
-    fits = fan_in.bit_length() + 2 * t - f < 62 and f + products.bit_length() < 63
+    # |q| < 9 * fan_in * 2^(m_a + m_w + z - f) + |bias| + products, and r < products * 2^f.
+    fits = max(t - 1, bits + m_a + m_w + 2 + z - f) < 62 and f + products.bit_length() < 63
     return n_a, nb_a, n_w, nb_w, np.int64 if fits else object
 
 
-def _fold_limbs(prods: np.ndarray, biases: np.ndarray, nb_a: int, nb_w: int,
-                f: int, dtype: type) -> np.ndarray:
-    """round_half_even_shift(S, f) for S = sum P_ij << (i*nb_a + j*nb_w) + (bias << f).
+def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
+                 m_w: int | None) -> np.ndarray:
+    """clip(round_half_even_shift(a @ W.T + (bias << f), f)) for in-range raws a.
 
-    prods holds the limb product sums P_ij as [n_a, rows, n_w, width].  S is
-    never formed: each P_ij is folded into the quotient q and remainder r of
-    S by 2^f, so the bias adds to q unshifted and the single rounding happens
-    on (q, r).
+    a is int64, or float64 holding integers, and w_f is W.T * 2^-f.  Where
+    m_w is None the format's worst-case plan is already the float route; else
+    the plan is sized from the operands (_limb_plan): m_w bits of weight, and
+    the common power-of-two factor 2^z of a with the bits of a >> z.
+    Error-free operand splitting (Ozaki, Ogita, Oishi & Rump, Numer.
+    Algorithms 59, 2012): float64 BLAS matmuls compute every limb product sum
+    exactly, in any summation order.  The float route returns float64
+    integers, the others int64.
     """
-    n_a, rows, n_w, width = prods.shape
-    q = np.empty((rows, width), dtype)
-    q[...] = biases
-    r = np.zeros((rows, width), dtype)
-    for i in range(n_a):
+    f = fmt.frac_bits
+    width, fan_in = lp.weights.shape
+    dtype = np.float64
+    if m_w is not None:
+        ints = a.astype(np.int64, copy=False)
+        ored = int(np.bitwise_or.reduce(ints, axis=None))
+        z = (ored & -ored).bit_length() - 1 if ored else 0   # the lowest set bit of the OR
+        n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, fan_in, _bits(ints, z), m_w, z)
+    if dtype is np.float64:
+        # A float64 matmul is as exact on k * 2^z as on k, and scaling by 2^-f
+        # is exact, so it yields (a @ W.T) * 2^-f and adding the bias S * 2^-f.
+        p = a.astype(np.float64, copy=False) @ w_f
+        p += lp.biases
+        np.clip(p, fmt.raw_min, fmt.raw_max, out=p)
+        return np.rint(p, out=p)   # halves to even
+    # Each limb product sum P_ij is folded into the quotient q and remainder r
+    # of S by 2^f, so the bias adds to q unshifted, S is never formed and the
+    # single rounding happens on (q, r).
+    w_limbs = np.concatenate(list(_limbs(lp.weights, nb_w, n_w))).T
+    q = np.empty((len(a), width), dtype)
+    q[...] = lp.biases
+    r = np.zeros((len(a), width), dtype)
+    for i, limb in enumerate(_limbs(ints, nb_a, n_a, z)):
+        # |P_ij| < 2^53, so the int64 cast is exact; object takes Python ints from it.
+        prods = (limb @ w_limbs).astype(np.int64).astype(dtype, copy=False)
         for j in range(n_w):
-            # |P_ij| < 2^53, so the int64 cast is exact; object takes Python ints from it.
-            p = prods[i, :, j].astype(np.int64).astype(dtype, copy=False)
-            s = i * nb_a + j * nb_w
+            p = prods[:, j * width:(j + 1) * width]
+            s = z + i * nb_a + j * nb_w
             if s >= f:
                 p <<= s - f
                 q += p
@@ -450,54 +488,17 @@ def _fold_limbs(prods: np.ndarray, biases: np.ndarray, nb_a: int, nb_w: int,
                 r += p
     q += r >> f
     r &= (1 << f) - 1
-    return round_quotient(q, r, f)
-
-
-def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat) -> np.ndarray:
-    """clip(round_half_even_shift(a @ W.T + (bias << f), f)) for in-range int64 raws.
-
-    Error-free operand splitting (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms
-    59, 2012; limbs and route as in _limb_plan): one float64 BLAS matmul
-    computes every limb product sum exactly, in any summation order.  Rows go
-    through in chunks of about _CHUNK input elements, each split straight into
-    its matmul and rounded into the int64 result.
-    """
-    f = fmt.frac_bits
-    rows, (width, fan_in) = a.shape[0], lp.weights.shape
-    n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, fan_in)
-    w_limbs = _split_limbs(lp.weights, nb_w, np.empty((n_w, width, fan_in)))
-    if dtype is np.float64:
-        # Scaling by 2^-f is exact, so the matmul yields (a @ W.T) * 2^-f and
-        # adding the bias gives S * 2^-f, both as exactly as S itself.
-        w_limbs *= 2.0 ** -f
-    w_limbs = w_limbs.reshape(n_w * width, fan_in).T
-    out = np.empty((rows, width), np.int64)
-    step = max(1, min(rows, _CHUNK // (n_a * fan_in)))
-    limbs, prods = np.empty((n_a, step, fan_in)), np.empty((n_a, step, n_w * width))
-    for lo in range(0, rows, step):
-        chunk = a[lo:lo + step]
-        c = len(chunk)
-        _split_limbs(chunk, nb_a, limbs[:, :c])
-        p = prods[:, :c]
-        for i in range(n_a):
-            np.matmul(limbs[i, :c], w_limbs, out=p[i])
-        if dtype is np.float64:
-            p = p[0]
-            p += lp.biases
-            np.clip(p, fmt.raw_min, fmt.raw_max, out=p)
-            out[lo:lo + step] = np.rint(p, out=p)   # halves to even
-        else:
-            raw = _fold_limbs(p.reshape(n_a, -1, n_w, width), lp.biases, nb_a, nb_w, f, dtype)
-            out[lo:lo + step] = np.clip(raw, fmt.raw_min, fmt.raw_max)
-    return out
+    return np.clip(round_quotient(q, r, f), fmt.raw_min, fmt.raw_max).astype(np.int64, copy=False)
 
 
 def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarray) -> np.ndarray:
     """Vectorized forward_quantized over a batch of raw input vectors [N, D].
 
-    Every layer runs through one exact float64 BLAS kernel (_exact_layer) at
-    every width from 4 to 64 bits.  Raw inputs must lie inside the config's
-    format; int64 and Python-int object arrays are both accepted.
+    Rows go through in chunks of about _CHUNK input elements, each chunk
+    through every layer (_exact_layer, then activate_raw) before the next
+    starts, so every temporary stays chunk-sized; a float-route layer hands
+    its activations on as float64 integers.  Raw inputs must lie inside the
+    config's format; int64 and Python-int object arrays are both accepted.
     """
     check_forward(cfg, params)
     a = np.asarray(x_raw)
@@ -506,10 +507,21 @@ def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarra
     check_input(cfg, a.shape[1], raws=a)
     fmt = cfg.qformat
     a = a.astype(np.int64, copy=False)
+    layers = []
     for lp, kind in zip(params.layers, cfg.afs):
+        float_route = _limb_plan(fmt, lp.weights.shape[1])[4] is np.float64
         lut = build_sigmoid_lut(fmt) if kind is AfKind.SIGMOID else None
-        a = activate_raw(kind, _exact_layer(a, lp, fmt), fmt, lut)
-    return a
+        m_w = None if float_route else _bits(lp.weights)
+        layers.append((lp, lp.weights.T * 2.0 ** -fmt.frac_bits, m_w, kind, lut))
+    out = np.empty((len(a), cfg.layer_sizes[-1]), np.int64)
+    step = max(1, _CHUNK // a.shape[1])
+    for lo in range(0, len(a), step):
+        h = a[lo:lo + step]
+        for lp, w_f, m_w, kind, lut in layers:
+            h = _exact_layer(h, lp, fmt, w_f, m_w)
+            h = activate_raw(kind, h if lut is None else h.astype(np.int64, copy=False), fmt, lut)
+        out[lo:lo + step] = h
+    return out
 
 
 # =============================================================================

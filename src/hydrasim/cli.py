@@ -49,6 +49,7 @@ from .model import (
     save_params,
     train_minimal,
     validate,
+    validate_layers,
 )
 from .timing import af_savings, per_layer_af_savings, t_parallel, t_reuse, throughput_report
 
@@ -255,7 +256,7 @@ def cmd_train(args) -> int:
     if args.layers is None and args.config is None:
         args.layers = "196:64:32:32:10"
     cfg = _build_config(args, None)
-    ensure_valid(cfg)
+    ensure_valid(cfg, validate_layers)
     ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
     params = train_minimal(
         ds.flat,

@@ -167,21 +167,28 @@ class NetworkConfig:
         return self.layer_sizes[layer + 1]
 
 
-def validate(cfg: NetworkConfig) -> list[str]:
-    """Check every NetworkConfig invariant; returns one message per violation."""
+def validate_layers(cfg: NetworkConfig) -> list[str]:
+    """Check the layer sizes and the activation count, all that float training
+    reads of a config; returns one message per violation."""
     errors = []
     if len(cfg.layer_sizes) < 2:
         errors.append("layer_sizes needs at least an input dimension and one layer")
     if any(s < 1 for s in cfg.layer_sizes):
         errors.append(f"every layer size must be >= 1, got {cfg.layer_sizes}")
-    if cfg.max_fma < 1:
-        errors.append(f"max_fma must be >= 1, got {cfg.max_fma}")
     if cfg.af_per_layer is not None:
         if len(cfg.af_per_layer) != cfg.n_layers:
             errors.append(
                 f"af_per_layer has {len(cfg.af_per_layer)} entries for "
                 f"{cfg.n_layers} compute layers"
             )
+    return errors
+
+
+def validate(cfg: NetworkConfig) -> list[str]:
+    """Check every NetworkConfig invariant; returns one message per violation."""
+    errors = validate_layers(cfg)
+    if cfg.max_fma < 1:
+        errors.append(f"max_fma must be >= 1, got {cfg.max_fma}")
     if cfg.softmax_cycles < 0:
         errors.append(f"softmax_cycles must be >= 0, got {cfg.softmax_cycles}")
     if len(cfg.layer_sizes) >= 2 and all(s >= 1 for s in cfg.layer_sizes):
@@ -195,8 +202,8 @@ def validate(cfg: NetworkConfig) -> list[str]:
     return errors
 
 
-def ensure_valid(cfg: NetworkConfig) -> None:
-    errors = validate(cfg)
+def ensure_valid(cfg: NetworkConfig, rules=validate) -> None:
+    errors = rules(cfg)
     if errors:
         raise ConfigError("; ".join(errors))
 
@@ -568,7 +575,7 @@ def train_minimal(
     Single-threaded and bit-deterministic for a given seed; exists to
     manufacture realistic parameters at desk scale, not to chase accuracy.
     """
-    ensure_valid(cfg)
+    ensure_valid(cfg, validate_layers)
     if not (math.isfinite(lr) and epochs >= 0 and batch_size >= 1):
         raise ConfigError(f"need a finite lr, epochs >= 0 and batch_size >= 1, "
                           f"got {lr}, {epochs} and {batch_size}")

@@ -770,6 +770,19 @@ def test_train_runs_a_layer_wider_than_the_array(tmp_path, synth_dataset_dir, ca
     assert load_params(out).layer_sizes == (196, 100, 10)
 
 
+def test_train_reads_no_sigmoid_format_bound(tmp_path, synth_dataset_dir, capsys):
+    # Float training builds no LUT, so a 32-bit format beside sigmoid is no error.
+    cfg_path, out = tmp_path / "net.json", tmp_path / "p.json"
+    cfg_path.write_text(json.dumps({"layer_sizes": [196, 8, 10],
+                                    "qformat": {"total_bits": 32, "int_bits": 3}}))
+    rc = main(["train", "--images", str(synth_dataset_dir["train_images"]),
+               "--labels", str(synth_dataset_dir["train_labels"]), "--limit", "20",
+               "--epochs", "1", "--config", str(cfg_path), "--layers", "196:8:10",
+               "--af", "sigmoid", "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert load_params(out).layer_sizes == (196, 8, 10)
+
+
 @pytest.mark.parametrize("bits_list", ["", ",", ",8,,16,", "8,16,"])
 def test_sweep_empty_bits_list_is_an_error(tmp_path, float_params_file, synth_dataset_dir,
                                            capsys, bits_list):

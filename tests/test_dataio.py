@@ -1,5 +1,6 @@
 """IDX parsing and half-folding tests, including a totality fuzz pass."""
 
+import re
 import struct
 from fractions import Fraction
 
@@ -192,6 +193,12 @@ def test_to_input_vector_zeros_and_constant():
     assert len(zeros) == 196 and all(v.raw == 0 for v in zeros)
     half = to_input_vector(np.full((14, 14), 0.5), Q83)
     assert all(v.raw == 16 for v in half)
+
+
+@pytest.mark.parametrize("shape", [(196,), (28, 28), (14, 13)])
+def test_to_input_vector_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=re.escape(f"expected a 14x14 image, got {shape}")):
+        to_input_vector(np.zeros(shape), Q83)
 
 
 def test_to_input_vector_row_major_order():

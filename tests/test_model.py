@@ -412,6 +412,44 @@ def test_train_gradient_matches_finite_differences():
         np.testing.assert_allclose(implied, numeric, rtol=1e-5, atol=1e-7)
 
 
+def test_train_sigmoid_gradient_matches_finite_differences():
+    """The sigmoid derivative a * (1 - a) against central finite differences."""
+    rng = np.random.default_rng(1)
+    cfg = NetworkConfig((4, 3, 2), af_per_layer=(AfKind.SIGMOID, AfKind.SIGMOID))
+    xb, yb = rng.uniform(-1, 1, (6, 4)), rng.integers(0, 2, 6)
+
+    def loss(params):
+        logits = forward_float(cfg, params, xb)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return -np.mean(np.log(p[np.arange(6), yb] / p.sum(axis=1)))
+
+    lr, eps = 1e-3, 1e-6
+    p0 = init_params(cfg, seed=9)
+    trained = train_minimal(xb, yb, cfg, epochs=1, lr=lr, seed=9, batch_size=6)
+    for l in range(cfg.n_layers):
+        implied = (p0.layers[l].weights - trained.layers[l].weights) / lr
+        numeric = np.zeros_like(implied)
+        for idx in np.ndindex(implied.shape):
+            probe = init_params(cfg, seed=9)
+            probe.layers[l].weights[idx] += eps
+            up = loss(probe)
+            probe.layers[l].weights[idx] -= 2 * eps
+            numeric[idx] = (up - loss(probe)) / (2 * eps)
+        np.testing.assert_allclose(implied, numeric, rtol=1e-5, atol=1e-8)
+
+
+def test_train_checks_only_what_float_training_reads():
+    x, y = _synthetic_training_set(n=8)
+    wide_sigmoid = NetworkConfig((x.shape[1], 3, 10), qformat=QFormat(32, 3),
+                                 af_per_layer=(AfKind.SIGMOID, AfKind.IDENTITY))
+    assert validate(wide_sigmoid)   # no LUT at 32 bits, yet training builds none
+    assert train_minimal(x, y, wide_sigmoid, epochs=1).layer_sizes == (x.shape[1], 3, 10)
+    for bad in (NetworkConfig((x.shape[1], 0, 10)),
+                NetworkConfig((x.shape[1], 3, 10), af_per_layer=(AfKind.RELU,))):
+        with pytest.raises(ConfigError):
+            train_minimal(x, y, bad)
+
+
 def test_train_rejects_empty_or_mismatched_data():
     cfg = NetworkConfig((196, 8, 10), max_fma=16)
     with pytest.raises(ConfigError):
@@ -769,6 +807,14 @@ def _assert_extreme_layer_agrees(fmt, fan_in, hidden):
         oracle = [v.raw for v in forward_quantized(cfg, params, x)]
         engine, _ = run_inference(cfg, params, x)
         assert oracle == [v.raw for v in engine] == out.tolist(), (str(fmt), fan_in)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (1, 2, 1)])
+def test_batch_rejects_inputs_that_are_not_2d(shape):
+    cfg = NetworkConfig((2, 1), max_fma=1)
+    params = Params([LayerParams(np.zeros((1, 2), np.int64), np.zeros(1, np.int64))], Q83)
+    with pytest.raises(ConfigError, match=re.escape("expected raw inputs of shape [N, 2]")):
+        forward_quantized_batch(cfg, params, np.zeros(shape, np.int64))
 
 
 def test_batch_rejects_out_of_range_raw_inputs():

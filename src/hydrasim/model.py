@@ -389,13 +389,14 @@ def forward_quantized(cfg: NetworkConfig, params: Params, x) -> list[QValue]:
 def _limbs(x: np.ndarray, nb: int, n: int, z: int = 0):
     """The n float64 limbs of x >> z, low first: x >> z = sum_i limb_i << (i*nb).
 
-    The low limbs are unsigned and the top limb is signed.
+    The low limbs are unsigned and the top limb is signed.  x is int64, or
+    float64 integers where it is its own one limb (n = 1, z = 0).
     """
     for i in range(n):
         limb = x >> (z + i * nb) if z or i else x
         if i < n - 1:
             limb = limb & ((1 << nb) - 1)
-        yield limb.astype(np.float64)
+        yield limb.astype(np.float64, copy=False)
 
 
 def _bits(x: np.ndarray, z: int = 0) -> int:
@@ -439,7 +440,9 @@ def _limb_plan(fmt: QFormat, fan_in: int, m_a: int | None = None, m_w: int | Non
     u = min(z - f, 0)
     if bits + m_a + m_w + z - f <= 52 + u and t - 1 <= 52 + u:
         return n_a, nb_a, n_w, nb_w, np.float64
-    # |q| < 9 * fan_in * 2^(m_a + m_w + z - f) + |bias| + products, and r < products * 2^f.
+    # |q| < 9 * fan_in * 2^(m_a + m_w + z - f) + |bias| + products, and |r| <
+    # products * 2^(62 - bitlen(products)): the fold adds to r each P_ij << s
+    # below 2^f, or whole where |P_ij << s| < 2^(53 + s) is that small.
     fits = max(t - 1, bits + m_a + m_w + 2 + z - f) < 62 and f + products.bit_length() < 63
     return n_a, nb_a, n_w, nb_w, np.int64 if fits else object
 
@@ -479,7 +482,7 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
     q = np.empty((len(a), width), dtype)
     q[...] = lp.biases
     r = np.zeros((len(a), width), dtype)
-    for i, limb in enumerate(_limbs(ints, nb_a, n_a, z)):
+    for i, limb in enumerate(_limbs(a if n_a == 1 and not z else ints, nb_a, n_a, z)):
         # |P_ij| < 2^53, so the int64 cast is exact; object takes Python ints from it.
         prods = (limb @ w_limbs).astype(np.int64).astype(dtype, copy=False)
         for j in range(n_w):
@@ -488,6 +491,9 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
             if s >= f:
                 p <<= s - f
                 q += p
+            elif s + _F64_EXACT_BITS + (n_a * n_w).bit_length() < 63:   # r holds it whole
+                p <<= s
+                r += p
             else:
                 q += p >> (f - s)
                 p &= (1 << (f - s)) - 1

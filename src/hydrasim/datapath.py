@@ -107,15 +107,17 @@ def build_sigmoid_lut(fmt: QFormat) -> np.ndarray:
 
 
 def activate_raw(kind: AfKind, raw, fmt: QFormat, lut: np.ndarray | None = None):
-    """The activation rule on raw codes of fmt: a Python int or an int64 ndarray."""
+    """The activation rule on raw codes of fmt: a Python int, or an ndarray of
+    them as int64 or as float64 integers (the table returns int64)."""
+    scalar = isinstance(raw, int)
     if kind is AfKind.RELU:
-        return raw * (raw > 0)   # max(0, raw), one expression for ints and arrays
+        return max(raw, 0) if scalar else np.maximum(raw, 0)
     if kind is AfKind.IDENTITY:
         return raw
     if lut is None:
         raise ConfigError("sigmoid selected but no LUT was built for this unit")
-    index = raw & ((1 << fmt.total_bits) - 1)
-    return int(lut[index]) if isinstance(index, int) else np.take(lut, index)
+    mask = (1 << fmt.total_bits) - 1
+    return int(lut[raw & mask]) if scalar else np.take(lut, raw.astype(np.int64, copy=False) & mask)
 
 
 class ActivationUnit:

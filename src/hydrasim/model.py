@@ -531,8 +531,7 @@ def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarra
     for lo in range(0, len(a), step):
         h = a[lo:lo + step]
         for lp, w_f, m_w, kind, lut in layers:
-            h = _exact_layer(h, lp, fmt, w_f, m_w)
-            h = activate_raw(kind, h if lut is None else h.astype(np.int64, copy=False), fmt, lut)
+            h = activate_raw(kind, _exact_layer(h, lp, fmt, w_f, m_w), fmt, lut)
         out[lo:lo + step] = h
     return out
 

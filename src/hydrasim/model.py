@@ -478,15 +478,14 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
     # Each limb product sum P_ij is folded into the quotient q and remainder r
     # of S by 2^f, so the bias adds to q unshifted, S is never formed and the
     # single rounding happens on (q, r).
-    w_limbs = np.concatenate(list(_limbs(lp.weights, nb_w, n_w))).T
+    w_limbs = list(_limbs(lp.weights, nb_w, n_w))
     q = np.empty((len(a), width), dtype)
     q[...] = lp.biases
     r = np.zeros((len(a), width), dtype)
     for i, limb in enumerate(_limbs(a if n_a == 1 and not z else ints, nb_a, n_a, z)):
-        # |P_ij| < 2^53, so the int64 cast is exact; object takes Python ints from it.
-        prods = (limb @ w_limbs).astype(np.int64).astype(dtype, copy=False)
-        for j in range(n_w):
-            p = prods[:, j * width:(j + 1) * width]
+        for j, w_limb in enumerate(w_limbs):
+            # |P_ij| < 2^53, so the int64 cast is exact; object takes Python ints from it.
+            p = (limb @ w_limb.T).astype(np.int64).astype(dtype, copy=False)
             s = z + i * nb_a + j * nb_w
             if s >= f:
                 p <<= s - f

@@ -639,25 +639,23 @@ def _assert_batch_matches_oracle(cfg, params, x, *context):
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
 @pytest.mark.parametrize("total_bits", range(4, 65))
 def test_batch_kernel_matches_oracle_across_limb_plans(total_bits):
-    """Fan-ins through 512 at three int_bits, through 4096 at one of them."""
+    """Fan-ins through 64 at three int_bits, through 4096 at one of them."""
     rng = np.random.default_rng(900 + total_bits)
     wide_int_bits = (1, 3, total_bits)[total_bits % 3]
     for int_bits in sorted({1, 3, total_bits}):
         fmt = QFormat(total_bits, int_bits)
         lo, hi = fmt.raw_min, fmt.raw_max
-        for fan_in in _plan_boundary_fan_ins(fmt, 13 if int_bits == wide_int_bits else 10):
+        for fan_in in _plan_boundary_fan_ins(fmt, 13 if int_bits == wide_int_bits else 7):
             cfg = NetworkConfig((fan_in, 2), max_fma=2, qformat=fmt,
                                 af_per_layer=(AfKind.IDENTITY,))
             # row/neuron 0 is all-extreme: the largest product sum plus raw_max bias
             w = rng.integers(lo, hi, size=(2, fan_in), endpoint=True)
             x = rng.integers(lo, hi, size=(2, fan_in), endpoint=True)
             w[0], x[0] = lo, lo
-            if fan_in > 64:   # row 1 from 64 random raws keeps the oracle's QValues few
-                x[1] = rng.choice(x[1, :64], size=fan_in)
             b = np.array([hi, int(rng.integers(lo, hi, endpoint=True))])
             params = Params([LayerParams(w, b)], fmt)
-            # Past fan-in 512 the all-extreme row alone keeps the oracle fast.
-            _assert_batch_matches_oracle(cfg, params, x[:1] if fan_in > 512 else x, fan_in)
+            # Past fan-in 64 the all-extreme row alone keeps the scalar oracle fast.
+            _assert_batch_matches_oracle(cfg, params, x[:1] if fan_in > 64 else x, fan_in)
 
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
@@ -708,8 +706,9 @@ def test_batch_kernel_matches_oracle_on_small_and_raw_min_inputs(total_bits):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_batch_kernel_matches_oracle_around_the_chunk_size(offset):
     """Row counts one short of, at and one past a chunk: small rows that fit
-    one float matmul beside rows at raw_min that need limbs, all-zero rows,
-    and all-zero chunks before and after a non-zero one."""
+    one float matmul beside a last row at raw_min that needs limbs, an
+    all-zero row, and past a chunk all-zero chunks before and after a
+    non-zero one."""
     fmt, fan_in = QFormat(32, 3), 4096
     chunk = max(1, _CHUNK // fan_in)
     rows = chunk + offset
@@ -721,8 +720,10 @@ def test_batch_kernel_matches_oracle_around_the_chunk_size(offset):
     small[0] = 0
     extreme = np.where(rng.integers(2, size=fan_in), fmt.raw_min, rng.choice(pool, size=fan_in) + 1)
     zeros = np.zeros((rows, fan_in), np.int64)
-    for name, x, last in (("small then extreme", small, extreme), ("zeros then extreme", zeros, extreme),
-                          ("small then zeros", small, 0)):
+    cases = [("small then extreme", small, extreme)]
+    if offset == 1:
+        cases += [("zeros then extreme", zeros, extreme), ("small then zeros", small, 0)]
+    for name, x, last in cases:
         x = x.copy()
         x[-1] = last
         _assert_batch_matches_oracle(cfg, params, x, name, rows)

@@ -414,7 +414,3 @@ def main(argv=None) -> int:
     except (ValueError, ControlFault) as exc:   # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -122,8 +122,14 @@ def _fold_batch(imgs: np.ndarray, mode: str) -> np.ndarray:
     if mode == "mean":
         # (a+b+c+d)/1024 is exact in float64: the byte sum is an integer below
         # 2^10 and 1024 is a power of two.  Non-byte images sum in their own
-        # (wider) dtype.
-        return np.add.reduce(corners, dtype=np.result_type(imgs, np.uint16)) / 1024.0
+        # (wider) dtype.  Integer sums are exact in any order, so they take two
+        # pairwise adds (rows, then columns) with no stacked copy of the
+        # corners; a float sum keeps the order a, b, c, d, and so its bytes.
+        dtype = np.result_type(imgs, np.uint16)
+        if dtype.kind not in "iu":
+            return np.add.reduce(corners, dtype=dtype) / 1024.0
+        rows = np.add(imgs[:, ::2], imgs[:, 1::2], dtype=dtype)
+        return (rows[:, :, ::2] + rows[:, :, 1::2]) / 1024.0
     if mode == "max":
         return np.maximum.reduce(corners) / 256.0
     if mode == "subsample":

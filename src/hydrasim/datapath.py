@@ -57,11 +57,19 @@ class FmaBank:
         self.width = 0
 
     def step(self, x_raw: int, wcol_raws: list[int]) -> None:
-        """One MAC cycle: armed slot j adds x_raw * wcol_raws[j], exactly."""
+        """One MAC cycle: armed slot j adds x_raw * wcol_raws[j], exactly.
+
+        A zero input adds only zero products, so it leaves every accumulator
+        as it is and does no arithmetic (zero skipping); the gate and the
+        column's length are checked all the same.
+        """
         w = self.width
         if not w:
             raise ControlFault("stepped a power-gated FMA bank")
-        self.acc[:w] = [a + x_raw * c for a, c in zip(self.acc[:w], wcol_raws, strict=True)]
+        if len(wcol_raws) != w:
+            raise ValueError(f"a column of {len(wcol_raws)} weights for {w} armed slots")
+        if x_raw:
+            self.acc[:w] = [a + x_raw * c for a, c in zip(self.acc[:w], wcol_raws)]
 
 
 # Entries whose scaled value lies this many of its ulps from a .5 tie are

@@ -314,7 +314,8 @@ def quantize_array(x, fmt: QFormat) -> np.ndarray:
     for lo in range(0, flat.size, _CHUNK):
         part, dst = flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
         b = buf[:part.size]
-        if not np.isfinite(part).all():
+        # NaN propagates through min and max; an infinity is one of them.
+        if not (math.isfinite(part.min()) and math.isfinite(part.max())):
             raise ValueError("cannot quantize non-finite values")
         over = part >= top / scale if wide else None
         # Power-of-two scaling is exact, so clipping at [-top, hi] / scale
@@ -330,18 +331,26 @@ def quantize_array(x, fmt: QFormat) -> np.ndarray:
 
 
 def quantize_params(params: Params, fmt: QFormat) -> Params:
-    """Element-wise post-training quantization of float params."""
+    """Element-wise post-training quantization of float params.
+
+    Every layer's weights and biases are quantized in one quantize_array
+    call; only a non-finite value sends it looking for the first one.
+    """
     if params.is_quantized:
         raise ConfigError("parameters are already quantized")
-    out = []
-    for l, lp in enumerate(params.layers):
-        for name, arr in (("weight", lp.weights), ("bias", lp.biases)):
-            bad = np.argwhere(~np.isfinite(np.asarray(arr, dtype=np.float64)))
-            if bad.size:
-                idx = tuple(int(i) for i in bad[0])
-                raise ConfigError(f"layer {l} {name}{list(idx)} is not finite")
-        out.append(LayerParams(quantize_array(lp.weights, fmt), quantize_array(lp.biases, fmt)))
-    return Params(out, fmt)
+    arrays = [np.asarray(a, dtype=np.float64) for lp in params.layers
+              for a in (lp.weights, lp.biases)]
+    flat = np.concatenate([a.reshape(-1) for a in arrays]) if arrays else np.empty(0)
+    try:
+        raws = quantize_array(flat, fmt)
+    except ValueError:   # quantize_array refuses only non-finite values: name the first
+        i, bad = next((i, np.argwhere(~np.isfinite(a))[0]) for i, a in enumerate(arrays)
+                      if not np.isfinite(a).all())
+        name = ("weight", "bias")[i % 2]
+        raise ConfigError(f"layer {i // 2} {name}{bad.tolist()} is not finite") from None
+    ends = np.cumsum([a.size for a in arrays])
+    out = [r.reshape(a.shape) for r, a in zip(np.split(raws, ends[:-1]), arrays)]
+    return Params([LayerParams(w, b) for w, b in zip(out[::2], out[1::2])], fmt)
 
 
 # =============================================================================
@@ -576,8 +585,10 @@ def train_minimal(
 ) -> Params:
     """Plain mini-batch SGD with softmax cross-entropy on the float forward pass.
 
-    Single-threaded and bit-deterministic for a given seed; exists to
-    manufacture realistic parameters at desk scale, not to chase accuracy.
+    Bit-deterministic for a given seed and a fixed BLAS thread count: a BLAS
+    that threads a large matmul may sum it in another order (seen with two
+    OpenBLAS threads from batch size 128).  Exists to manufacture realistic
+    parameters at desk scale, not to chase accuracy.
     """
     ensure_valid(cfg, validate_layers)
     if not (math.isfinite(lr) and epochs >= 0 and batch_size >= 1):

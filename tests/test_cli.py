@@ -1,11 +1,16 @@
 """End-to-end CLI tests over synthetic IDX datasets in tmp dirs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import hydrasim
 from hydrasim import cli
 from hydrasim.cli import main
 from hydrasim.datapath import AfKind
@@ -862,3 +867,60 @@ def test_trace_index_without_a_dataset_is_an_error(tmp_path, float_params_file, 
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: trace --index needs --images")
     assert not out.exists()
+
+
+def test_train_defaults_to_the_benchmark_network(tmp_path, synth_dataset_dir, capsys):
+    out = tmp_path / "p.json"
+    rc = main(["train", "--images", str(synth_dataset_dir["train_images"]),
+               "--labels", str(synth_dataset_dir["train_labels"]), "--limit", "20",
+               "--epochs", "1", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"wrote float parameters for 196:64:32:32:10 to {out}\n"
+    assert load_params(out).layer_sizes == (196, 64, 32, 32, 10)
+
+
+@pytest.mark.parametrize("given", ["images", "labels"])
+def test_trace_with_one_dataset_file_is_an_error(tmp_path, float_params_file, synth_dataset_dir,
+                                                 capsys, given):
+    out = tmp_path / "trace.log"
+    rc = main(["trace", "--params", str(float_params_file),
+               f"--{given}", str(synth_dataset_dir[f"test_{given}"]), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: trace needs both --images and --labels, or neither\n"
+    assert not out.exists()
+
+
+def test_trace_index_past_the_dataset_is_an_error(tmp_path, float_params_file, synth_dataset_dir,
+                                                  capsys):
+    out = tmp_path / "trace.log"
+    rc = main(["trace", "--params", str(float_params_file),
+               "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]),
+               "--index", "200", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --index 200 out of range for dataset of 200\n"
+    assert not out.exists()
+
+
+def test_missing_dataset_file_exits_1(tmp_path, float_params_file, synth_dataset_dir, capsys):
+    missing = tmp_path / "absent-idx3-ubyte"
+    rc = main(["simulate", "--params", str(float_params_file), "--images", str(missing),
+               "--labels", str(synth_dataset_dir["test_labels"]), "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: file not found: {missing}\n"
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, synth_dataset_dir):
+    # Each run is a fresh process, since OpenBLAS reads its thread count once;
+    # the default batch size is the one the claim of determinism covers.
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"p{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(hydrasim.__file__).parents[1]))
+        subprocess.run([sys.executable, "-m", "hydrasim", "train",
+                        "--images", str(synth_dataset_dir["train_images"]),
+                        "--labels", str(synth_dataset_dir["train_labels"]),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

@@ -70,6 +70,19 @@ def test_empty_file_is_truncation(tmp_path):
         load_idx_labels(path)
 
 
+def test_missing_file_is_file_not_found(tmp_path):
+    for name in ("absent", "absent.gz"):
+        with pytest.raises(FileNotFoundError):
+            load_idx_images(tmp_path / name)
+
+
+def test_file_shorter_than_its_header_is_truncation(tmp_path):
+    path = tmp_path / "short"
+    path.write_bytes(struct.pack(">II", 0x00000803, 1) + b"\x00\x1c")
+    with pytest.raises(IdxTruncationError, match="10 bytes is too short for an IDX header"):
+        load_idx_images(path)
+
+
 def test_truncated_payload(tmp_path):
     images, _ = synthetic_digits(3, seed=4)
     path = write_idx_images(tmp_path / "imgs", images)
@@ -167,6 +180,39 @@ def test_half_fold_range_strictly_below_one():
         assert out.shape == (14, 14)
         assert np.all(out < 1.0) and np.all(out >= 0.0)
         assert np.all(out == 255 / 256)
+
+
+def _mean_fold_in_corner_order(imgs):
+    """The mean fold as ((a + b) + c) + d over the 2x2 corners, in the sum dtype."""
+    dtype = np.result_type(imgs, np.uint16)
+    a, b, c, d = (imgs[:, i::2, j::2].astype(dtype) for i in (0, 1) for j in (0, 1))
+    return (((a + b) + c) + d) / 1024.0
+
+
+@pytest.mark.parametrize("images", [
+    np.zeros((3, 28, 28), np.uint8),
+    np.full((3, 28, 28), 255, np.uint8),
+    np.random.default_rng(1).integers(0, 256, (40, 28, 28), dtype=np.uint8),
+    np.random.default_rng(2).integers(0, 1 << 14, (5, 28, 28), dtype=np.uint16),
+    np.random.default_rng(3).integers(-(1 << 60), 1 << 60, (5, 28, 28), dtype=np.int64),
+], ids=["uint8-0", "uint8-255", "uint8", "uint16", "int64"])
+def test_mean_fold_equals_the_corner_order_sum(images):
+    got = dataio._fold_batch(images, "mean")
+    want = _mean_fold_in_corner_order(images)
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(half_fold(images[-1]), want[-1])
+
+
+def test_mean_fold_of_a_float_image_keeps_its_bytes():
+    # Float sums depend on their order; this image tells the corner order from
+    # the pairwise one, and the fold keeps the corner order.
+    rng = np.random.default_rng(4)
+    img = rng.standard_normal((1, 28, 28)) * 10.0 ** rng.integers(-5, 17, (1, 28, 28))
+    want = _mean_fold_in_corner_order(img)
+    rows = img[:, ::2] + img[:, 1::2]
+    assert not np.array_equal((rows[:, :, ::2] + rows[:, :, 1::2]) / 1024.0, want)
+    assert dataio._fold_batch(img, "mean").tobytes() == want.tobytes()
 
 
 def test_half_fold_max_and_subsample_modes():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hydrasim.datapath import ActivationUnit, AfKind, FmaBank, build_sigmoid_lut
+from hydrasim.datapath import ActivationUnit, AfKind, FmaBank, _sigmoid_raw, build_sigmoid_lut
 from hydrasim.engine import Engine
 from hydrasim.errors import ConfigError, ControlFault
 from hydrasim.fxp import QFormat, QValue, quantize
@@ -65,6 +65,48 @@ def test_gated_unit_accumulator_never_changes():
         with pytest.raises(ControlFault):
             bank.step(1, [1])
     assert bank.acc[0] == frozen
+
+
+def test_zero_input_on_a_gated_bank_is_still_a_fault():
+    bank = FmaBank(2)
+    with pytest.raises(ControlFault):
+        bank.step(0, [1, 2])
+    bank.preload([0, 0], F)
+    bank.gate_off()
+    with pytest.raises(ControlFault):
+        bank.step(0, [1, 2])
+
+
+@pytest.mark.parametrize("x_raw", [0, 3])
+def test_column_of_the_wrong_length_is_rejected(x_raw):
+    bank = FmaBank(4)
+    bank.preload([1, 2, 3], F)
+    for col in ([5, 6], [5, 6, 7, 8]):
+        with pytest.raises(ValueError, match="armed slots"):
+            bank.step(x_raw, col)
+    assert bank.acc == [1 << F, 2 << F, 3 << F]
+
+
+def test_skipped_zero_inputs_leave_the_exact_sum():
+    # Half the inputs are zero; the accumulators equal the full sum of products.
+    rng = np.random.default_rng(6)
+    fmt = QFormat(32, 3)   # sums of 300 products pass int64: Python ints hold them
+    w, k = 5, 300
+    xs = [int(v) if i % 2 else 0 for i, v in enumerate(rng.integers(fmt.raw_min, fmt.raw_max, k))]
+    cols = [[int(v) for v in rng.integers(fmt.raw_min, fmt.raw_max, w)] for _ in range(k)]
+    biases = [int(v) for v in rng.integers(fmt.raw_min, fmt.raw_max, w)]
+    bank = FmaBank(w)
+    bank.preload(biases, fmt.frac_bits)
+    for x, col in zip(xs, cols):
+        bank.step(x, col)
+    assert bank.acc == [(b << fmt.frac_bits) + sum(x * c[j] for x, c in zip(xs, cols))
+                        for j, b in enumerate(biases)]
+
+
+def test_preload_wider_than_the_bank_is_rejected():
+    bank = FmaBank(2)
+    with pytest.raises(ConfigError, match="preload of 3 biases exceeds 2 FMA slots"):
+        bank.preload([1, 2, 3], F)
 
 
 def test_preload_resets_step_count():
@@ -164,6 +206,13 @@ def test_sigmoid_without_table_is_config_error():
 def test_sigmoid_lut_oversized_format_rejected():
     with pytest.raises(ConfigError):
         build_sigmoid_lut(QFormat(32, 3))
+
+
+def test_sigmoid_entry_past_the_float_range_is_zero():
+    # At Q<16,16> raw -32768 is the value -32768, and exp(32768) overflows binary64.
+    fmt = QFormat(16, 16)
+    for raw in (-32768, -710):
+        assert _sigmoid_raw(raw, fmt) == 0 == build_sigmoid_lut(fmt)[raw & 0xFFFF]
 
 
 def test_sigmoid_unit_returns_python_ints():

@@ -207,6 +207,40 @@ def test_quantize_array_chunks_keep_shape_and_reject_non_finite():
             quantize_array(xs, Q83)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [_CHUNK, _CHUNK + 12345, 2 * _CHUNK + 1])
+def test_quantize_array_rejects_non_finite_past_the_first_chunk(bad, at):
+    xs = np.full(2 * _CHUNK + 7, 0.5)
+    xs[at] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize_array(xs, Q83)
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits", [4, 5, 8, 16, 32, 64])
+def test_quantize_params_equals_quantize_array_per_array(total_bits):
+    fmt = QFormat(total_bits, 3)
+    params = init_params(BENCH, seed=total_bits)
+    for i, lp in enumerate(params.layers):   # values past both rails too
+        lp.weights[0, :3] = [9.0, -9.0, fmt.resolution / 2]
+        lp.biases[-1] = (-1) ** i * 1e300
+    q = quantize_params(params, fmt)
+    assert q.qformat == fmt
+    for lp, qp in zip(params.layers, q.layers):
+        for arr, got in ((lp.weights, qp.weights), (lp.biases, qp.biases)):
+            want = quantize_array(arr, fmt)
+            assert got.dtype == np.int64 and got.shape == arr.shape
+            np.testing.assert_array_equal(got, want)
+
+
+def test_quantize_params_names_the_first_non_finite_value():
+    params = init_params(BENCH, seed=1)
+    params.layers[2].weights[4, 7] = np.nan
+    params.layers[1].biases[2] = -np.inf
+    with pytest.raises(ConfigError, match=re.escape("layer 1 bias[2] is not finite")):
+        quantize_params(params, Q83)
+
+
 def test_quantization_error_bound():
     rng = np.random.RandomState(9)
     for fmt in (Q83, QFormat(16, 4)):
@@ -458,6 +492,13 @@ def test_train_rejects_empty_or_mismatched_data():
         train_minimal(np.zeros((4, 196)), np.zeros(3, np.int64), cfg)
 
 
+@pytest.mark.parametrize("shape", [(4, 195), (4, 197), (196,), (2, 2, 196)])
+def test_train_rejects_inputs_of_the_wrong_shape(shape):
+    cfg = NetworkConfig((196, 8, 10), max_fma=16)
+    with pytest.raises(ConfigError, match=re.escape("expected training inputs of shape [N, 196]")):
+        train_minimal(np.zeros(shape), np.zeros(4, np.int64), cfg)
+
+
 @pytest.mark.parametrize("kwargs", [{"lr": math.nan}, {"lr": -math.inf}, {"epochs": -1},
                                     {"batch_size": 0}])
 def test_train_rejects_bad_hyperparameters(kwargs):
@@ -509,6 +550,14 @@ def test_load_truncated_file(tmp_path):
     blob = path.read_text()
     path.write_text(blob[: len(blob) // 2])
     with pytest.raises(ParamsFileError, match="truncated or malformed"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7", "null", '"layers"'])
+def test_load_rejects_a_top_level_that_is_no_object(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with pytest.raises(ParamsFileError, match="top-level JSON value must be an object"):
         load_params(path)
 
 

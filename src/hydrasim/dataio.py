@@ -118,17 +118,15 @@ def half_fold(img, mode: str = "mean") -> np.ndarray:
 
 def _fold_batch(imgs: np.ndarray, mode: str) -> np.ndarray:
     """Fold byte images [N, 28, 28] to float64 [N, 14, 14] from their 2x2 blocks."""
+    if imgs.dtype != np.uint8:
+        raise ValueError(f"half-folding needs uint8 byte images, got {imgs.dtype}")
     corners = (imgs[:, ::2, ::2], imgs[:, ::2, 1::2], imgs[:, 1::2, ::2], imgs[:, 1::2, 1::2])
     if mode == "mean":
         # (a+b+c+d)/1024 is exact in float64: the byte sum is an integer below
-        # 2^10 and 1024 is a power of two.  Non-byte images sum in their own
-        # (wider) dtype.  Integer sums are exact in any order, so they take two
-        # pairwise adds (rows, then columns) with no stacked copy of the
-        # corners; a float sum keeps the order a, b, c, d, and so its bytes.
-        dtype = np.result_type(imgs, np.uint16)
-        if dtype.kind not in "iu":
-            return np.add.reduce(corners, dtype=dtype) / 1024.0
-        rows = np.add(imgs[:, ::2], imgs[:, 1::2], dtype=dtype)
+        # 2^10 and 1024 is a power of two.  Integer sums are exact in any
+        # order, so this takes two pairwise uint16 adds (rows, then columns)
+        # with no stacked copy of the corners.
+        rows = np.add(imgs[:, ::2], imgs[:, 1::2], dtype=np.uint16)
         return (rows[:, :, ::2] + rows[:, :, 1::2]) / 1024.0
     if mode == "max":
         return np.maximum.reduce(corners) / 256.0

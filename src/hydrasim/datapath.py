@@ -53,9 +53,6 @@ class FmaBank:
         self.acc[:w] = [b << frac_bits for b in bias_raws]
         self.width = w
 
-    def gate_off(self) -> None:
-        self.width = 0
-
     def step(self, x_raw: int, wcol_raws: list[int]) -> None:
         """One MAC cycle: armed slot j adds x_raw * wcol_raws[j], exactly.
 

@@ -2,16 +2,16 @@
 
 One FmaBank of MAX_FMA multiply-accumulate slots, one PISO capture stage, and
 one shared activation unit execute every layer of the network in sequence, on
-raw integer codes (QValues only enter at load_input and leave from run).  The
-controller is one generator, Engine._control, written as the control sequence
-itself: for each layer, for each pass of at most MAX_FMA units, it arms the
-units, MACs, captures into the PISO and serializes, and yields once per clock
-cycle, so each step() call is one cycle.  The PISO capture is the list of a
-pass's rounded accumulators, drained by index; the Phase labels each cycle for
-the trace, and the cycle report is read off the event log.  That the
-sequence follows the cycle rules below is checked by the test suite, not at
-run time.  Config, parameters and input are checked by model.check_forward and
-model.check_input, the oracle's own rules.
+raw integer codes (QValues enter and leave only at Engine.run, the one entry
+point).  The controller is one generator, Engine._control, written as the
+control sequence itself: for each layer, for each pass of at most MAX_FMA
+units, it arms the units, MACs, captures into the PISO and serializes, and
+yields once per clock cycle; run walks it to the end, one cycle per yield.
+The PISO capture is the list of a pass's rounded accumulators, drained by
+index; the Phase labels each cycle for the trace, and the cycle report is
+read off the event log.  That the sequence follows the cycle rules below is
+checked by the test suite, not at run time.  Config, parameters and input are
+checked by model.check_forward and model.check_input, the oracle's own rules.
 Every setting, the mode included, comes from the config the engine is built
 with: to run another mode, build an engine from dataclasses.replace(cfg,
 mode=...).
@@ -47,13 +47,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .datapath import ActivationUnit, AfKind, FmaBank, build_sigmoid_lut
-from .errors import ConfigError, ControlFault
+from .errors import ConfigError
 from .fxp import QFormat, QValue, round_acc
 from .model import Mode, NetworkConfig, Params, check_forward, check_input
 
 
 class Phase(Enum):
-    IDLE = "idle"
     MAC = "mac"
     PISO_LOAD = "piso_load"
     SERIALIZE = "serialize"
@@ -122,36 +121,10 @@ class Engine:
         # Pre-banked weight memory: one column of raw codes per MAC step.
         self._wcols = [lp.weights.T.tolist() for lp in params.layers]
         self._biases = [lp.biases.tolist() for lp in params.layers]
-        self.reset()
-
-    # -- state management ---------------------------------------------------
-
-    def reset(self) -> None:
-        """Back to Idle at cycle 0 with every unit gated off."""
-        self.phase = Phase.IDLE
-        self.cycle = 0
-        self.layer_index = 0
-        self.in_buf: list[int] = []
-        self.out_buf: list[int] = []
-        self.events: list[Event] = []
-        self.mac_ops = 0
-        self.af_invocations = 0
-        self.fma_bank.gate_off()
-        self._mac_cycles = [0] * self.cfg.n_layers
-        self._ser_cycles = [0] * self.cfg.n_layers
-        # The controller generator, made on the first step(): one made here
-        # would hold self in a reference cycle.
-        self._clock = None
-
-    def load_input(self, x) -> None:
-        if self.phase is not Phase.IDLE:
-            raise ControlFault("input load while the engine is running")
-        x = list(x)
-        check_input(self.cfg, len(x), (v.fmt for v in x))
-        self.in_buf = [v.raw for v in x]
 
     def _event(self, kind: EventKind, layer: int) -> None:
-        self.events.append(Event(kind, layer, self.cycle))
+        """Log kind at the cycle being clocked, which run counts once it yields."""
+        self.events.append(Event(kind, layer, self.cycle + 1))
 
     # -- the controller -------------------------------------------------------
 
@@ -174,6 +147,11 @@ class Engine:
         streamed = cfg.mode is Mode.STREAMED
         fed = False   # this pass's MAC already ran in the upstream store cycles
         for l in range(cfg.n_layers):
+            # Hand the stored activations on to this layer (store-and-forward);
+            # in streamed mode they were consumed as they arrived.
+            if l and not fed:
+                self.in_buf = self.out_buf
+            self.out_buf = []
             self.layer_index = l
             self.afu.configure(cfg.afs[l])
             n = cfg.width_of(l)
@@ -220,45 +198,27 @@ class Engine:
                             if last:
                                 self._event(EventKind.LAYER_FINISHED, l)
                     yield active
-            # Hand the stored activations to the next layer (store-and-forward);
-            # in streamed mode they were consumed as they arrived.
-            if not fed:
-                self.in_buf = self.out_buf
-            self.out_buf = []
 
-    # -- the clock ------------------------------------------------------------
-
-    def step(self) -> None:
-        """Advance one clock cycle; its events are appended to engine.events."""
-        if self.phase is Phase.ANN_DONE:
-            raise ControlFault("step after 'ANN done'")
-        if self._clock is None:
-            if len(self.in_buf) != self.cfg.layer_sizes[0]:
-                raise ControlFault("step before load_input")
-            self._clock = self._control()
-        self.cycle += 1
-        active = next(self._clock)
-        if self.phase is Phase.ANN_DONE:
-            self._clock = None
-        if self.trace_hook is not None:
-            self.trace_hook(
-                TraceRecord(self.cycle, self.phase.value, self.layer_index, active)
-            )
+    # -- the clock and the report ---------------------------------------------
 
     def run(self, x) -> tuple[list[QValue], CycleReport]:
         """Load an input, clock the engine to 'ANN done', return outputs + report."""
-        if self.phase is Phase.ANN_DONE:
-            self.reset()
-        self.load_input(x)
-        while self.phase is not Phase.ANN_DONE:
-            self.step()
-        return [QValue(r, self.fmt) for r in self.out_buf], self.report()
+        x = list(x)
+        check_input(self.cfg, len(x), (v.fmt for v in x))
+        self.in_buf = [v.raw for v in x]
+        self.events: list[Event] = []
+        self.cycle = self.mac_ops = self.af_invocations = 0
+        self._mac_cycles = [0] * self.cfg.n_layers
+        self._ser_cycles = [0] * self.cfg.n_layers
+        for active in self._control():
+            self.cycle += 1
+            if self.trace_hook is not None:
+                self.trace_hook(
+                    TraceRecord(self.cycle, self.phase.value, self.layer_index, active)
+                )
+        return [QValue(r, self.fmt) for r in self.out_buf], self._report()
 
-    # -- reporting -------------------------------------------------------------
-
-    def report(self) -> CycleReport:
-        if self.phase is not Phase.ANN_DONE:
-            raise ControlFault("report requested before 'ANN done'")
+    def _report(self) -> CycleReport:
         cfg = self.cfg
         start, first, finish = ([0] * cfg.n_layers for _ in range(3))
         for e in self.events:

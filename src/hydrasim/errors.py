@@ -5,8 +5,8 @@ Two families, kept deliberately distinct:
   * errors  -- bad user input (configuration, files, dimensions).  These are
     ValueError subclasses and are fair game to catch and report.
   * faults  -- internal control-logic contract violations (stepping a gated
-    unit, shifting a drained PISO, clocking a finished engine).  A fault means
-    a bug in the caller's sequencing, not bad data, so it is a RuntimeError.
+    FMA bank).  A fault means a bug in the caller's sequencing, not bad data,
+    so it is a RuntimeError.
 """
 
 

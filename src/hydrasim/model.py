@@ -643,15 +643,28 @@ def train_minimal(
 PARAMS_FORMAT_VERSION = 1
 
 
+def _check_finite(where: str, l: int, w: np.ndarray, b: np.ndarray) -> None:
+    """A parameter file holds finite numbers only, on the way out and in."""
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise ParamsFileError(f"{where}: layer {l} contains non-finite values")
+
+
 def save_params(path, params: Params) -> None:
-    """Write parameters as a self-describing JSON document (schema v1)."""
+    """Write parameters as a self-describing JSON document (schema v1).
+
+    Non-finite values are refused before the file is opened, since
+    load_params could not read them back.
+    """
     dtype = np.int64 if params.is_quantized else np.float64
+    layers = [(np.asarray(lp.weights, dtype), np.asarray(lp.biases, dtype))
+              for lp in params.layers]
+    for l, (w, b) in enumerate(layers):
+        _check_finite(f"cannot write {path}", l, w, b)
     doc = {
         "format_version": PARAMS_FORMAT_VERSION,
         "layer_sizes": list(params.layer_sizes),
         "qformat": asdict(params.qformat) if params.is_quantized else "float",
-        "layers": [{"weights": np.asarray(lp.weights, dtype).tolist(),
-                    "biases": np.asarray(lp.biases, dtype).tolist()} for lp in params.layers],
+        "layers": [{"weights": w.tolist(), "biases": b.tolist()} for w, b in layers],
     }
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=1)
@@ -728,7 +741,6 @@ def load_params(path) -> Params:
             w, b = w.astype(dtype, copy=False), b.astype(dtype, copy=False)
         except OverflowError as exc:   # an integer past the float64 range
             raise ParamsFileError(f"{path}: layer {l} holds {exc}") from None
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ParamsFileError(f"{path}: layer {l} contains non-finite values")
+        _check_finite(path, l, w, b)
         layers.append(LayerParams(w, b))
     return Params(layers, fmt)

@@ -765,6 +765,19 @@ def test_train_rejects_bad_hyperparameters(tmp_path, synth_dataset_dir, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_train_writes_no_parameter_file_it_cannot_read(tmp_path, synth_dataset_dir, capsys):
+    # An lr this large overflows the weights to NaN on the first step.
+    out = tmp_path / "t.json"
+    rc = main(["train", "--images", str(synth_dataset_dir["train_images"]),
+               "--labels", str(synth_dataset_dir["train_labels"]), "--limit", "5",
+               "--layers", "196:8:10", "--epochs", "3", "--lr", "1e300", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: cannot write {out}: layer 0 contains non-finite values"
+    assert not out.exists()
+
+
 def test_train_runs_a_layer_wider_than_the_array(tmp_path, synth_dataset_dir, capsys):
     out = tmp_path / "p.json"
     rc = main(["train", "--images", str(synth_dataset_dir["train_images"]),

@@ -50,21 +50,27 @@ def test_stepping_disabled_unit_is_a_fault():
     with pytest.raises(ControlFault):
         bank.step(1, [1])
     bank.preload([0], F)
-    bank.gate_off()
+    bank.preload([], F)        # a preload of no biases gates every slot off
     with pytest.raises(ControlFault):
         bank.step(1, [1])
 
 
 def test_gated_unit_accumulator_never_changes():
-    bank = FmaBank(1)
-    bank.preload([9], F)
-    bank.step(2, [3])
-    frozen = bank.acc[0]
-    bank.gate_off()
+    bank = FmaBank(3)
+    bank.preload([9, 4, 7], F)
+    bank.step(2, [3, 1, 5])
+    frozen = list(bank.acc)
+    bank.preload([9], F)       # a narrower preload, as a tiled layer's last pass
+    for _ in range(5):
+        bank.step(1, [1])
+    assert bank.acc[1:] == frozen[1:]
+    assert bank.acc[0] == (9 << F) + 5
+    frozen = list(bank.acc)
+    bank.preload([], F)
     for _ in range(5):
         with pytest.raises(ControlFault):
             bank.step(1, [1])
-    assert bank.acc[0] == frozen
+    assert bank.acc == frozen
 
 
 def test_zero_input_on_a_gated_bank_is_still_a_fault():
@@ -72,7 +78,7 @@ def test_zero_input_on_a_gated_bank_is_still_a_fault():
     with pytest.raises(ControlFault):
         bank.step(0, [1, 2])
     bank.preload([0, 0], F)
-    bank.gate_off()
+    bank.preload([], F)
     with pytest.raises(ControlFault):
         bank.step(0, [1, 2])
 

@@ -1,4 +1,4 @@
-"""Engine tests: cycle fidelity, FSM behavior, modes, tiling, events, faults.
+"""Engine tests: cycle fidelity, FSM behavior, modes, tiling, events, errors.
 
 The benchmark cycle numbers (first output at 198, layer done at 262, the
 66-cycle second layer, totals 470 / 332) are the anchor values for the whole
@@ -14,8 +14,8 @@ import pytest
 
 from conftest import random_quantized_case
 from hydrasim.datapath import ActivationUnit, AfKind
-from hydrasim.engine import Engine, EventKind, Phase, classify, run_inference
-from hydrasim.errors import ConfigError, ControlFault
+from hydrasim.engine import Engine, EventKind, classify, run_inference
+from hydrasim.errors import ConfigError
 from hydrasim.fxp import QFormat, QValue
 from hydrasim.model import (
     LayerParams,
@@ -321,22 +321,13 @@ def test_classify_agrees_with_softmax_argmax():
 
 
 # =============================================================================
-# Faults, errors, determinism, trace
+# Errors, determinism, trace
 # =============================================================================
-
-def test_step_after_ann_done_is_a_fault():
-    cfg = NetworkConfig((1, 1), max_fma=1)
-    engine = Engine(cfg, zero_params(cfg))
-    engine.run(zeros_input(cfg))
-    assert engine.phase is Phase.ANN_DONE
-    with pytest.raises(ControlFault):
-        engine.step()
-
 
 def test_input_length_mismatch_rejected():
     engine, cfg = bench_engine()
     with pytest.raises(ConfigError):
-        engine.load_input([QValue(0, Q83)] * 99)
+        engine.run([QValue(0, Q83)] * 99)
 
 
 def test_engine_rejects_float_or_mismatched_params():
@@ -374,50 +365,23 @@ def test_trace_records_one_per_cycle():
 
 
 def test_engine_reset_reuses_cleanly():
-    engine, cfg = bench_engine()
-    _, r1 = engine.run(zeros_input(cfg))
-    engine.reset()
-    assert engine.cycle == 0 and engine.phase is Phase.IDLE
-    _, r2 = engine.run(zeros_input(cfg))
-    assert r1 == r2
-
-
-def test_step_before_load_input_is_a_fault():
-    engine, _ = bench_engine()
-    with pytest.raises(ControlFault, match="before load_input"):
-        engine.step()
-
-
-def test_load_input_while_running_is_a_fault():
-    engine, cfg = bench_engine()
-    engine.load_input(zeros_input(cfg))
-    engine.step()
-    with pytest.raises(ControlFault, match="while the engine is running"):
-        engine.load_input(zeros_input(cfg))
-
-
-def test_report_before_ann_done_is_a_fault():
-    engine, cfg = bench_engine()
-    with pytest.raises(ControlFault, match="before 'ANN done'"):
-        engine.report()
-    engine.load_input(zeros_input(cfg))
-    for _ in range(300):
-        engine.step()
-    with pytest.raises(ControlFault, match="before 'ANN done'"):
-        engine.report()
-
-
-@pytest.mark.parametrize("mode", list(Mode))
-def test_reset_mid_run_then_run_equals_fresh_engine(mode):
+    # Each run starts from cycle 0: a second run on one engine repeats the first.
     cfg, params, x = random_quantized_case(np.random.default_rng(13), Q83)   # 13:9:9:1:9
-    cfg = dataclasses.replace(cfg, mode=mode)
-    fresh = Engine(cfg, params).run(x)
-    engine = Engine(cfg, params)
-    engine.load_input(x)
-    for _ in range(fresh[1].last_output_cycle // 2):
-        engine.step()
-    engine.reset()
-    assert engine.run(x) == fresh
+    for c in (cfg, dataclasses.replace(cfg, mode=Mode.STREAMED), dataclasses.replace(cfg, max_fma=4)):
+        engine = Engine(c, params)
+        first, events = engine.run(x), engine.events
+        assert engine.run(x) == first and engine.events == events
+        assert engine.cycle == first[1].last_output_cycle
+    # A run cut short (here by its trace hook) leaves nothing to the next one.
+    def stop(record):
+        if record.cycle == 20:
+            raise RuntimeError("stopped")
+
+    engine = Engine(cfg, params, trace_hook=stop)
+    with pytest.raises(RuntimeError, match="stopped"):
+        engine.run(x)
+    engine.trace_hook = None
+    assert engine.run(x) == Engine(cfg, params).run(x)
 
 
 def test_idle_and_finished_engines_are_freed_without_cyclic_gc():

@@ -543,6 +543,18 @@ def test_save_load_roundtrip_quantized(tmp_path):
         np.testing.assert_array_equal(a.weights, b.weights)
 
 
+@pytest.mark.parametrize("field, bad", [("weights", np.nan), ("biases", -np.inf)])
+def test_save_refuses_non_finite_values_before_opening_the_file(tmp_path, field, bad):
+    cfg = NetworkConfig((6, 4, 3), max_fma=8)
+    path = tmp_path / "p.json"
+    path.write_text("kept\n")
+    params = init_params(cfg, seed=9)
+    getattr(params.layers[1], field).flat[2] = bad
+    with pytest.raises(ParamsFileError, match=f"cannot write {path}: layer 1 contains non-finite"):
+        save_params(path, params)
+    assert path.read_bytes() == b"kept\n"
+
+
 def test_load_truncated_file(tmp_path):
     cfg = NetworkConfig((6, 4), max_fma=8)
     path = tmp_path / "t.json"

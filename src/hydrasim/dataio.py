@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fxp import QFormat, QValue
-from .model import quantize_array
+from .fxp import QFormat, QValue, quantize_array
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ControlFault
-from .fxp import QFormat, saturate_raw
+from .fxp import QFormat, quantize, quantize_array
 
 
 class AfKind(Enum):
@@ -81,7 +81,7 @@ def _sigmoid_raw(raw: int, fmt: QFormat) -> int:
         s = 1.0 / (1.0 + math.exp(-(raw * 2.0 ** -fmt.frac_bits)))
     except OverflowError:
         s = 0.0   # exp(-v) beyond binary64: sigmoid(v) is at its limit 0
-    return saturate_raw(round(s * (1 << fmt.frac_bits)), fmt)
+    return quantize(s, fmt).raw
 
 
 @functools.lru_cache(maxsize=8)
@@ -102,8 +102,9 @@ def build_sigmoid_lut(fmt: QFormat) -> np.ndarray:
     raws = np.arange(1 << t, dtype=np.int64)
     raws[1 << (t - 1):] -= 1 << t   # sign-extend the upper half of the codes
     with np.errstate(over="ignore"):   # exp(-v) = inf gives sigmoid 0, as above
-        y = np.ldexp(1.0 / (1.0 + np.exp(-np.ldexp(raws, -f))), f)
-    lut = np.clip(np.rint(y), fmt.raw_min, fmt.raw_max).astype(np.int64)   # halves to even
+        s = 1.0 / (1.0 + np.exp(-np.ldexp(raws, -f)))
+    lut = quantize_array(s, fmt)
+    y = np.ldexp(s, f)
     near_tie = np.abs(y - np.floor(y) - 0.5) <= _TIE_ULPS * np.spacing(y)
     for i in np.flatnonzero(near_tie):
         lut[i] = _sigmoid_raw(int(raws[i]), fmt)

@@ -29,6 +29,10 @@ from .errors import ConfigError
 STANDARD_WIDTHS = (5, 8, 16, 32)
 MIN_TOTAL_BITS = 4
 MAX_TOTAL_BITS = 64
+# Elements per float64 temporary in quantize_array, and per row chunk of the
+# batch kernel (1 MiB): dataset-sized temporaries cost page faults on every
+# call, and two alive at once cost several times one.
+_CHUNK = 1 << 17
 
 
 def _is_int(value) -> bool:
@@ -116,6 +120,11 @@ class QValue:
         return self.raw * 2.0 ** -self.fmt.frac_bits
 
 
+def raw_codes_fit(arr: np.ndarray, fmt: QFormat) -> bool:
+    """True if every raw code in arr lies inside fmt."""
+    return not arr.size or (fmt.raw_min <= arr.min() and arr.max() <= fmt.raw_max)
+
+
 def round_half_even_shift(value, shift: int):
     """Arithmetic right shift by `shift` with round to nearest, ties to even.
 
@@ -168,6 +177,42 @@ def quantize(x: float, fmt: QFormat) -> QValue:
     return QValue(saturate_raw(round(scaled), fmt), fmt)
 
 
+def quantize_array(x, fmt: QFormat) -> np.ndarray:
+    """Vectorized quantize: nearest (ties to even) with saturation, as int64 raws.
+
+    Works through bounded chunks of x, so its float temporaries stay small
+    whatever the size of x.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape, np.int64)
+    scale = float(1 << fmt.frac_bits)
+    top = float(1 << (fmt.total_bits - 1))   # raw_min is -top; raw_max + 1 is top
+    # The largest float64 not above raw_max: raw_max itself through 54 bits.
+    # Past that raw_max rounds up to top as a float64, so every scaled value
+    # at or above top saturates through a mask instead.
+    hi = min(float(fmt.raw_max), np.nextafter(top, 0.0))
+    wide = hi < fmt.raw_max
+    buf = np.empty(min(flat.size, _CHUNK))
+    for lo in range(0, flat.size, _CHUNK):
+        part, dst = flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+        b = buf[:part.size]
+        # NaN propagates through min and max; an infinity is one of them.
+        if not (math.isfinite(part.min()) and math.isfinite(part.max())):
+            raise ValueError("cannot quantize non-finite values")
+        over = part >= top / scale if wide else None
+        # Power-of-two scaling is exact, so clipping at [-top, hi] / scale
+        # before it equals clipping after it, and the product cannot overflow.
+        # Clipping at integers commutes with rounding, and np.rint rounds
+        # halves to even, matching the scalar quantize exactly.
+        np.clip(part, -top / scale, hi / scale, out=b)
+        b *= scale
+        dst[...] = np.rint(b, out=b)
+        if wide:
+            dst[over] = fmt.raw_max
+    return out.reshape(x.shape)
+
+
 def dequantize(v: QValue) -> float:
     """raw * 2^-frac_bits (exact in binary64 for total_bits <= 53)."""
-    return v.raw * 2.0 ** -v.fmt.frac_bits
+    return v.value

@@ -9,7 +9,9 @@ are selectable for experiments.
 IDX parsing is total: any byte stream yields either parsed data or one of the
 typed IdxFormatError subclasses, never a partial result.  Files ending in .gz
 are decompressed transparently.  load_dataset reads each file once and keeps
-only the folded images and their labels.
+only the folded images and their labels.  to_input_vector quantizes through
+fxp.quantize_array, so this module needs nothing of the package beyond fxp
+and errors.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ activation unit (ActivationUnit) that the values drained from the
 parallel-in-serial-out capture stage pass through.  The capture stage itself
 is the engine's list of a pass's rounded accumulators, drained by index.
 Both blocks carry raw integer codes; `activate_raw` is the one activation
-rule, shared with the golden models.
+rule, shared with the golden models.  The sigmoid table's entries are
+quantized by fxp (quantize_array, and quantize for the scalar definition);
+nothing here rounds or saturates by itself.
 
 Cycle costs are not modeled here; the engine charges one cycle per PISO load,
 one cycle of activation latency, and one cycle per drained element.

@@ -204,7 +204,7 @@ class Engine:
     def run(self, x) -> tuple[list[QValue], CycleReport]:
         """Load an input, clock the engine to 'ANN done', return outputs + report."""
         x = list(x)
-        check_input(self.cfg, len(x), (v.fmt for v in x))
+        check_input(self.cfg, len(x), x)
         self.in_buf = [v.raw for v in x]
         self.events: list[Event] = []
         self.cycle = self.mac_ops = self.af_invocations = 0

@@ -12,6 +12,12 @@ raw code inside Q<t,i>, a fan-in of n keeps that sum within
 2t + bitlen(n - 1) + 1 signed bits, so a hardware accumulator of that width
 never overflows.
 
+A real becomes a raw code by one rule: scale by 2^frac_bits, round half to
+even, saturate.  quantize is its scalar reference and quantize_array its
+vectorized form, which the sigmoid table, the IDX reader and post-training
+quantization use.  A raw code is an integer inside the format: QValue checks
+one, raw_codes_fit an array.
+
 All operations here are pure functions of their inputs.
 """
 
@@ -121,7 +127,12 @@ class QValue:
 
 
 def raw_codes_fit(arr: np.ndarray, fmt: QFormat) -> bool:
-    """True if every raw code in arr lies inside fmt."""
+    """True if every raw code in arr lies inside fmt: QValue's range rule on an
+    array.  A code that is no integer (any code of a float, bool or str array,
+    or such an element of an object array) is QValue's ConfigError for it."""
+    if arr.dtype.kind not in "iu":   # an integer dtype holds only integers
+        for code in arr.reshape(-1).tolist():
+            as_int(code, "raw")
     return not arr.size or (fmt.raw_min <= arr.min() and arr.max() <= fmt.raw_max)
 
 

@@ -265,14 +265,16 @@ def check_forward(cfg: NetworkConfig, params: Params, quantized: bool = True) ->
             raise ValueError(f"layer {l} {bad} contain raw codes outside {fmt}")
 
 
-def check_input(cfg: NetworkConfig, length: int, fmts=(), raws=None) -> None:
-    """The one input rule: length values per vector, every QValue format (fmts)
-    equal to cfg.qformat, and every raw code given as an integer (raws) in it."""
+def check_input(cfg: NetworkConfig, length: int, values=(), raws=None) -> None:
+    """The one input rule: length values per vector, every element of values a
+    QValue in cfg.qformat, and every raw code of the array raws an integer in it."""
     if length != cfg.layer_sizes[0]:
         raise ConfigError(f"input length {length} != input dimension {cfg.layer_sizes[0]}")
-    for fmt in fmts:
-        if fmt is not cfg.qformat and fmt != cfg.qformat:
-            raise ConfigError(f"input format {fmt} != config format {cfg.qformat}")
+    for i, v in enumerate(values):
+        if not isinstance(v, QValue):
+            raise ConfigError(f"input element {i} must be a QValue, got {v!r}")
+        if v.fmt is not cfg.qformat and v.fmt != cfg.qformat:
+            raise ConfigError(f"input format {v.fmt} != config format {cfg.qformat}")
     if raws is not None and not raw_codes_fit(raws, cfg.qformat):
         raise ValueError(f"raw inputs outside {cfg.qformat}")
 
@@ -338,7 +340,7 @@ def forward_quantized(cfg: NetworkConfig, params: Params, x) -> list[QValue]:
     """
     check_forward(cfg, params)
     x = list(x)
-    check_input(cfg, len(x), (v.fmt for v in x))
+    check_input(cfg, len(x), x)
     fmt = cfg.qformat
     acts = [v.raw for v in x]
     for lp, kind in zip(params.layers, cfg.afs):
@@ -542,7 +544,8 @@ def train_minimal(
     Bit-deterministic for a given seed and a fixed BLAS thread count: a BLAS
     that threads a large matmul may sum it in another order (seen with two
     OpenBLAS threads from batch size 128).  Exists to manufacture realistic
-    parameters at desk scale, not to chase accuracy.
+    parameters at desk scale, not to chase accuracy.  A run whose parameters
+    turn non-finite (lr too large) stops after that epoch with a ConfigError.
     """
     ensure_valid(cfg, validate_layers)
     if not (math.isfinite(lr) and epochs >= 0 and batch_size >= 1):
@@ -560,33 +563,38 @@ def train_minimal(
     rng = np.random.default_rng(seed)
     params = _init_from_rng(cfg, rng)
     n = x.shape[0]
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            xb, yb = x[batch], labels[batch]
-            # Forward with caches.
-            acts = [xb]
-            zs = []
-            for lp, kind in zip(params.layers, cfg.afs):
-                z = acts[-1] @ lp.weights.T + lp.biases
-                zs.append(z)
-                acts.append(_af_float(kind, z))
-            # Softmax cross-entropy gradient at the output activation.
-            logits = acts[-1]
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=1, keepdims=True)
-            onehot = np.eye(n_classes)[yb]
-            delta = (probs - onehot) / len(batch)
-            for l in range(cfg.n_layers - 1, -1, -1):
-                delta = delta * _af_deriv(cfg.afs[l], zs[l], acts[l + 1])
-                gw = delta.T @ acts[l]
-                gb = delta.sum(axis=0)
-                if l > 0:
-                    delta = delta @ params.layers[l].weights
-                params.layers[l].weights -= lr * gw
-                params.layers[l].biases -= lr * gb
+        # A diverging run overflows to inf and NaN; it is refused after the epoch.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, batch_size):
+                batch = order[start:start + batch_size]
+                xb, yb = x[batch], labels[batch]
+                # Forward with caches.
+                acts = [xb]
+                zs = []
+                for lp, kind in zip(params.layers, cfg.afs):
+                    z = acts[-1] @ lp.weights.T + lp.biases
+                    zs.append(z)
+                    acts.append(_af_float(kind, z))
+                # Softmax cross-entropy gradient at the output activation.
+                logits = acts[-1]
+                shifted = logits - logits.max(axis=1, keepdims=True)
+                e = np.exp(shifted)
+                probs = e / e.sum(axis=1, keepdims=True)
+                onehot = np.eye(n_classes)[yb]
+                delta = (probs - onehot) / len(batch)
+                for l in range(cfg.n_layers - 1, -1, -1):
+                    delta = delta * _af_deriv(cfg.afs[l], zs[l], acts[l + 1])
+                    gw = delta.T @ acts[l]
+                    gb = delta.sum(axis=0)
+                    if l > 0:
+                        delta = delta @ params.layers[l].weights
+                    params.layers[l].weights -= lr * gw
+                    params.layers[l].biases -= lr * gb
+        if not all(np.isfinite(a).all() for lp in params.layers for a in (lp.weights, lp.biases)):
+            raise ConfigError(f"training diverged in epoch {epoch + 1}: non-finite parameters "
+                              f"at lr={lr}")
     return params
 
 
@@ -669,7 +677,8 @@ def load_params(path) -> Params:
     # object array (JSON null, or an integer past 64 bits).  Scanning every
     # file's leaves would add about a third to its load time.
     scan = _spells(text, "true") or _spells(text, "false")
-    numeric, dtype = ("iuO", np.int64) if fmt else ("iufO", np.float64)
+    numeric, leaf, dtype = (("iuO", (int,), np.int64) if fmt
+                            else ("iufO", (int, float), np.float64))
     layers = []
     for l, entry in enumerate(head["layers"]):
         try:
@@ -685,7 +694,7 @@ def load_params(path) -> Params:
         leaves = []
         if scan or "O" in kinds:
             leaves = [*np.asarray(entry["weights"], dtype=object).flat, *entry["biases"]]
-        if not kinds <= set(numeric) or any(type(v) not in (int, float) for v in leaves):
+        if not kinds <= set(numeric) or any(type(v) not in leaf for v in leaves):
             what = "non-integer raw codes" if fmt else "non-numeric values"
             raise ParamsFileError(f"{path}: layer {l} holds {what}")
         bad = raw_codes_outside(LayerParams(w, b), fmt) if fmt else None

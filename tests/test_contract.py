@@ -34,11 +34,13 @@ QUANTIZED = ("engine", "forward_quantized", "forward_quantized_batch")
 
 
 def _run(path, cfg=NetworkConfig(SIZES), shapes=((3, 4, 3), (2, 3, 2)), fmt=Q83, kind=None,
-         raw=None, x=(QValue(1, Q83),) * 4):
+         raw=None, dtype=np.int64, x=(QValue(1, Q83),) * 4, x_dtype=None):
     """Run one path on the network whose layer l has weights shapes[l][:2] and
-    shapes[l][2] biases, with raw = (layer, field, code) written into it.
-    kind forces the params' kind, else each path gets the kind it takes."""
-    layers = [LayerParams(np.ones((n, k), np.int64), np.zeros(b, np.int64)) for n, k, b in shapes]
+    shapes[l][2] biases, as dtype arrays, with raw = (layer, field, code)
+    written into it.  kind forces the params' kind, else each path gets the
+    kind it takes.  The batch path gets the raw codes of x as x_dtype, and a
+    plain number in x stands for itself on the float and batch paths."""
+    layers = [LayerParams(np.ones((n, k), dtype), np.zeros(b, dtype)) for n, k, b in shapes]
     if raw is not None:
         layer, field, code = raw
         getattr(layers[layer], field).flat[0] = code
@@ -50,10 +52,11 @@ def _run(path, cfg=NetworkConfig(SIZES), shapes=((3, 4, 3), (2, 3, 2)), fmt=Q83,
     if path == "engine":
         return Engine(cfg, params).run(list(x))
     if path == "forward_float":
-        return forward_float(cfg, params, [v.value for v in x])
+        return forward_float(cfg, params, [getattr(v, "value", v) for v in x])
     if path == "forward_quantized":
         return forward_quantized(cfg, params, list(x))
-    return forward_quantized_batch(cfg, params, np.array([[v.raw for v in x]]))
+    raws = np.array([[getattr(v, "raw", v) for v in x]], x_dtype)
+    return forward_quantized_batch(cfg, params, raws)
 
 
 # name: (overrides of _run, paths it applies to, exception class, message)
@@ -95,6 +98,23 @@ CASES = {
     "input-format": (
         {"x": (QValue(1, Q163),) * 4}, ("engine", "forward_quantized"), ConfigError,
         "input format Q<16,3> != config format Q<8,3>"),
+    "input-element": (
+        {"x": (QValue(1, Q83),) * 3 + (1,)}, ("engine", "forward_quantized"), ConfigError,
+        "input element 3 must be a QValue, got 1"),
+    "float-raws": (
+        {"dtype": np.float64, "raw": (0, "weights", 0.5)}, QUANTIZED, ConfigError,
+        "raw must be an integer, got 0.5"),
+    "bool-raws": (
+        {"dtype": bool}, QUANTIZED, ConfigError, "raw must be an integer, got True"),
+    "float-input-raws": (
+        {"x_dtype": np.float64}, ("forward_quantized_batch",), ConfigError,
+        "raw must be an integer, got 1.0"),
+    "bool-input-raws": (
+        {"x_dtype": bool}, ("forward_quantized_batch",), ConfigError,
+        "raw must be an integer, got True"),
+    "str-input-raws": (
+        {"x_dtype": str}, ("forward_quantized_batch",), ConfigError,
+        "raw must be an integer, got '1'"),
 }
 
 

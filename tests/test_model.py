@@ -631,6 +631,16 @@ def test_load_rejects_non_integer_raw_codes(tmp_path, raw):
         load_params(path)
 
 
+def test_load_rejects_a_float_beside_an_integer_past_64_bits(tmp_path):
+    # numpy makes the row an object array, whose float is no raw code.
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"format_version": 1, "layer_sizes": [2, 1],
+                                "qformat": {"total_bits": 8, "int_bits": 3},
+                                "layers": [{"weights": [[0.5, 2**70]], "biases": [0]}]}))
+    with pytest.raises(ParamsFileError, match="layer 0 holds non-integer raw codes"):
+        load_params(path)
+
+
 @pytest.mark.parametrize("leaf", [True, False, "1.5", None])
 def test_load_float_file_rejects_booleans(tmp_path, leaf):
     path = tmp_path / "f.json"
@@ -887,3 +897,11 @@ def test_batch_rejects_out_of_range_raw_inputs():
         with pytest.raises(ValueError, match="raw inputs outside"):
             forward_quantized_batch(cfg, params, bad)
     assert forward_quantized_batch(cfg, params, np.array([[-128, 127]])).tolist() == [[0]]
+
+
+def test_batch_rejects_a_non_integer_in_an_object_array():
+    cfg = NetworkConfig((2, 1), max_fma=1)
+    params = Params([LayerParams(np.zeros((1, 2), np.int64), np.zeros(1, np.int64))], Q83)
+    with pytest.raises(ConfigError, match="raw must be an integer, got 0.5"):
+        forward_quantized_batch(cfg, params, np.array([[0, 0.5]], dtype=object))
+    assert forward_quantized_batch(cfg, params, np.array([[0, 1]], dtype=object)).tolist() == [[0]]

@@ -47,3 +47,34 @@ def test_no_module_imports_a_name_it_never_uses():
              if p.name != "__init__.py"]   # __init__ imports to re-export
     assert paths
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+# The sibling modules each module of src/hydrasim may import.  The fixed-point
+# core (fxp) is the bottom layer, so real-to-raw conversion has one home that
+# the datapath, the IDX reader and the golden models all reach without model.
+LAYERING = {
+    "errors": set(),
+    "fxp": {"errors"},
+    "datapath": {"errors", "fxp"},
+    "dataio": {"errors", "fxp"},
+    "model": {"datapath", "errors", "fxp"},
+    "engine": {"datapath", "errors", "fxp", "model"},
+    "timing": {"engine", "errors", "model"},
+    "cli": {"datapath", "dataio", "engine", "errors", "fxp", "model", "timing"},
+    "__main__": {"cli"},
+}
+
+
+def _sibling_imports(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.module.split(".")[0] if node.module else alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names}
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    paths = [p for p in sorted((ROOT / "src/hydrasim").glob("*.py"))
+             if p.name != "__init__.py"]   # __init__ imports to re-export
+    assert sorted(p.stem for p in paths) == sorted(LAYERING)
+    beyond = {p.stem: _sibling_imports(p) - LAYERING[p.stem] for p in paths}
+    assert beyond == {module: set() for module in LAYERING}

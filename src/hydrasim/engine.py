@@ -261,11 +261,7 @@ def run_inference(cfg: NetworkConfig, params: Params, x) -> tuple[list[QValue], 
 
 def classify(outputs) -> int:
     """Index of the largest output; ties resolve to the lowest index."""
-    outputs = list(outputs)
-    if not outputs:
+    raws = [v.raw for v in outputs]
+    if not raws:
         raise ConfigError("classify needs a non-empty output vector")
-    best, best_raw = 0, outputs[0].raw
-    for i, v in enumerate(outputs[1:], start=1):
-        if v.raw > best_raw:
-            best, best_raw = i, v.raw
-    return best
+    return max(range(len(raws)), key=raws.__getitem__)   # max keeps the first of equal maxima

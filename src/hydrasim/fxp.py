@@ -41,14 +41,10 @@ MAX_TOTAL_BITS = 64
 _CHUNK = 1 << 17
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def as_int(value, name: str) -> int:
     """value as an int; a numpy integer passes, while a bool, float, str or any
     other non-integer is a ConfigError naming name and value, never truncated."""
-    if not _is_int(value):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -136,24 +132,12 @@ def raw_codes_fit(arr: np.ndarray, fmt: QFormat) -> bool:
     return not arr.size or (fmt.raw_min <= arr.min() and arr.max() <= fmt.raw_max)
 
 
-def round_half_even_shift(value, shift: int):
-    """Arithmetic right shift by `shift` with round to nearest, ties to even.
-
-    Branch-free in `value`, so one expression serves a Python int, an int64
-    ndarray and an object ndarray alike.  Negative values use floor semantics
-    for the remainder, so ties resolve on the true value, not the magnitude.
-    """
-    if shift <= 0:
-        return value << -shift
-    q = value >> shift
-    return round_quotient(q, value - (q << shift), shift)
-
-
 def round_quotient(q, r, shift: int):
     """Round q + r / 2^shift, with 0 <= r < 2^shift, to nearest, ties to even.
 
-    The rounding step of round_half_even_shift for a value already split into
-    its floor quotient q and remainder r by 2^shift.
+    The one tie rule of round_acc and the batch kernel, for a value already
+    split into its floor quotient q and remainder r by 2^shift.  Branch-free
+    in q and r, so one expression serves Python ints, int64 and object arrays.
     """
     if shift <= 0:
         return q
@@ -172,8 +156,11 @@ def saturate_raw(raw: int, fmt: QFormat) -> int:
 
 def round_acc(acc: int, fmt: QFormat) -> int:
     """The single rounding point: a product-scale sum to a raw code of fmt,
-    rounded to nearest (ties to even), then saturated."""
-    return saturate_raw(round_half_even_shift(acc, fmt.frac_bits), fmt)
+    rounded to nearest (ties to even), then saturated.  The floor quotient and
+    remainder make ties resolve on the true value, not the magnitude."""
+    f = fmt.frac_bits
+    q = acc >> f
+    return saturate_raw(round_quotient(q, acc - (q << f), f), fmt)
 
 
 def quantize(x: float, fmt: QFormat) -> QValue:

@@ -34,8 +34,8 @@ import numpy as np
 
 from .datapath import AfKind, activate_raw, build_sigmoid_lut
 from .errors import ConfigError, ParamsFileError
-from .fxp import (_CHUNK, QFormat, QValue, _is_int, as_int, quantize_array, raw_codes_fit,
-                  round_acc, round_quotient)
+from .fxp import (_CHUNK, QFormat, QValue, as_int, quantize_array, raw_codes_fit, round_acc,
+                  round_quotient)
 
 
 class Mode(Enum):
@@ -98,16 +98,6 @@ def _json_value(name: str, value, kind):
     return value
 
 
-def int_tuple(values, name: str) -> tuple[int, ...]:
-    """values as a tuple of ints; a numpy integer passes, while a bool, float, str
-    or any other non-integer is a ConfigError naming it, never truncated."""
-    values = tuple(values)
-    for v in values:
-        if not _is_int(v):
-            raise ConfigError(f"{name} must be integers, got {v!r}")
-    return tuple(int(v) for v in values)
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     """Runtime network description: sizes, hardware bounds, formats, activations.
@@ -127,7 +117,8 @@ class NetworkConfig:
     def __post_init__(self):
         """Each field must have its declared type (a numpy integer passes as an
         int, and becomes one); a value of another type is a ConfigError."""
-        object.__setattr__(self, "layer_sizes", int_tuple(self.layer_sizes, "layer_sizes"))
+        sizes = tuple(as_int(s, f"layer_sizes[{i}]") for i, s in enumerate(self.layer_sizes))
+        object.__setattr__(self, "layer_sizes", sizes)
         for name in ("max_fma", "softmax_cycles"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         for name, kind in (("mode", Mode), ("qformat", QFormat)):
@@ -414,7 +405,7 @@ def _limb_plan(fmt: QFormat, fan_in: int, m_a: int | None = None, m_w: int | Non
 
 def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
                  m_w: int | None) -> np.ndarray:
-    """clip(round_half_even_shift(a @ W.T + (bias << f), f)) for in-range raws a.
+    """round_acc(a @ W.T + (bias << f)) for in-range raws a, row by row.
 
     a is int64, or float64 holding integers, and w_f is W.T * 2^-f.  Where
     m_w is None the format's worst-case plan is already the float route; else

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 from .engine import CycleReport
 from .errors import ConfigError
-from .model import NetworkConfig, int_tuple
+from .fxp import as_int
+from .model import NetworkConfig
 
 
 def _layer_counts(n, form: str) -> tuple[int, ...]:
     """n as a tuple of ints, each n(l) >= 1; L is its length."""
-    n = int_tuple(n, "n(l)")
+    n = tuple(as_int(v, f"n[{i}]") for i, v in enumerate(n))
     if not n:
         raise ConfigError(f"{form} needs at least one layer")
     if any(v < 1 for v in n):

@@ -20,7 +20,6 @@ from hydrasim.fxp import (
     dequantize,
     quantize,
     round_acc,
-    round_half_even_shift,
     saturate_raw,
 )
 from hydrasim.model import LayerParams, NetworkConfig, Params, forward_quantized
@@ -225,13 +224,12 @@ def test_acc_round_matches_fraction_oracle():
         assert _neuron(Q83, 0, [-128] * 17 + [v], w) == expected, raw
 
 
-def test_round_half_even_shift_basics():
-    assert round_half_even_shift(48, 5) == 2
-    assert round_half_even_shift(80, 5) == 2     # 2.5 -> 2
-    assert round_half_even_shift(-48, 5) == -2   # -1.5 -> -2 (even)
-    assert round_half_even_shift(-80, 5) == -2   # -2.5 -> -2 (even)
-    assert round_half_even_shift(7, 0) == 7
-    assert round_half_even_shift(7, -2) == 28
+def test_round_acc_basics():
+    assert round_acc(48, Q83) == 2                 # f = 5
+    assert round_acc(80, Q83) == 2                 # 2.5 -> 2
+    assert round_acc(-48, Q83) == -2               # -1.5 -> -2 (even)
+    assert round_acc(-80, Q83) == -2               # -2.5 -> -2 (even)
+    assert round_acc(7, QFormat(8, 8)) == 7        # f = 0
 
 
 def test_single_rounding_matches_rational_dot_product():

@@ -52,7 +52,8 @@ def test_benchmark_config_valid():
     ((4, True, 2), "True"),
 ])
 def test_non_integer_layer_sizes_rejected(sizes, bad):
-    with pytest.raises(ConfigError, match=rf"^layer_sizes must be integers, got {re.escape(bad)}$"):
+    msg = f"layer_sizes[{[repr(s) for s in sizes].index(bad)}] must be an integer, got {bad}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
         NetworkConfig(sizes)
 
 

@@ -59,7 +59,7 @@ LAYERING = {
     "dataio": {"errors", "fxp"},
     "model": {"datapath", "errors", "fxp"},
     "engine": {"datapath", "errors", "fxp", "model"},
-    "timing": {"engine", "errors", "model"},
+    "timing": {"engine", "errors", "fxp", "model"},
     "cli": {"datapath", "dataio", "engine", "errors", "fxp", "model", "timing"},
     "__main__": {"cli"},
 }

@@ -1,6 +1,7 @@
 """Closed-form timing model tests: literal evaluation, identities, reporting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,8 +44,10 @@ def test_timing_inputs_validation():
             form([])
         with pytest.raises(ConfigError, match=r"^all n\(l\) must be >= 1, got \(1, 0\)$"):
             form([1, 0])
-        for bad, n in ((2.7, [2.7, 3.9]), ("'4'", ["4", 5]), (True, [4, True, 2])):
-            with pytest.raises(ConfigError, match=rf"^n\(l\) must be integers, got {bad}$"):
+        for msg, n in (("n[0] must be an integer, got 2.7", [2.7, 3.9]),
+                       ("n[0] must be an integer, got '4'", ["4", 5]),
+                       ("n[1] must be an integer, got True", [4, True, 2])):
+            with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
                 form(n)
     assert t_parallel(np.array([196, 64, 10])) == t_parallel([196, 64, 10])
 

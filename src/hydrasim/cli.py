@@ -59,11 +59,24 @@ _MODE_NAMES = sorted(m.value for m in Mode)
 _AF_NAMES = sorted(k.value for k in AfKind)
 
 
+# An integer token: an optional sign and ASCII digits.  int() alone would also
+# read underscores, surrounding spaces and non-ASCII digits.
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """The argparse type of a scalar integer flag: one integer token."""
+    with contextlib.suppress(ValueError):   # int() refuses a token past its digit limit
+        if _INT_TOKEN.fullmatch(text):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _int_list(text: str, flag: str, sep: str = ",") -> list[int]:
     """The integers of a sep-separated list flag, whose name every error holds; a
-    token is an optional sign and ASCII digits, so an empty one is an error."""
+    token must match _INT_TOKEN, so an empty one is an error."""
     try:
-        bad = [tok for tok in text.split(sep) if not re.fullmatch(r"[+-]?[0-9]+", tok)]
+        bad = [tok for tok in text.split(sep) if not _INT_TOKEN.fullmatch(tok)]
         if bad:
             raise ValueError(f"{bad[0]!r} is not an integer")
         return [int(tok) for tok in text.split(sep)]
@@ -318,17 +331,18 @@ def cmd_trace(args) -> int:
 _FLAGS = {
     "--config": dict(help="JSON network config file"),
     "--layers": dict(help="layer sizes as input:n1:...:nk (e.g. 196:64:32:32:10)"),
-    "--max-fma": dict(type=int, help="physical FMA units (default 64); wider layers run in passes"),
-    "--bits": dict(type=int, help="total bits of the fixed-point format (default 8)"),
-    "--int-bits": dict(type=int, help="integer bits incl. sign (default 3)"),
+    "--max-fma": dict(type=_int,
+                      help="physical FMA units (default 64); wider layers run in passes"),
+    "--bits": dict(type=_int, help="total bits of the fixed-point format (default 8)"),
+    "--int-bits": dict(type=_int, help="integer bits incl. sign (default 3)"),
     "--mode": dict(choices=_MODE_NAMES, help="engine mode (default store)"),
     "--af": dict(choices=_AF_NAMES, help="hidden-layer activation (output layer stays identity)"),
-    "--softmax-cycles": dict(type=int, help="constant added to total cycles for the output stage"),
+    "--softmax-cycles": dict(type=_int, help="constant added to total cycles for the output stage"),
     "--images": dict(help="MNIST IDX image file (.gz ok)"),
     "--labels": dict(help="MNIST IDX label file (.gz ok)"),
     "--fold": dict(choices=FOLD_MODES, default="mean",
                    help="28x28 -> 14x14 reduction (default mean)"),
-    "--limit": dict(type=int, help="use at most N images"),
+    "--limit": dict(type=_int, help="use at most N images"),
 }
 _NETWORK = "--config --layers --max-fma --bits --int-bits --mode --af --softmax-cycles"
 _DATASET = "--images --labels --fold"
@@ -360,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subparser(sub, "sweep", "bit-width sweep of a float model", cmd_sweep,
                    f"--config --layers --max-fma --mode --af --softmax-cycles {_DATASET} --limit")
-    p.add_argument("--int-bits", dest="swept_int_bits", type=int, metavar="INT_BITS",
+    p.add_argument("--int-bits", dest="swept_int_bits", type=_int, metavar="INT_BITS",
                    help="integer bits of every swept width (default: the config's)")
     p.add_argument("--params", required=True, help="float parameter file")
     p.add_argument("--bits-list", default="5,8,16,32", help="comma-separated widths")
@@ -368,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subparser(sub, "train", "train a float model (deterministic)", cmd_train,
                    f"--config --layers --af {_DATASET} --limit")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    p.add_argument("--epochs", type=int, default=3)
+    p.add_argument("--seed", type=_int, default=0, help="PRNG seed (default 0)")
+    p.add_argument("--epochs", type=_int, default=3)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_int, default=32)
     p.add_argument("--out", required=True, help="output parameter file")
 
     p = _subparser(sub, "quantize", "quantize a float parameter file", cmd_quantize,
@@ -383,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subparser(sub, "trace", "dump the per-cycle FSM trace of one inference", cmd_trace,
                    f"{_NETWORK} {_DATASET}")
     p.add_argument("--params", required=True, help="parameter file (float or quantized)")
-    p.add_argument("--index", type=int, default=None,
+    p.add_argument("--index", type=_int, default=None,
                    help="dataset image index (default 0); needs --images and --labels")
     p.add_argument("--out", default="-", help="trace output path (default stdout)")
 

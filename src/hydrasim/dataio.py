@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fxp import QFormat, QValue, quantize_array
+from .fxp import QFormat, QValue, as_int, quantize_array
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -81,14 +81,12 @@ def _load_idx(path, magic: int, kind: str, dims: int) -> np.ndarray:
     if len(data) < start:
         raise IdxTruncationError(f"{path}: {len(data)} bytes is too short for an IDX header")
     shape = struct.unpack(f">{dims}I", data[4:start])
-    payload, expected = data[start:], math.prod(shape)
-    if len(payload) < expected:
-        raise IdxTruncationError(
-            f"{path}: payload has {len(payload)} bytes, header declares {expected}"
-        )
-    if len(payload) > expected:
-        raise IdxShapeError(f"{path}: {len(payload) - expected} trailing bytes after payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+    size, expected = len(data) - start, math.prod(shape)
+    if size < expected:
+        raise IdxTruncationError(f"{path}: payload has {size} bytes, header declares {expected}")
+    if size > expected:
+        raise IdxShapeError(f"{path}: {size - expected} trailing bytes after payload")
+    return np.frombuffer(data, np.uint8, offset=start).reshape(shape)   # a view, no copy
 
 
 def load_idx_images(path) -> np.ndarray:
@@ -162,7 +160,7 @@ class Dataset:
 
 def load_dataset(images_path, labels_path, fold: str = "mean", limit: int | None = None) -> Dataset:
     """Load and pair an IDX image/label file set, half-folding every image."""
-    if limit is not None and limit < 0:
+    if limit is not None and as_int(limit, "limit") < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
     raw_images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)

@@ -405,7 +405,7 @@ def _limb_plan(fmt: QFormat, fan_in: int, m_a: int | None = None, m_w: int | Non
 
 def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
                  m_w: int | None) -> np.ndarray:
-    """round_acc(a @ W.T + (bias << f)) for in-range raws a, row by row.
+    """round_acc of each entry of a @ W.T + (bias << f), for in-range raws a.
 
     a is int64, or float64 holding integers, and w_f is W.T * 2^-f.  Where
     m_w is None the format's worst-case plan is already the float route; else
@@ -510,7 +510,7 @@ def _init_from_rng(cfg: NetworkConfig, rng: np.random.Generator) -> Params:
 
 def init_params(cfg: NetworkConfig, seed: int) -> Params:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, from PCG64(seed)."""
-    return _init_from_rng(cfg, np.random.default_rng(seed))
+    return _init_from_rng(cfg, np.random.default_rng(as_int(seed, "seed")))
 
 
 def _af_deriv(kind: AfKind, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -539,6 +539,7 @@ def train_minimal(
     turn non-finite (lr too large) stops after that epoch with a ConfigError.
     """
     ensure_valid(cfg, validate_layers)
+    epochs, batch_size = as_int(epochs, "epochs"), as_int(batch_size, "batch_size")
     if not (math.isfinite(lr) and epochs >= 0 and batch_size >= 1):
         raise ConfigError(f"need a finite lr, epochs >= 0 and batch_size >= 1, "
                           f"got {lr}, {epochs} and {batch_size}")
@@ -551,7 +552,11 @@ def train_minimal(
     if x.shape[0] != labels.shape[0]:
         raise ConfigError("image/label count mismatch")
     n_classes = cfg.layer_sizes[-1]
-    rng = np.random.default_rng(seed)
+    bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if bad.size:
+        raise ConfigError(f"label {labels[bad[0]]} at index {bad[0]} is not in "
+                          f"0..{n_classes - 1} (the output layer has {n_classes} units)")
+    rng = np.random.default_rng(as_int(seed, "seed"))
     params = _init_from_rng(cfg, rng)
     n = x.shape[0]
     for epoch in range(epochs):

@@ -476,6 +476,7 @@ _REQUIRED = {
     "trace": ["--params", "{params}", "--images", "{images}", "--labels", "{labels}"],
     "train": ["--images", "{images}", "--labels", "{labels}", "--out", "p.json"],
     "timing": [],
+    "quantize": ["--params", "{params}", "--out", "q.json"],
 }
 
 
@@ -514,6 +515,33 @@ def test_flags_a_command_never_reads_are_unrecognized(float_params_file, synth_d
     assert exc.value.code == 2
     rejected = flags[max(i for i, tok in enumerate(flags) if tok.startswith("--")):]
     assert f"unrecognized arguments: {' '.join(rejected)}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, dest", [
+    ("simulate", "--max-fma", "max_fma"),
+    ("simulate", "--bits", "bits"),
+    ("simulate", "--int-bits", "int_bits"),
+    ("simulate", "--softmax-cycles", "softmax_cycles"),
+    ("simulate", "--limit", "limit"),
+    ("timing", "--max-fma", "max_fma"),
+    ("sweep", "--int-bits", "swept_int_bits"),
+    ("train", "--seed", "seed"),
+    ("train", "--epochs", "epochs"),
+    ("train", "--batch-size", "batch_size"),
+    ("quantize", "--bits", "bits"),
+    ("trace", "--index", "index"),
+])
+def test_scalar_integer_flags_take_only_integer_tokens(capsys, command, flag, dest):
+    # The token rule of the integer list flags: int() alone reads 6_4, " 64" and Arabic-Indic 64.
+    paths = {"params": "p.json", "images": "i", "labels": "l"}
+    argv = [command, *[tok.format(**paths) for tok in _REQUIRED[command]]]
+    assert getattr(cli.build_parser().parse_args([*argv, flag, "-64"]), dest) == -64
+    past_limit = ["1" * 5000] if hasattr(sys, "get_int_max_str_digits") else []
+    for bad in ("6_4", " 64", "64 ", "\u0666\u0664", "+", "", *past_limit):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, bad])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid int value: {bad!r}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, dropped", [
@@ -762,6 +790,20 @@ def test_train_rejects_bad_hyperparameters(tmp_path, synth_dataset_dir, capsys, 
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flags[0][2:].replace("-", "_") in err
+    assert not out.exists()
+
+
+def test_train_refuses_labels_the_output_layer_cannot_hold(tmp_path, synth_dataset_dir, capsys):
+    out = tmp_path / "p.json"
+    labels = load_dataset(synth_dataset_dir["train_images"],
+                          synth_dataset_dir["train_labels"]).labels.tolist()
+    i = next(i for i, label in enumerate(labels) if label >= 5)
+    rc = main(["train", "--images", str(synth_dataset_dir["train_images"]),
+               "--labels", str(synth_dataset_dir["train_labels"]),
+               "--layers", "196:8:5", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: label {labels[i]} at index {i} is not in 0..4 (the output layer has 5 units)"]
     assert not out.exists()
 
 

@@ -31,13 +31,15 @@ Q83 = QFormat(8, 3)
 # =============================================================================
 
 def test_roundtrip_images_and_labels(tmp_path):
-    images, labels = synthetic_digits(25, seed=1)
-    ip = write_idx_images(tmp_path / "imgs", images)
-    lp = write_idx_labels(tmp_path / "labels", labels)
-    got_images = load_idx_images(ip)
-    got_labels = load_idx_labels(lp)
-    np.testing.assert_array_equal(got_images, images)
-    np.testing.assert_array_equal(got_labels, labels)
+    for n in (25, 0):   # a file of no images is a header alone
+        images, labels = synthetic_digits(n, seed=1)
+        ip = write_idx_images(tmp_path / "imgs", images)
+        lp = write_idx_labels(tmp_path / "labels", labels)
+        got_images = load_idx_images(ip)
+        got_labels = load_idx_labels(lp)
+        assert got_images.shape == (n, 28, 28) and got_labels.shape == (n,)
+        np.testing.assert_array_equal(got_images, images)
+        np.testing.assert_array_equal(got_labels, labels)
 
 
 def test_gzip_transparent(tmp_path):

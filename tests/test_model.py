@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_quantized_case, synthetic_digits
-from hydrasim.dataio import FOLD_MODES, half_fold
+from conftest import random_quantized_case, synthetic_digits, write_idx_images, write_idx_labels
+from hydrasim.dataio import FOLD_MODES, half_fold, load_dataset
 from hydrasim.datapath import AfKind
 from hydrasim.engine import run_inference
 from hydrasim.errors import ConfigError, ParamsFileError
@@ -506,6 +506,32 @@ def test_train_rejects_bad_hyperparameters(kwargs):
     x, y = _synthetic_training_set(n=8)
     with pytest.raises(ConfigError, match=next(iter(kwargs))):
         train_minimal(x, y, NetworkConfig((x.shape[1], 3, 2)), **kwargs)
+
+
+def test_train_refuses_a_label_outside_the_output_layer():
+    x, y = _synthetic_training_set(n=8)
+    y[5] = -1   # not trained as the last class
+    with pytest.raises(ConfigError, match=re.escape(
+            "label -1 at index 5 is not in 0..9 (the output layer has 10 units)")):
+        train_minimal(x, y, NetworkConfig((x.shape[1], 3, 10)))
+
+
+def test_integer_arguments_are_typed_by_as_int(tmp_path):
+    """A bool or float count or seed is a ConfigError naming it, never truncated."""
+    images, labels = synthetic_digits(3, seed=8)
+    ip = write_idx_images(tmp_path / "imgs", images)
+    lp = write_idx_labels(tmp_path / "labels", labels)
+    x, y = _synthetic_training_set(n=8)
+    cfg = NetworkConfig((x.shape[1], 3, 10))
+    calls = [("limit", lambda v: load_dataset(ip, lp, limit=v)),
+             ("epochs", lambda v: train_minimal(x, y, cfg, epochs=v)),
+             ("batch_size", lambda v: train_minimal(x, y, cfg, batch_size=v)),
+             ("seed", lambda v: train_minimal(x, y, cfg, seed=v)),
+             ("seed", lambda v: init_params(cfg, v))]
+    for name, call in calls:
+        for bad in (True, 1.5):
+            with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {bad}$"):
+                call(bad)
 
 
 def test_init_params_ranges():

@@ -14,11 +14,10 @@ from .dataio import Dataset, half_fold, load_dataset, load_idx_images, load_idx_
 from .engine import (
     CycleReport,
     Engine,
-    Event,
-    EventKind,
     Phase,
     TraceRecord,
     classify,
+    cycle_report,
     run_inference,
 )
 from .errors import ConfigError, ControlFault, ParamsFileError
@@ -50,8 +49,6 @@ __all__ = [
     "CycleReport",
     "Dataset",
     "Engine",
-    "Event",
-    "EventKind",
     "FmaBank",
     "LayerParams",
     "Mode",
@@ -65,6 +62,7 @@ __all__ = [
     "af_savings",
     "build_sigmoid_lut",
     "classify",
+    "cycle_report",
     "dequantize",
     "forward_float",
     "forward_quantized",

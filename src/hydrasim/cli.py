@@ -13,10 +13,12 @@ Each subcommand registers only the flags it reads, and no parser accepts an
 abbreviated flag, so a flag that would change nothing exits 2.  A network flag
 overrides --config, which overrides the parameter file; each command then
 validates exactly the configs it runs.  Simulated cycles depend only on the
-network config, never on the data, so `simulate` and `sweep` step the cycle
-engine once per command.  All CSV output is deterministic for fixed inputs:
-rows are ordered by input index and floats are printed with a fixed format.  Errors print as one `error: ...` line and
-warnings as one `warning: ...` line each, both on stderr.
+network config, never on the data: `timing` and `sweep` read them off
+engine.cycle_report and build no engine, and `simulate` steps the engine once
+per command.  All CSV output is deterministic for fixed inputs: rows are
+ordered by input index and floats are printed with a fixed format.  Errors
+print as one `error: ...` line and warnings as one `warning: ...` line each,
+both on stderr.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ import numpy as np
 
 from .datapath import AfKind
 from .dataio import FOLD_MODES, load_dataset, to_input_vector
-from .engine import CycleReport, Engine, classify
+from .engine import Engine, classify, cycle_report
 from .errors import ConfigError, ControlFault
 from .fxp import QFormat, QValue
 from .model import (
     Mode,
     NetworkConfig,
     Params,
-    LayerParams,
     ensure_valid,
     forward_quantized_batch,
     load_params,
@@ -118,17 +119,6 @@ def _build_config(args, params: Params | None) -> NetworkConfig:
 def _quantized_for(cfg: NetworkConfig, params: Params) -> Params:
     """params at cfg's format; a file quantized at another one is left to check_forward."""
     return params if params.is_quantized else quantize_params(params, cfg.qformat)
-
-
-def _zero_params(cfg: NetworkConfig) -> Params:
-    layers = [LayerParams(np.zeros((n, k), dtype=np.int64), np.zeros(n, dtype=np.int64))
-              for k, n in zip(cfg.layer_sizes[:-1], cfg.layer_sizes[1:])]
-    return Params(layers, cfg.qformat)
-
-
-def _cycle_report(cfg: NetworkConfig) -> CycleReport:
-    """Cycles are data-independent: one stepped inference of zero params on zeros."""
-    return Engine(cfg, _zero_params(cfg)).run([QValue(0, cfg.qformat)] * cfg.layer_sizes[0])[1]
 
 
 def _open_out(path):
@@ -222,12 +212,12 @@ def cmd_timing(args) -> int:
     if cfg.n_layers == 1:
         print("  note: single-layer network; t_reuse closed form is degenerate")
 
-    print(f"simulated store-and-forward total = {_cycle_report(cfg).total_cycles}")
+    print(f"simulated store-and-forward total = {cycle_report(cfg).total_cycles}")
     streamed = dataclasses.replace(cfg, mode=Mode.STREAMED)
     if validate(streamed):   # only tiled layers stop a valid config from streaming
         print("simulated streamed total = n/a (tiled layers require store-and-forward)")
     else:
-        print(f"simulated streamed total = {_cycle_report(streamed).total_cycles}")
+        print(f"simulated streamed total = {cycle_report(streamed).total_cycles}")
     print(f"af units saved        {af_savings(cfg)} (per layer: {per_layer_af_savings(cfg)})")
     return 0
 
@@ -245,7 +235,7 @@ def cmd_sweep(args) -> int:
     cfgs = [dataclasses.replace(base, qformat=QFormat(w, int_bits)) for w in widths]
     for cfg in cfgs:
         ensure_valid(cfg)
-    cycles = _cycle_report(cfgs[0]).total_cycles
+    cycles = cycle_report(cfgs[0]).total_cycles
     rows = []
     for width, cfg in zip(widths, cfgs):
         qparams = quantize_params(params, cfg.qformat)

@@ -1,20 +1,21 @@
-"""Layer-multiplexed control engine.
+"""Layer-multiplexed control engine and its pass schedule.
 
 One FmaBank of MAX_FMA multiply-accumulate slots, one PISO capture stage, and
 one shared activation unit execute every layer of the network in sequence, on
 raw integer codes (QValues enter and leave only at Engine.run, the one entry
-point).  The controller is one generator, Engine._control, written as the
-control sequence itself: for each layer, for each pass of at most MAX_FMA
-units, it arms the units, MACs, captures into the PISO and serializes, and
-yields once per clock cycle; run walks it to the end, one cycle per yield.
-The PISO capture is the list of a pass's rounded accumulators, drained by
-index; the Phase labels each cycle for the trace, and the cycle report is
-read off the event log.  That the sequence follows the cycle rules below is
-checked by the test suite, not at run time.  Config, parameters and input are
-checked by model.check_forward and model.check_input, the oracle's own rules.
-Every setting, the mode included, comes from the config the engine is built
-with: to run another mode, build an engine from dataclasses.replace(cfg,
-mode=...).
+point).  The schedule is one generator, _passes: each layer runs in passes of
+at most MAX_FMA units, and a pass arms its units, MACs, captures into the PISO
+and serializes.  Engine._control clocks each pass on the datapath and yields
+once per clock cycle; run walks it to the end, one cycle per yield.  Cycles
+depend only on the config, so cycle_report(cfg) sums the same passes with no
+parameters and no datapath, and Engine.run returns that report.  The PISO
+capture is the list of a pass's rounded accumulators, drained by index; the
+Phase labels each cycle for the trace.  That the sequence follows the cycle
+rules below is checked by the test suite, not at run time.  Config, parameters
+and input are checked by model.check_forward and model.check_input, the
+oracle's own rules.  Every setting, the mode included, comes from the config
+the engine is built with: to run another mode, build an engine from
+dataclasses.replace(cfg, mode=...).
 
 Cycle accounting, store-and-forward mode
 ----------------------------------------
@@ -38,7 +39,7 @@ element lands.  Outputs are bit-identical across modes.
 
 Tiling splits a layer wider than MAX_FMA into ceil(n/MAX_FMA) passes of
 inputs + pass_width + 2 cycles each, in store-and-forward mode only; pass
-boundaries reuse the layer-done phase but only real layer boundaries emit events.
+boundaries reuse the layer-done phase.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from enum import Enum
 from .datapath import ActivationUnit, AfKind, FmaBank, build_sigmoid_lut
 from .errors import ConfigError
 from .fxp import QFormat, QValue, round_acc
-from .model import Mode, NetworkConfig, Params, check_forward, check_input
+from .model import Mode, NetworkConfig, Params, check_forward, check_input, ensure_valid
 
 
 class Phase(Enum):
@@ -58,20 +59,6 @@ class Phase(Enum):
     SERIALIZE = "serialize"
     LAYER_DONE = "layer_done"
     ANN_DONE = "ann_done"
-
-
-class EventKind(Enum):
-    LAYER_STARTED = "layer_started"
-    FIRST_OUTPUT = "first_output"
-    LAYER_FINISHED = "layer_finished"
-    ANN_DONE = "ann_done"
-
-
-@dataclass(frozen=True)
-class Event:
-    kind: EventKind
-    layer: int
-    cycle: int
 
 
 @dataclass(frozen=True)
@@ -107,6 +94,63 @@ class CycleReport:
     last_output_cycle: int    # cycle the final layer's last activation is stored
 
 
+def _passes(cfg: NetworkConfig):
+    """The pass schedule: (layer, offset, width, fed, feeds) of each pass in order.
+
+    A pass runs units offset..offset+width-1 of its layer.  fed says its MAC
+    already ran in the upstream pass's store cycles (streamed mode); feeds is
+    the width of the next layer, whose MAC runs in this pass's store cycles,
+    or 0.  A streamed config has no tiled layer (validate rejects one), so a
+    fed or feeding pass is its layer's one pass.
+    """
+    streamed = cfg.mode is Mode.STREAMED
+    fed = False
+    for l in range(cfg.n_layers):
+        n = cfg.width_of(l)
+        feeds = cfg.width_of(l + 1) if streamed and l + 1 < cfg.n_layers else 0
+        for off in range(0, n, cfg.max_fma):
+            yield l, off, min(cfg.max_fma, n - off), fed, feeds
+        fed = feeds > 0
+
+
+def cycle_report(cfg: NetworkConfig) -> CycleReport:
+    """The cycle report of every inference on cfg, summed pass by pass over _passes.
+
+    Cycles depend only on the config, so no parameters and no datapath are
+    needed: a pass costs inputs MAC cycles (none if fed), one PISO capture and
+    width + 1 store cycles, and its first output lands 2 cycles after its MACs.
+    """
+    ensure_valid(cfg)
+    start, first, finish, mac_cycles, ser_cycles = ([0] * cfg.n_layers for _ in range(5))
+    cycle = mac_ops = af_invocations = 0   # cycle: the cycles clocked before the pass
+    for l, off, w, fed, _ in _passes(cfg):
+        inputs = cfg.inputs_of(l)
+        macs = 0 if fed else inputs
+        if off == 0:
+            start[l] = first[l - 1] if fed else cycle   # fed: with the upstream stream
+            first[l] = cycle + macs + 2
+        cycle += macs + w + 2
+        finish[l] = cycle
+        mac_cycles[l] += inputs
+        ser_cycles[l] += w + 1
+        mac_ops += inputs * w
+        af_invocations += w
+    # Streamed, a layer's share of the total ends where its output stream begins.
+    end = first if cfg.mode is Mode.STREAMED and cfg.n_layers > 1 else finish
+    total_cycles = end[-1] + cfg.softmax_cycles
+    return CycleReport(
+        per_layer=[LayerTiming(l, start[l], mac_cycles[l], first[l], ser_cycles[l],
+                               end[l] - start[l]) for l in range(cfg.n_layers)],
+        total_cycles=total_cycles,
+        mac_ops=mac_ops,
+        af_invocations=af_invocations,
+        fma_utilization=mac_ops / (cfg.max_fma * total_cycles),
+        softmax_cycles=cfg.softmax_cycles,
+        mode=cfg.mode,
+        last_output_cycle=finish[-1],
+    )
+
+
 class Engine:
     """Cycle-accurate execution of one network on the multiplexed layer."""
 
@@ -122,136 +166,73 @@ class Engine:
         self._wcols = [lp.weights.T.tolist() for lp in params.layers]
         self._biases = [lp.biases.tolist() for lp in params.layers]
 
-    def _event(self, kind: EventKind, layer: int) -> None:
-        """Log kind at the cycle being clocked, which run counts once it yields."""
-        self.events.append(Event(kind, layer, self.cycle + 1))
-
     # -- the controller -------------------------------------------------------
 
     def _arm_units(self, l: int, off: int, w: int) -> None:
         """Bias preload, arming the pass's slots; costs no cycle (overlaps fetch)."""
         self.fma_bank.preload(self._biases[l][off:off + w], self.fmt.frac_bits)
-        if off == 0:
-            self._event(EventKind.LAYER_STARTED, l)
 
     def _mac(self, l: int, off: int, w: int, k: int, x_raw: int) -> int:
         """One MAC cycle of the pass (l, off, w): layer input k, of value x_raw."""
         self.fma_bank.step(x_raw, self._wcols[l][k][off:off + w])
-        self.mac_ops += w
-        self._mac_cycles[l] += 1
         return w
 
     def _control(self):
-        """The control sequence: yields once per clock cycle, the active FMA count."""
+        """The control sequence: clocks each pass of _passes, yielding once per
+        clock cycle the active FMA count."""
         cfg = self.cfg
-        streamed = cfg.mode is Mode.STREAMED
-        fed = False   # this pass's MAC already ran in the upstream store cycles
-        for l in range(cfg.n_layers):
-            # Hand the stored activations on to this layer (store-and-forward);
-            # in streamed mode they were consumed as they arrived.
-            if l and not fed:
-                self.in_buf = self.out_buf
-            self.out_buf = []
-            self.layer_index = l
-            self.afu.configure(cfg.afs[l])
-            n = cfg.width_of(l)
-            for off in range(0, n, cfg.max_fma):
-                w = min(cfg.max_fma, n - off)
-                last = off + w == n
-                last_of_net = last and l == cfg.n_layers - 1
-                if not fed:
-                    self._arm_units(l, off, w)
-                    self.phase = Phase.MAC
-                    for k in range(cfg.inputs_of(l)):
-                        yield self._mac(l, off, w, k, self.in_buf[k])
-                # PISO capture through the single rounding point (round, saturate).
-                self.phase = Phase.PISO_LOAD
-                piso = [round_acc(a, self.fmt) for a in self.fma_bank.acc[:w]]
-                yield 0
-                # Serialize: the AF output of cycle i is stored on cycle i + 1; in
-                # streamed mode the next layer's MAC consumes it on that cycle.  A
-                # streamed config has no tiled layer (validate rejects one), so
-                # that MAC is the next layer's whole single pass.
-                self.phase = Phase.SERIALIZE
-                fed = streamed and last and not last_of_net
-                w_next = cfg.width_of(l + 1) if fed else 0
-                for i in range(w + 1):
-                    active = 0
-                    if i:
-                        self.out_buf.append(out)
-                        if fed:
-                            if i == 1:
-                                self._arm_units(l + 1, 0, w_next)
-                            active = self._mac(l + 1, 0, w_next, i - 1, out)
-                    if i < w:
-                        out = self.afu.apply_raw(piso[i])
-                        self.af_invocations += 1
-                        if i == 0 and off == 0:
-                            self._event(EventKind.FIRST_OUTPUT, l)
-                    self._ser_cycles[l] += 1
-                    if i == w:
-                        if last_of_net:
-                            self.phase = Phase.ANN_DONE
-                            self._event(EventKind.ANN_DONE, l)
-                        else:
-                            self.phase = Phase.LAYER_DONE
-                            if last:
-                                self._event(EventKind.LAYER_FINISHED, l)
-                    yield active
+        for l, off, w, fed, feeds in _passes(cfg):
+            if off == 0:
+                # Hand the stored activations on to this layer (store-and-forward);
+                # in streamed mode they were consumed as they arrived.
+                if l and not fed:
+                    self.in_buf = self.out_buf
+                self.out_buf = []
+                self.layer_index = l
+                self.afu.configure(cfg.afs[l])
+            if not fed:
+                self._arm_units(l, off, w)
+                self.phase = Phase.MAC
+                for k in range(cfg.inputs_of(l)):
+                    yield self._mac(l, off, w, k, self.in_buf[k])
+            # PISO capture through the single rounding point (round, saturate).
+            self.phase = Phase.PISO_LOAD
+            piso = [round_acc(a, self.fmt) for a in self.fma_bank.acc[:w]]
+            yield 0
+            # Serialize: the AF output of cycle i is stored on cycle i + 1; in
+            # streamed mode the next layer's MAC consumes it on that cycle.
+            self.phase = Phase.SERIALIZE
+            for i in range(w + 1):
+                active = 0
+                if i:
+                    self.out_buf.append(out)
+                    if feeds:
+                        if i == 1:
+                            self._arm_units(l + 1, 0, feeds)
+                        active = self._mac(l + 1, 0, feeds, i - 1, out)
+                if i < w:
+                    out = self.afu.apply_raw(piso[i])
+                elif l == cfg.n_layers - 1 and off + w == cfg.width_of(l):
+                    self.phase = Phase.ANN_DONE
+                else:
+                    self.phase = Phase.LAYER_DONE
+                yield active
 
-    # -- the clock and the report ---------------------------------------------
+    # -- the clock ------------------------------------------------------------
 
     def run(self, x) -> tuple[list[QValue], CycleReport]:
         """Load an input, clock the engine to 'ANN done', return outputs + report."""
         x = list(x)
         check_input(self.cfg, len(x), x)
         self.in_buf = [v.raw for v in x]
-        self.events: list[Event] = []
-        self.cycle = self.mac_ops = self.af_invocations = 0
-        self._mac_cycles = [0] * self.cfg.n_layers
-        self._ser_cycles = [0] * self.cfg.n_layers
+        self.cycle = 0
         for active in self._control():
             self.cycle += 1
             if self.trace_hook is not None:
                 self.trace_hook(
                     TraceRecord(self.cycle, self.phase.value, self.layer_index, active)
                 )
-        return [QValue(r, self.fmt) for r in self.out_buf], self._report()
-
-    def _report(self) -> CycleReport:
-        cfg = self.cfg
-        start, first, finish = ([0] * cfg.n_layers for _ in range(3))
-        for e in self.events:
-            if e.kind is EventKind.LAYER_STARTED:
-                start[e.layer] = e.cycle - 1
-            elif e.kind is EventKind.FIRST_OUTPUT:
-                first[e.layer] = e.cycle
-            else:   # LAYER_FINISHED, or ANN_DONE for the last layer
-                finish[e.layer] = e.cycle
-        streamed = cfg.mode is Mode.STREAMED and cfg.n_layers > 1
-        per_layer = [
-            LayerTiming(
-                layer=l,
-                start_cycle=start[l],
-                mac_cycles=self._mac_cycles[l],
-                first_output_cycle=first[l],
-                serialize_cycles=self._ser_cycles[l],
-                total_cycles=first[l] - (first[l - 1] if l else 0) if streamed
-                else finish[l] - start[l],
-            )
-            for l in range(cfg.n_layers)
-        ]
-        total_cycles = (first[-1] if streamed else finish[-1]) + cfg.softmax_cycles
-        return CycleReport(
-            per_layer=per_layer,
-            total_cycles=total_cycles,
-            mac_ops=self.mac_ops,
-            af_invocations=self.af_invocations,
-            fma_utilization=self.mac_ops / (cfg.max_fma * total_cycles),
-            softmax_cycles=cfg.softmax_cycles,
-            mode=cfg.mode,
-            last_output_cycle=finish[-1],
-        )
+        return [QValue(r, self.fmt) for r in self.out_buf], cycle_report(self.cfg)
 
 
 def run_inference(cfg: NetworkConfig, params: Params, x) -> tuple[list[QValue], CycleReport]:

@@ -122,13 +122,19 @@ class QValue:
         return self.raw * 2.0 ** -self.fmt.frac_bits
 
 
+def require_ints(arr: np.ndarray, name: str) -> None:
+    """as_int's rule on an array: an element that is no integer (any element of
+    a float, bool or str array, or such an element of an object array) is a
+    ConfigError naming name and the element."""
+    if arr.dtype.kind not in "iu":   # an integer dtype holds only integers
+        for value in arr.reshape(-1).tolist():
+            as_int(value, name)
+
+
 def raw_codes_fit(arr: np.ndarray, fmt: QFormat) -> bool:
     """True if every raw code in arr lies inside fmt: QValue's range rule on an
-    array.  A code that is no integer (any code of a float, bool or str array,
-    or such an element of an object array) is QValue's ConfigError for it."""
-    if arr.dtype.kind not in "iu":   # an integer dtype holds only integers
-        for code in arr.reshape(-1).tolist():
-            as_int(code, "raw")
+    array.  A code that is no integer is QValue's ConfigError for it."""
+    require_ints(arr, "raw")
     return not arr.size or (fmt.raw_min <= arr.min() and arr.max() <= fmt.raw_max)
 
 

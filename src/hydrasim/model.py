@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -34,8 +35,8 @@ import numpy as np
 
 from .datapath import AfKind, activate_raw, build_sigmoid_lut
 from .errors import ConfigError, ParamsFileError
-from .fxp import (_CHUNK, QFormat, QValue, as_int, quantize_array, raw_codes_fit, round_acc,
-                  round_quotient)
+from .fxp import (_CHUNK, QFormat, QValue, as_int, quantize_array, raw_codes_fit,
+                  require_ints, round_acc, round_quotient)
 
 
 class Mode(Enum):
@@ -540,11 +541,14 @@ def train_minimal(
     """
     ensure_valid(cfg, validate_layers)
     epochs, batch_size = as_int(epochs, "epochs"), as_int(batch_size, "batch_size")
+    if not isinstance(lr, numbers.Real) or isinstance(lr, bool):
+        raise ConfigError(f"lr must be a real number, got {lr!r}")
     if not (math.isfinite(lr) and epochs >= 0 and batch_size >= 1):
         raise ConfigError(f"need a finite lr, epochs >= 0 and batch_size >= 1, "
                           f"got {lr}, {epochs} and {batch_size}")
     x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    require_ints(labels, "label")   # never truncated: 2.5 is not trained as 2
     if x.ndim != 2 or x.shape[1] != cfg.layer_sizes[0]:
         raise ConfigError(f"expected training inputs of shape [N, {cfg.layer_sizes[0]}]")
     if x.shape[0] == 0:
@@ -556,6 +560,7 @@ def train_minimal(
     if bad.size:
         raise ConfigError(f"label {labels[bad[0]]} at index {bad[0]} is not in "
                           f"0..{n_classes - 1} (the output layer has {n_classes} units)")
+    labels = labels.astype(np.int64)
     rng = np.random.default_rng(as_int(seed, "seed"))
     params = _init_from_rng(cfg, rng)
     n = x.shape[0]

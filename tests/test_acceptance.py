@@ -14,7 +14,7 @@ import pytest
 from conftest import random_quantized_case
 from hydrasim.cli import main
 from hydrasim.datapath import ActivationUnit, FmaBank
-from hydrasim.engine import Engine, EventKind, run_inference
+from hydrasim.engine import Engine, run_inference
 from hydrasim.fxp import QFormat, QValue
 from hydrasim.model import (
     Mode,
@@ -39,16 +39,19 @@ def _verdict(n, ok, detail):
 
 def test_criterion_1_layer1_cycle_fidelity():
     t0 = time.perf_counter()
-    engine, cfg = bench_engine()
-    engine.run(zeros_input(cfg))
+    trace = []
+    engine, cfg = bench_engine(trace_hook=trace.append)
+    _, report = engine.run(zeros_input(cfg))
     elapsed = time.perf_counter() - t0
-    first = next(e for e in engine.events if e.kind is EventKind.FIRST_OUTPUT and e.layer == 0)
-    done = next(e for e in engine.events if e.kind is EventKind.LAYER_FINISHED and e.layer == 0)
-    ok = first.cycle == 198 and done.cycle == 262 and elapsed < 1.0
+    l0 = report.per_layer[0]
+    first, done = l0.first_output_cycle, l0.start_cycle + l0.total_cycles
+    # The trace agrees: layer 0's first store cycle, and its layer_done cycle.
+    stored = [r.cycle for r in trace if r.layer == 0 and r.phase in ("serialize", "layer_done")]
+    ok = first == 198 == stored[0] and done == 262 == stored[-1] and elapsed < 1.0
     _verdict(
         1,
         ok,
-        f"layer-1 first output @ {first.cycle} (want 198), completion @ {done.cycle} "
+        f"layer-1 first output @ {first} (want 198), completion @ {done} "
         f"(want 262), runtime {elapsed:.3f}s (< 1s)",
     )
 

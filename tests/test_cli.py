@@ -612,24 +612,37 @@ def test_simulate_kernel_engine_disagreement_is_an_error(tmp_path, float_params_
     assert not out.exists()
 
 
-def test_sweep_steps_the_engine_once(tmp_path, float_params_file, synth_dataset_dir,
-                                     monkeypatch):
-    runs = []
+def test_timing_and_sweep_build_no_engine(tmp_path, float_params_file, synth_dataset_dir,
+                                          monkeypatch, capsys):
+    """Cycles come from cycle_report: timing and sweep build no Engine, and
+    simulate builds exactly one."""
+    class NoEngine(Engine):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("this command builds no Engine")
 
-    class CountingEngine(Engine):
-        def run(self, x):
-            runs.append(self.fmt)
-            return super().run(x)
-
-    monkeypatch.setattr(cli, "Engine", CountingEngine)
-    rc = main(["sweep", "--params", str(float_params_file),
-               "--images", str(synth_dataset_dir["test_images"]),
-               "--labels", str(synth_dataset_dir["test_labels"]),
-               "--limit", "20", "--bits-list", "5,8,16", "--out", str(tmp_path / "s.csv")])
+    monkeypatch.setattr(cli, "Engine", NoEngine)
+    # 156,250 passes of 64 units, for 40 million weights.
+    assert main(["timing", "--layers", "4:10000000"]) == 0
+    assert "simulated store-and-forward total = 10937500\n" in capsys.readouterr().out
+    dataset = ["--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]), "--limit", "20"]
+    rc = main(["sweep", "--params", str(float_params_file), *dataset,
+               "--bits-list", "5,8,16", "--out", str(tmp_path / "s.csv")])
     assert rc == 0
-    assert len(runs) == 1
     assert [line.split(",")[2] for line in (tmp_path / "s.csv").read_text().splitlines()[2:]] \
         == [str(CYCLES)] * 3
+
+    built = []
+
+    class CountingEngine(Engine):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Engine", CountingEngine)
+    rc = main(["simulate", "--params", str(float_params_file), *dataset,
+               "--out", str(tmp_path / "sim.csv")])
+    assert rc == 0 and len(built) == 1
 
 
 @pytest.mark.parametrize("field", [

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from hydrasim.datapath import AfKind
-from hydrasim.engine import Engine, LayerTiming
+from hydrasim.engine import Engine, LayerTiming, cycle_report
 from hydrasim.fxp import QFormat, QValue
 from hydrasim.model import (
     LayerParams,
@@ -159,4 +159,5 @@ def test_engine_steps_the_cycle_sequence_of_the_readme_rules():
         # Gated units do no MAC: the count is the layers' MACs, cycle by cycle.
         macs = sum(cfg.inputs_of(l) * cfg.width_of(l) for l in range(cfg.n_layers))
         assert report.mac_ops == sum(r.active_fma for r in trace) == macs
+        assert cycle_report(cfg) == report
     assert case + 1 == 122 and overlapped and tiled

@@ -1,4 +1,4 @@
-"""Engine tests: cycle fidelity, FSM behavior, modes, tiling, events, errors.
+"""Engine tests: cycle fidelity, FSM behavior, modes, tiling, errors.
 
 The benchmark cycle numbers (first output at 198, layer done at 262, the
 66-cycle second layer, totals 470 / 332) are the anchor values for the whole
@@ -14,7 +14,7 @@ import pytest
 
 from conftest import random_quantized_case
 from hydrasim.datapath import ActivationUnit, AfKind
-from hydrasim.engine import Engine, EventKind, classify, run_inference
+from hydrasim.engine import Engine, classify, run_inference
 from hydrasim.errors import ConfigError
 from hydrasim.fxp import QFormat, QValue
 from hydrasim.model import (
@@ -96,18 +96,27 @@ def test_degenerate_one_input_one_neuron_layer():
     assert report.total_cycles == 4
 
 
-def test_event_sequence_benchmark():
-    engine, cfg = bench_engine()
-    engine.run(zeros_input(cfg))
-    seq = [(e.kind, e.layer, e.cycle) for e in engine.events]
-    assert seq[:4] == [
-        (EventKind.LAYER_STARTED, 0, 1),
-        (EventKind.FIRST_OUTPUT, 0, 198),
-        (EventKind.LAYER_FINISHED, 0, 262),
-        (EventKind.LAYER_STARTED, 1, 263),
-    ]
-    assert (EventKind.FIRST_OUTPUT, 1, 328) in seq
-    assert seq[-1] == (EventKind.ANN_DONE, 3, 470)
+def _first_cycles(trace):
+    """The first cycle of each (phase, layer) in a trace."""
+    firsts = {}
+    for r in trace:
+        firsts.setdefault((r.phase, r.layer), r.cycle)
+    return firsts
+
+
+def test_layer_boundaries_benchmark():
+    trace = []
+    engine, cfg = bench_engine(trace_hook=trace.append)
+    _, report = engine.run(zeros_input(cfg))
+    l0, l1 = report.per_layer[:2]
+    # Each layer's first MAC, its first output and (store-and-forward) its end.
+    assert (l0.start_cycle + 1, l0.first_output_cycle, l0.start_cycle + l0.total_cycles) \
+        == (1, 198, 262)
+    assert (l1.start_cycle + 1, l1.first_output_cycle) == (263, 328)
+    firsts = _first_cycles(trace)
+    assert [firsts[("mac", 0)], firsts[("serialize", 0)], firsts[("layer_done", 0)],
+            firsts[("mac", 1)], firsts[("serialize", 1)]] == [1, 198, 262, 263, 328]
+    assert (trace[-1].phase, trace[-1].layer, trace[-1].cycle) == ("ann_done", 3, 470)
 
 
 def test_softmax_cycles_added_to_total():
@@ -368,9 +377,11 @@ def test_engine_reset_reuses_cleanly():
     # Each run starts from cycle 0: a second run on one engine repeats the first.
     cfg, params, x = random_quantized_case(np.random.default_rng(13), Q83)   # 13:9:9:1:9
     for c in (cfg, dataclasses.replace(cfg, mode=Mode.STREAMED), dataclasses.replace(cfg, max_fma=4)):
-        engine = Engine(c, params)
-        first, events = engine.run(x), engine.events
-        assert engine.run(x) == first and engine.events == events
+        trace = []
+        engine = Engine(c, params, trace_hook=trace.append)
+        first, first_trace = engine.run(x), trace.copy()
+        trace.clear()
+        assert engine.run(x) == first and trace == first_trace
         assert engine.cycle == first[1].last_output_cycle
     # A run cut short (here by its trace hook) leaves nothing to the next one.
     def stop(record):
@@ -401,16 +412,17 @@ def test_idle_and_finished_engines_are_freed_without_cyclic_gc():
         gc.enable()
 
 
-def test_events_agree_with_report():
+def test_trace_agrees_with_report():
     rng = np.random.default_rng(88)
     for mode in (Mode.STORE_AND_FORWARD, Mode.STREAMED):
         cfg, params, x = random_quantized_case(rng, Q83)
-        engine = Engine(dataclasses.replace(cfg, mode=mode), params)
+        trace = []
+        engine = Engine(dataclasses.replace(cfg, mode=mode), params, trace_hook=trace.append)
         _, report = engine.run(x)
-        firsts = {e.layer: e.cycle for e in engine.events if e.kind is EventKind.FIRST_OUTPUT}
+        firsts = {layer: c for (phase, layer), c in _first_cycles(trace).items()
+                  if phase == "serialize"}
         assert firsts == {lt.layer: lt.first_output_cycle for lt in report.per_layer}
-        done = [e for e in engine.events if e.kind is EventKind.ANN_DONE]
-        assert len(done) == 1 and done[0].cycle == report.last_output_cycle
+        assert [r.cycle for r in trace if r.phase == "ann_done"] == [report.last_output_cycle]
 
 
 def test_degenerate_phase_sequence():

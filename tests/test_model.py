@@ -501,7 +501,7 @@ def test_train_rejects_inputs_of_the_wrong_shape(shape):
 
 
 @pytest.mark.parametrize("kwargs", [{"lr": math.nan}, {"lr": -math.inf}, {"epochs": -1},
-                                    {"batch_size": 0}])
+                                    {"batch_size": 0}, {"lr": "0.1"}, {"lr": True}])
 def test_train_rejects_bad_hyperparameters(kwargs):
     x, y = _synthetic_training_set(n=8)
     with pytest.raises(ConfigError, match=next(iter(kwargs))):
@@ -514,6 +514,10 @@ def test_train_refuses_a_label_outside_the_output_layer():
     with pytest.raises(ConfigError, match=re.escape(
             "label -1 at index 5 is not in 0..9 (the output layer has 10 units)")):
         train_minimal(x, y, NetworkConfig((x.shape[1], 3, 10)))
+    # A non-integer label is refused, never truncated (2.5 is not trained as 2).
+    x, y = _synthetic_training_set(n=8)
+    with pytest.raises(ConfigError, match=r"^label must be an integer, got \d+\.5$"):
+        train_minimal(x, y + 0.5, NetworkConfig((x.shape[1], 3, 10)))
 
 
 def test_integer_arguments_are_typed_by_as_int(tmp_path):

@@ -13,12 +13,12 @@ Each subcommand registers only the flags it reads, and no parser accepts an
 abbreviated flag, so a flag that would change nothing exits 2.  A network flag
 overrides --config, which overrides the parameter file; each command then
 validates exactly the configs it runs.  Simulated cycles depend only on the
-network config, never on the data: `timing` and `sweep` read them off
-engine.cycle_report and build no engine, and `simulate` steps the engine once
-per command.  All CSV output is deterministic for fixed inputs: rows are
-ordered by input index and floats are printed with a fixed format.  Errors
-print as one `error: ...` line and warnings as one `warning: ...` line each,
-both on stderr.
+network config, never on the data: `simulate`, `timing` and `sweep` read
+them off engine.cycle_report, and `simulate` steps the engine once per
+command, to cross-check image 0.  All CSV output is deterministic for fixed
+inputs: rows are ordered by input index and floats are printed with a fixed
+format.  Errors print as one `error: ...` line and warnings as one
+`warning: ...` line each, both on stderr.
 """
 
 from __future__ import annotations
@@ -60,17 +60,25 @@ _MODE_NAMES = sorted(m.value for m in Mode)
 _AF_NAMES = sorted(k.value for k in AfKind)
 
 
-# An integer token: an optional sign and ASCII digits.  int() alone would also
+# Integer and real tokens: an optional sign and ASCII digits (a real's with a
+# point, an exponent, or as inf or nan).  int() and float() alone would also
 # read underscores, surrounding spaces and non-ASCII digits.
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+_FLOAT_TOKEN = re.compile(r"(?i)[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf(inity)?|nan)")
 
 
-def _int(text: str) -> int:
-    """The argparse type of a scalar integer flag: one integer token."""
-    with contextlib.suppress(ValueError):   # int() refuses a token past its digit limit
-        if _INT_TOKEN.fullmatch(text):
-            return int(text)
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+def _token_type(token: re.Pattern, convert):
+    """The argparse type of a scalar flag: one token, converted by convert."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):   # int() refuses a token past its digit limit
+            if token.fullmatch(text):
+                return convert(text)
+        raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}")
+    return parse
+
+
+_int = _token_type(_INT_TOKEN, int)
+_float = _token_type(_FLOAT_TOKEN, float)
 
 
 def _int_list(text: str, flag: str, sep: str = ",") -> list[int]:
@@ -143,25 +151,25 @@ def cmd_simulate(args) -> int:
     cfg = _build_config(args, params)
     ensure_valid(cfg)
     qparams = _quantized_for(cfg, params)
+    report = cycle_report(cfg)   # cycles depend only on the config
+    tp = throughput_report(report, args.clock_hz)
     ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
     out_raw = forward_quantized_batch(cfg, qparams, quantize_array(ds.flat, cfg.qformat))
     preds = np.argmax(out_raw, axis=1).tolist()   # ties to the lowest index, as classify
     labels = ds.labels.tolist()
     n = len(labels)
-    rows = []
     if n:
-        # The stepped engine is ground truth: its one inference gives the cycle
-        # report, and must reproduce the kernel's outputs.
-        outputs, report = Engine(cfg, qparams).run(to_input_vector(ds.images[0], cfg.qformat))
-        tp = throughput_report(report, args.clock_hz)
+        # The stepped engine is ground truth: its one inference must reproduce
+        # the kernel's outputs.
+        outputs, _ = Engine(cfg, qparams).run(to_input_vector(ds.images[0], cfg.qformat))
         engine_raw = [v.raw for v in outputs]
         if engine_raw != out_raw[0].tolist():
             raise ControlFault(
                 f"batch kernel and stepped engine disagree on image 0: "
                 f"{out_raw[0].tolist()} != {engine_raw}"
             )
-        rows = [f"{idx},{label},{pred},{report.total_cycles}\n"
-                for idx, (label, pred) in enumerate(zip(labels, preds))]
+    rows = [f"{idx},{label},{pred},{report.total_cycles}\n"
+            for idx, (label, pred) in enumerate(zip(labels, preds))]
 
     with _open_out(args.out) as out:
         out.write(f"# schema={SIMULATE_SCHEMA}\n")
@@ -355,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    f"{_NETWORK} {_DATASET} --limit")
     p.add_argument("--params", required=True, help="parameter file (float or quantized)")
     p.add_argument("--out", default="-", help="per-image CSV output path (default stdout)")
-    p.add_argument("--clock-hz", type=float, default=100e6, help="clock for GOPS (default 100 MHz)")
+    p.add_argument("--clock-hz", type=_float, default=100e6, help="clock for GOPS (default 100 MHz)")
 
     p = _subparser(sub, "timing", "closed-form and simulated cycle counts", cmd_timing,
                    "--config --layers --max-fma --softmax-cycles")
@@ -374,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                    f"--config --layers --af {_DATASET} --limit")
     p.add_argument("--seed", type=_int, default=0, help="PRNG seed (default 0)")
     p.add_argument("--epochs", type=_int, default=3)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=_float, default=0.05)
     p.add_argument("--batch-size", type=_int, default=32)
     p.add_argument("--out", required=True, help="output parameter file")
 

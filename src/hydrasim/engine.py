@@ -6,8 +6,10 @@ raw integer codes (QValues enter and leave only at Engine.run, the one entry
 point).  The schedule is one generator, _passes: each layer runs in passes of
 at most MAX_FMA units, and a pass arms its units, MACs, captures into the PISO
 and serializes.  Engine._control clocks each pass on the datapath and yields
-once per clock cycle; run walks it to the end, one cycle per yield.  Cycles
-depend only on the config, so cycle_report(cfg) sums the same passes with no
+each cycle's phase, layer and active FMA count; run numbers the cycles.  An
+inference's buffers are the controller's locals, so an engine holds only its
+config, weights and hardware blocks, which every pass re-arms.  Cycles depend
+only on the config, so cycle_report(cfg) sums the same passes with no
 parameters and no datapath, and Engine.run returns that report.  The PISO
 capture is the list of a pass's rounded accumulators, drained by index; the
 Phase labels each cycle for the trace.  That the sequence follows the cycle
@@ -49,7 +51,7 @@ from enum import Enum
 
 from .datapath import ActivationUnit, AfKind, FmaBank, build_sigmoid_lut
 from .errors import ConfigError
-from .fxp import QFormat, QValue, round_acc
+from .fxp import QValue, round_acc
 from .model import Mode, NetworkConfig, Params, check_forward, check_input, ensure_valid
 
 
@@ -157,82 +159,64 @@ class Engine:
     def __init__(self, cfg: NetworkConfig, params: Params, trace_hook=None):
         check_forward(cfg, params)
         self.cfg = cfg
-        self.fmt: QFormat = cfg.qformat
         self.trace_hook = trace_hook
         self.fma_bank = FmaBank(cfg.max_fma)
-        lut = build_sigmoid_lut(self.fmt) if AfKind.SIGMOID in cfg.afs else None
-        self.afu = ActivationUnit(self.fmt, lut)
+        lut = build_sigmoid_lut(cfg.qformat) if AfKind.SIGMOID in cfg.afs else None
+        self.afu = ActivationUnit(cfg.qformat, lut)
         # Pre-banked weight memory: one column of raw codes per MAC step.
         self._wcols = [lp.weights.T.tolist() for lp in params.layers]
         self._biases = [lp.biases.tolist() for lp in params.layers]
 
-    # -- the controller -------------------------------------------------------
-
-    def _arm_units(self, l: int, off: int, w: int) -> None:
-        """Bias preload, arming the pass's slots; costs no cycle (overlaps fetch)."""
-        self.fma_bank.preload(self._biases[l][off:off + w], self.fmt.frac_bits)
-
-    def _mac(self, l: int, off: int, w: int, k: int, x_raw: int) -> int:
-        """One MAC cycle of the pass (l, off, w): layer input k, of value x_raw."""
-        self.fma_bank.step(x_raw, self._wcols[l][k][off:off + w])
-        return w
-
-    def _control(self):
-        """The control sequence: clocks each pass of _passes, yielding once per
-        clock cycle the active FMA count."""
-        cfg = self.cfg
+    def _control(self, raws: list[int], outputs: list[int]):
+        """Clock each pass of _passes on input raws, yielding (phase, layer, active
+        FMA count) once per cycle; leave the final layer's raws in outputs."""
+        cfg, fmt, bank = self.cfg, self.cfg.qformat, self.fma_bank
         for l, off, w, fed, feeds in _passes(cfg):
             if off == 0:
                 # Hand the stored activations on to this layer (store-and-forward);
                 # in streamed mode they were consumed as they arrived.
                 if l and not fed:
-                    self.in_buf = self.out_buf
-                self.out_buf = []
-                self.layer_index = l
+                    raws = stored
+                stored = []
                 self.afu.configure(cfg.afs[l])
             if not fed:
-                self._arm_units(l, off, w)
-                self.phase = Phase.MAC
-                for k in range(cfg.inputs_of(l)):
-                    yield self._mac(l, off, w, k, self.in_buf[k])
+                bank.preload(self._biases[l][off:off + w], fmt.frac_bits)
+                mac = Phase.MAC, l, w
+                for x_raw, col in zip(raws, self._wcols[l]):
+                    bank.step(x_raw, col[off:off + w])
+                    yield mac
             # PISO capture through the single rounding point (round, saturate).
-            self.phase = Phase.PISO_LOAD
-            piso = [round_acc(a, self.fmt) for a in self.fma_bank.acc[:w]]
-            yield 0
+            piso = [round_acc(a, fmt) for a in bank.acc[:w]]
+            yield Phase.PISO_LOAD, l, 0
             # Serialize: the AF output of cycle i is stored on cycle i + 1; in
             # streamed mode the next layer's MAC consumes it on that cycle.
-            self.phase = Phase.SERIALIZE
+            last = l == cfg.n_layers - 1 and off + w == cfg.width_of(l)
             for i in range(w + 1):
                 active = 0
                 if i:
-                    self.out_buf.append(out)
+                    stored.append(out)
                     if feeds:
                         if i == 1:
-                            self._arm_units(l + 1, 0, feeds)
-                        active = self._mac(l + 1, 0, feeds, i - 1, out)
+                            bank.preload(self._biases[l + 1], fmt.frac_bits)
+                        bank.step(out, self._wcols[l + 1][i - 1])
+                        active = feeds
                 if i < w:
                     out = self.afu.apply_raw(piso[i])
-                elif l == cfg.n_layers - 1 and off + w == cfg.width_of(l):
-                    self.phase = Phase.ANN_DONE
+                    yield Phase.SERIALIZE, l, active
                 else:
-                    self.phase = Phase.LAYER_DONE
-                yield active
-
-    # -- the clock ------------------------------------------------------------
+                    yield Phase.ANN_DONE if last else Phase.LAYER_DONE, l, active
+        outputs += stored
 
     def run(self, x) -> tuple[list[QValue], CycleReport]:
         """Load an input, clock the engine to 'ANN done', return outputs + report."""
         x = list(x)
         check_input(self.cfg, len(x), x)
-        self.in_buf = [v.raw for v in x]
-        self.cycle = 0
-        for active in self._control():
-            self.cycle += 1
-            if self.trace_hook is not None:
-                self.trace_hook(
-                    TraceRecord(self.cycle, self.phase.value, self.layer_index, active)
-                )
-        return [QValue(r, self.fmt) for r in self.out_buf], cycle_report(self.cfg)
+        hook, outputs = self.trace_hook, []
+        control = self._control([v.raw for v in x], outputs)
+        for cycle, (phase, layer, active) in enumerate(control, 1):
+            if hook is not None:
+                hook(TraceRecord(cycle, phase.value, layer, active))
+        return [QValue(r, self.cfg.qformat) for r in outputs], cycle_report(self.cfg)
 
 
 def run_inference(cfg: NetworkConfig, params: Params, x) -> tuple[list[QValue], CycleReport]:

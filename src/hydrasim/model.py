@@ -496,6 +496,13 @@ def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarra
 # Minimal deterministic trainer
 # =============================================================================
 
+def _rng(seed) -> np.random.Generator:
+    """PCG64(seed), for an integer seed >= 0 (numpy's bare error names no seed)."""
+    if as_int(seed, "seed") < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _init_from_rng(cfg: NetworkConfig, rng: np.random.Generator) -> Params:
     layers = []
     for fan_in, fan_out in zip(cfg.layer_sizes[:-1], cfg.layer_sizes[1:]):
@@ -511,7 +518,7 @@ def _init_from_rng(cfg: NetworkConfig, rng: np.random.Generator) -> Params:
 
 def init_params(cfg: NetworkConfig, seed: int) -> Params:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, from PCG64(seed)."""
-    return _init_from_rng(cfg, np.random.default_rng(as_int(seed, "seed")))
+    return _init_from_rng(cfg, _rng(seed))
 
 
 def _af_deriv(kind: AfKind, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -546,6 +553,7 @@ def train_minimal(
     if not (math.isfinite(lr) and epochs >= 0 and batch_size >= 1):
         raise ConfigError(f"need a finite lr, epochs >= 0 and batch_size >= 1, "
                           f"got {lr}, {epochs} and {batch_size}")
+    rng = _rng(seed)
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
     require_ints(labels, "label")   # never truncated: 2.5 is not trained as 2
@@ -561,7 +569,6 @@ def train_minimal(
         raise ConfigError(f"label {labels[bad[0]]} at index {bad[0]} is not in "
                           f"0..{n_classes - 1} (the output layer has {n_classes} units)")
     labels = labels.astype(np.int64)
-    rng = np.random.default_rng(as_int(seed, "seed"))
     params = _init_from_rng(cfg, rng)
     n = x.shape[0]
     for epoch in range(epochs):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests over synthetic IDX datasets in tmp dirs."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -544,6 +545,26 @@ def test_scalar_integer_flags_take_only_integer_tokens(capsys, command, flag, de
         assert f"argument {flag}: invalid int value: {bad!r}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, dest", [
+    ("simulate", "--clock-hz", "clock_hz"),
+    ("train", "--lr", "lr"),
+])
+def test_scalar_float_flags_take_only_float_tokens(capsys, command, flag, dest):
+    # float() alone reads 1_0e6, " 5" and the Arabic-Indic 5; inf and nan parse,
+    # for the command to refuse.
+    paths = {"params": "p.json", "images": "i", "labels": "l"}
+    argv = [command, *[tok.format(**paths) for tok in _REQUIRED[command]]]
+    for good, value in (("-1.5e+3", -1500.0), (".5", 0.5), ("5.", 5.0), ("7", 7.0),
+                        ("1E6", 1e6), ("-inf", -math.inf), ("Infinity", math.inf)):
+        assert getattr(cli.build_parser().parse_args([*argv, f"{flag}={good}"]), dest) == value
+    assert math.isnan(getattr(cli.build_parser().parse_args([*argv, f"{flag}=NaN"]), dest))
+    for bad in ("1_0e6", " 5", "5 ", "\u0665", "0x10", "1e", "e5", ".", "+", "", "infinite"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={bad}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid float value: {bad!r}\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, dropped", [
     ("simulate", []),
     ("timing", ["--bits", "--int-bits", "--mode", "--af", "--images", "--limit"]),
@@ -780,21 +801,23 @@ def test_directory_paths_exit_1_naming_the_path(tmp_path, float_params_file, syn
     assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("clock", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("clock", ["nan", "inf", "-inf", "0", "-5"])
 def test_simulate_rejects_bad_clock_before_writing(tmp_path, float_params_file,
                                                    synth_dataset_dir, capsys, clock):
+    # Cycles depend only on the config, so a bad clock fails at --limit 0 too.
     out = tmp_path / "sim.csv"
-    rc = main(["simulate", "--params", str(float_params_file),
-               "--images", str(synth_dataset_dir["test_images"]),
-               "--labels", str(synth_dataset_dir["test_labels"]),
-               "--limit", "2", f"--clock-hz={clock}", "--out", str(out)])
-    assert rc == 1
-    assert "clock_hz" in capsys.readouterr().err
-    assert not out.exists()
+    for limit in ("2", "0"):
+        rc = main(["simulate", "--params", str(float_params_file),
+                   "--images", str(synth_dataset_dir["test_images"]),
+                   "--labels", str(synth_dataset_dir["test_labels"]),
+                   "--limit", limit, f"--clock-hz={clock}", "--out", str(out)])
+        assert rc == 1
+        assert "clock_hz" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "inf"], ["--epochs", "-1"],
-                                   ["--batch-size", "0"]])
+                                   ["--batch-size", "0"], ["--seed", "-1"]])
 def test_train_rejects_bad_hyperparameters(tmp_path, synth_dataset_dir, capsys, flags):
     out = tmp_path / "p.json"
     rc = main(["train", "--images", str(synth_dataset_dir["train_images"]),

@@ -376,21 +376,26 @@ def test_trace_records_one_per_cycle():
 def test_engine_reset_reuses_cleanly():
     # Each run starts from cycle 0: a second run on one engine repeats the first.
     cfg, params, x = random_quantized_case(np.random.default_rng(13), Q83)   # 13:9:9:1:9
+    # A run keeps its state in the controller: it adds no field to the engine.
     for c in (cfg, dataclasses.replace(cfg, mode=Mode.STREAMED), dataclasses.replace(cfg, max_fma=4)):
         trace = []
         engine = Engine(c, params, trace_hook=trace.append)
+        fields = set(vars(engine))
         first, first_trace = engine.run(x), trace.copy()
+        assert set(vars(engine)) == fields
         trace.clear()
         assert engine.run(x) == first and trace == first_trace
-        assert engine.cycle == first[1].last_output_cycle
+        assert first_trace[-1].cycle == len(first_trace) == first[1].last_output_cycle
     # A run cut short (here by its trace hook) leaves nothing to the next one.
     def stop(record):
         if record.cycle == 20:
             raise RuntimeError("stopped")
 
     engine = Engine(cfg, params, trace_hook=stop)
+    fields = set(vars(engine))
     with pytest.raises(RuntimeError, match="stopped"):
         engine.run(x)
+    assert set(vars(engine)) == fields
     engine.trace_hook = None
     assert engine.run(x) == Engine(cfg, params).run(x)
 

@@ -501,7 +501,8 @@ def test_train_rejects_inputs_of_the_wrong_shape(shape):
 
 
 @pytest.mark.parametrize("kwargs", [{"lr": math.nan}, {"lr": -math.inf}, {"epochs": -1},
-                                    {"batch_size": 0}, {"lr": "0.1"}, {"lr": True}])
+                                    {"batch_size": 0}, {"lr": "0.1"}, {"lr": True},
+                                    {"seed": -1}])
 def test_train_rejects_bad_hyperparameters(kwargs):
     x, y = _synthetic_training_set(n=8)
     with pytest.raises(ConfigError, match=next(iter(kwargs))):
@@ -545,6 +546,9 @@ def test_init_params_ranges():
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         assert np.all(np.abs(lp.weights) <= limit)
         assert not lp.biases.any()
+    # A negative seed is named, not left to numpy's bare message.
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        init_params(cfg, seed=-1)
 
 
 # =============================================================================

@@ -15,10 +15,15 @@ overrides --config, which overrides the parameter file; each command then
 validates exactly the configs it runs.  Simulated cycles depend only on the
 network config, never on the data: `simulate`, `timing` and `sweep` read
 them off engine.cycle_report, and `simulate` steps the engine once per
-command, to cross-check image 0.  All CSV output is deterministic for fixed
-inputs: rows are ordered by input index and floats are printed with a fixed
-format.  Errors print as one `error: ...` line and warnings as one
-`warning: ...` line each, both on stderr.
+command, to cross-check image 0.  `simulate` and `sweep` share one image
+path: the IDX pair is read once, then each row chunk of about fxp._CHUNK
+input elements is folded once and run through every config of the command
+(quantize_array, the prepared batch kernel, argmax), so no array grows with
+the dataset beyond the file bytes and the per-image results.  All CSV
+output is deterministic for fixed inputs: rows are ordered by input index
+and floats are printed with a fixed format.  Errors print as one
+`error: ...` line and warnings as one `warning: ...` line each, both on
+stderr.
 """
 
 from __future__ import annotations
@@ -32,18 +37,19 @@ import warnings
 
 import numpy as np
 
+from . import model
 from .datapath import AfKind
-from .dataio import FOLD_MODES, load_dataset, to_input_vector
+from .dataio import FOLD_MODES, fold_images, load_dataset, load_idx_pair, to_input_vector
 from .engine import Engine, classify, cycle_report
 from .errors import ConfigError, ControlFault
-from .fxp import QFormat, QValue
+from .fxp import _CHUNK, QFormat, QValue
 from .model import (
     Mode,
     NetworkConfig,
     Params,
     ensure_valid,
-    forward_quantized_batch,
     load_params,
+    prepare_batch,
     quantize_array,
     quantize_params,
     read_json_object,
@@ -58,6 +64,11 @@ SIMULATE_SCHEMA = "hydrasim.simulate.v1"
 SWEEP_SCHEMA = "hydrasim.sweep.v1"
 _MODE_NAMES = sorted(m.value for m in Mode)
 _AF_NAMES = sorted(k.value for k in AfKind)
+
+# simulate and sweep run the batch kernel chunk by chunk through
+# prepare_batch.  Its whole-array form stays a name of this module, beside
+# the library calls the commands make, for code that looks those up here.
+forward_quantized_batch = model.forward_quantized_batch
 
 
 # Integer and real tokens: an optional sign and ASCII digits (a real's with a
@@ -129,6 +140,24 @@ def _quantized_for(cfg: NetworkConfig, params: Params) -> Params:
     return params if params.is_quantized else quantize_params(params, cfg.qformat)
 
 
+def _chunk_outputs(images, labels, fold: str, kernels):
+    """Per row chunk of the byte images: its labels, its folded images and each
+    (fmt, run) kernel's raw outputs on them.
+
+    A chunk holds about _CHUNK input elements and is folded once for every
+    kernel, so every array made here is chunk-sized.  Every kernel quantizes
+    into one reused buffer: a fresh chunk-sized array per kernel and chunk
+    would take fresh pages each time.
+    """
+    step = max(1, _CHUNK // 196)
+    buf = np.empty((min(step, len(images)), 196), np.int64)
+    for lo in range(0, len(images), step):
+        folded = fold_images(images[lo:lo + step], fold)
+        flat, raws = folded.reshape(len(folded), 196), buf[:len(folded)]
+        yield (labels[lo:lo + step], folded,
+               [run(quantize_array(flat, fmt, out=raws)) for fmt, run in kernels])
+
+
 def _open_out(path):
     """A context manager for the output file at path, or for stdout at "-"."""
     if path is None or path == "-":
@@ -153,21 +182,23 @@ def cmd_simulate(args) -> int:
     qparams = _quantized_for(cfg, params)
     report = cycle_report(cfg)   # cycles depend only on the config
     tp = throughput_report(report, args.clock_hz)
-    ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
-    out_raw = forward_quantized_batch(cfg, qparams, quantize_array(ds.flat, cfg.qformat))
-    preds = np.argmax(out_raw, axis=1).tolist()   # ties to the lowest index, as classify
-    labels = ds.labels.tolist()
+    images, labels = load_idx_pair(args.images, args.labels, args.limit)
+    kernel = (cfg.qformat, prepare_batch(cfg, qparams))
+    preds = []
+    for _, folded, (out_raw,) in _chunk_outputs(images, labels, args.fold, [kernel]):
+        if not preds:
+            # The stepped engine is ground truth: its one inference must
+            # reproduce the kernel's outputs on image 0.
+            outputs, _ = Engine(cfg, qparams).run(to_input_vector(folded[0], cfg.qformat))
+            engine_raw = [v.raw for v in outputs]
+            if engine_raw != out_raw[0].tolist():
+                raise ControlFault(
+                    f"batch kernel and stepped engine disagree on image 0: "
+                    f"{out_raw[0].tolist()} != {engine_raw}"
+                )
+        preds += np.argmax(out_raw, axis=1).tolist()   # ties to the lowest index, as classify
+    labels = labels.tolist()
     n = len(labels)
-    if n:
-        # The stepped engine is ground truth: its one inference must reproduce
-        # the kernel's outputs.
-        outputs, _ = Engine(cfg, qparams).run(to_input_vector(ds.images[0], cfg.qformat))
-        engine_raw = [v.raw for v in outputs]
-        if engine_raw != out_raw[0].tolist():
-            raise ControlFault(
-                f"batch kernel and stepped engine disagree on image 0: "
-                f"{out_raw[0].tolist()} != {engine_raw}"
-            )
     rows = [f"{idx},{label},{pred},{report.total_cycles}\n"
             for idx, (label, pred) in enumerate(zip(labels, preds))]
 
@@ -191,9 +222,15 @@ def cmd_simulate(args) -> int:
         )
     print(f"fma utilization       {report.fma_utilization:.4f}")
     print(f"mac ops               {report.mac_ops}")
-    print(f"gops @ {args.clock_hz / 1e6:.0f} MHz       {tp.gops:.3f}")
+    print(f"gops @ {_clock_label(args.clock_hz)}       {tp.gops:.3f}")
     print(f"inferences per sec    {tp.inferences_per_sec:.1f}")
     return 0
+
+
+def _clock_label(hz: float) -> str:
+    """A clock rate to six significant digits: in MHz from 1 MHz, else in Hz,
+    so no positive clock reads as 0."""
+    return f"{hz / 1e6:g} MHz" if hz >= 1e6 else f"{hz:g} Hz"
 
 
 def cmd_timing(args) -> int:
@@ -236,7 +273,7 @@ def cmd_sweep(args) -> int:
     if params.is_quantized:
         raise ConfigError("sweep needs a float parameter file")
     widths = _int_list(args.bits_list, "--bits-list")
-    ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
+    images, labels = load_idx_pair(args.images, args.labels, args.limit)
 
     base = _build_config(args, params)
     int_bits = base.qformat.int_bits if args.swept_int_bits is None else args.swept_int_bits
@@ -244,13 +281,14 @@ def cmd_sweep(args) -> int:
     for cfg in cfgs:
         ensure_valid(cfg)
     cycles = cycle_report(cfgs[0]).total_cycles
-    rows = []
-    for width, cfg in zip(widths, cfgs):
-        qparams = quantize_params(params, cfg.qformat)
-        out_raw = forward_quantized_batch(cfg, qparams, quantize_array(ds.flat, cfg.qformat))
-        preds = np.argmax(out_raw, axis=1)
-        accuracy = float(np.mean(preds == ds.labels)) if len(ds) else 0.0
-        rows.append((width, accuracy, cycles))
+    kernels = [(cfg.qformat, prepare_batch(cfg, quantize_params(params, cfg.qformat)))
+               for cfg in cfgs]
+    hits = [0] * len(cfgs)
+    for chunk_labels, _, outs in _chunk_outputs(images, labels, args.fold, kernels):
+        for i, out_raw in enumerate(outs):
+            hits[i] += int(np.count_nonzero(np.argmax(out_raw, axis=1) == chunk_labels))
+    n = len(labels)
+    rows = [(width, hit / n if n else 0.0, cycles) for width, hit in zip(widths, hits)]
 
     with _open_out(args.out) as out:
         out.write(f"# schema={SWEEP_SCHEMA}\n")

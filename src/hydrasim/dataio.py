@@ -8,10 +8,11 @@ are selectable for experiments.
 
 IDX parsing is total: any byte stream yields either parsed data or one of the
 typed IdxFormatError subclasses, never a partial result.  Files ending in .gz
-are decompressed transparently.  load_dataset reads each file once and keeps
-only the folded images and their labels.  to_input_vector quantizes through
-fxp.quantize_array, so this module needs nothing of the package beyond fxp
-and errors.
+are decompressed transparently.  load_idx_pair reads each file once, whole,
+and pairs the byte images with their labels; load_dataset folds every image
+of that pair, while a caller that streams folds row chunks with fold_images.
+to_input_vector quantizes through fxp.quantize_array, so this module needs
+nothing of the package beyond fxp and errors.
 """
 
 from __future__ import annotations
@@ -112,10 +113,10 @@ def half_fold(img, mode: str = "mean") -> np.ndarray:
     img = np.asarray(img)
     if img.shape != (28, 28):
         raise ValueError(f"half_fold expects a 28x28 image, got {img.shape}")
-    return _fold_batch(img[np.newaxis], mode)[0]
+    return fold_images(img[np.newaxis], mode)[0]
 
 
-def _fold_batch(imgs: np.ndarray, mode: str) -> np.ndarray:
+def fold_images(imgs: np.ndarray, mode: str) -> np.ndarray:
     """Fold byte images [N, 28, 28] to float64 [N, 14, 14] from their 2x2 blocks."""
     if imgs.dtype != np.uint8:
         raise ValueError(f"half-folding needs uint8 byte images, got {imgs.dtype}")
@@ -158,8 +159,10 @@ class Dataset:
         return self.images.reshape(len(self.images), 196)
 
 
-def load_dataset(images_path, labels_path, fold: str = "mean", limit: int | None = None) -> Dataset:
-    """Load and pair an IDX image/label file set, half-folding every image."""
+def load_idx_pair(images_path, labels_path,
+                  limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The first limit (default all) uint8 images [N, 28, 28] and labels [N] of
+    an IDX image/label file set, whose counts must agree; views of the file bytes."""
     if limit is not None and as_int(limit, "limit") < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
     raw_images = load_idx_images(images_path)
@@ -169,7 +172,10 @@ def load_dataset(images_path, labels_path, fold: str = "mean", limit: int | None
             f"{len(raw_images)} images but {len(labels)} labels "
             f"({images_path} / {labels_path})"
         )
-    if limit is not None:
-        raw_images = raw_images[:limit]
-        labels = labels[:limit]
-    return Dataset(images=_fold_batch(raw_images, fold), labels=labels.astype(np.int64))
+    return raw_images[:limit], labels[:limit]
+
+
+def load_dataset(images_path, labels_path, fold: str = "mean", limit: int | None = None) -> Dataset:
+    """Load and pair an IDX image/label file set, half-folding every image."""
+    images, labels = load_idx_pair(images_path, labels_path, limit)
+    return Dataset(images=fold_images(images, fold), labels=labels.astype(np.int64))

@@ -181,15 +181,20 @@ def quantize(x: float, fmt: QFormat) -> QValue:
     return QValue(saturate_raw(round(scaled), fmt), fmt)
 
 
-def quantize_array(x, fmt: QFormat) -> np.ndarray:
+def quantize_array(x, fmt: QFormat, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized quantize: nearest (ties to even) with saturation, as int64 raws.
 
     Works through bounded chunks of x, so its float temporaries stay small
-    whatever the size of x.
+    whatever the size of x.  The raws go to out, a C-contiguous int64 array
+    of x's shape, when given: a caller that quantizes chunk after chunk
+    reuses one buffer instead of taking fresh pages for each.
     """
     x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    out = np.empty(flat.shape, np.int64)
+    if out is None:
+        out = np.empty(x.shape, np.int64)
+    elif out.shape != x.shape or out.dtype != np.int64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous int64 array of shape {x.shape}")
+    flat, raws = x.reshape(-1), out.reshape(-1)   # raws is a view of out
     scale = float(1 << fmt.frac_bits)
     top = float(1 << (fmt.total_bits - 1))   # raw_min is -top; raw_max + 1 is top
     # The largest float64 not above raw_max: raw_max itself through 54 bits.
@@ -199,7 +204,7 @@ def quantize_array(x, fmt: QFormat) -> np.ndarray:
     wide = hi < fmt.raw_max
     buf = np.empty(min(flat.size, _CHUNK))
     for lo in range(0, flat.size, _CHUNK):
-        part, dst = flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+        part, dst = flat[lo:lo + _CHUNK], raws[lo:lo + _CHUNK]
         b = buf[:part.size]
         # NaN propagates through min and max; an infinity is one of them.
         if not (math.isfinite(part.min()) and math.isfinite(part.max())):
@@ -214,7 +219,7 @@ def quantize_array(x, fmt: QFormat) -> np.ndarray:
         dst[...] = np.rint(b, out=b)
         if wide:
             dst[over] = fmt.raw_max
-    return out.reshape(x.shape)
+    return out
 
 
 def dequantize(v: QValue) -> float:

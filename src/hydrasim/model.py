@@ -14,8 +14,11 @@ forward_quantized_batch is a vectorized equivalent for dataset-scale work: an
 exact float64 BLAS kernel at every width from 4 to 64 bits.  Row chunks run
 through every layer in turn; each layer is one float64 matmul where the
 operands' measured magnitudes allow, else limb-split operands with integer
-recombination, and one rounding either way.  It is pinned bit-equal to the
-scalar oracle by tests, never by construction.
+recombination, and one rounding either way.  prepare_batch readies that
+kernel once per (config, params) and returns its per-chunk runner, so a
+caller that streams its own row chunks (the CLI's image pipeline) checks and
+prepares the weights once.  The kernel is pinned bit-equal to the scalar
+oracle by tests, never by construction.
 
 What a path needs of its config, parameters and input is stated once, in
 check_forward and check_input.  The engine calls them too, so all four paths
@@ -460,35 +463,59 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
     return np.clip(round_quotient(q, r, f), fmt.raw_min, fmt.raw_max).astype(np.int64, copy=False)
 
 
-def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarray) -> np.ndarray:
-    """Vectorized forward_quantized over a batch of raw input vectors [N, D].
-
-    Rows go through in chunks of about _CHUNK input elements, each chunk
-    through every layer (_exact_layer, then activate_raw) before the next
-    starts, so every temporary stays chunk-sized; a float-route layer hands
-    its activations on as float64 integers.  Raw inputs must lie inside the
-    config's format; int64 and Python-int object arrays are both accepted.
-    """
-    check_forward(cfg, params)
+def _raw_rows(cfg: NetworkConfig, x_raw) -> np.ndarray:
+    """x_raw as an array of raw input rows [N, D]."""
     a = np.asarray(x_raw)
     if a.ndim != 2:
         raise ConfigError(f"expected raw inputs of shape [N, {cfg.layer_sizes[0]}]")
-    check_input(cfg, a.shape[1], raws=a)
+    return a
+
+
+def prepare_batch(cfg: NetworkConfig, params: Params):
+    """The batch kernel of (cfg, params), prepared once for any number of row chunks.
+
+    Runs check_forward, then readies each layer's W.T * 2^-f, weight bits and
+    sigmoid LUT.  Returns run(x_raw): the raw outputs [N, out] int64 of the raw
+    input vectors x_raw [N, D], checked by check_input, through every layer
+    (_exact_layer, then activate_raw); a float-route layer hands its
+    activations on as float64 integers.  Every temporary is the size of x_raw,
+    so callers hand it row chunks of about _CHUNK input elements.
+    """
+    check_forward(cfg, params)
     fmt = cfg.qformat
-    a = a.astype(np.int64, copy=False)
     layers = []
     for lp, kind in zip(params.layers, cfg.afs):
         float_route = _limb_plan(fmt, lp.weights.shape[1])[4] is np.float64
         lut = build_sigmoid_lut(fmt) if kind is AfKind.SIGMOID else None
         m_w = None if float_route else _bits(lp.weights)
         layers.append((lp, lp.weights.T * 2.0 ** -fmt.frac_bits, m_w, kind, lut))
+
+    def run(x_raw) -> np.ndarray:
+        h = _raw_rows(cfg, x_raw)
+        check_input(cfg, h.shape[1], raws=h)
+        h = h.astype(np.int64, copy=False)
+        for lp, w_f, m_w, kind, lut in layers:
+            h = activate_raw(kind, _exact_layer(h, lp, fmt, w_f, m_w), fmt, lut)
+        return h
+
+    return run
+
+
+def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarray) -> np.ndarray:
+    """Vectorized forward_quantized over a batch of raw input vectors [N, D].
+
+    prepare_batch's kernel, run over row chunks of about _CHUNK input elements,
+    each chunk through every layer before the next starts, so every temporary
+    stays chunk-sized.  Raw inputs must lie inside the config's format; int64
+    and Python-int object arrays are both accepted.
+    """
+    run = prepare_batch(cfg, params)
+    a = _raw_rows(cfg, x_raw)
+    check_input(cfg, a.shape[1])   # the width, for N = 0 too; run checks each chunk's raws
     out = np.empty((len(a), cfg.layer_sizes[-1]), np.int64)
     step = max(1, _CHUNK // a.shape[1])
     for lo in range(0, len(a), step):
-        h = a[lo:lo + step]
-        for lp, w_f, m_w, kind, lut in layers:
-            h = activate_raw(kind, _exact_layer(h, lp, fmt, w_f, m_w), fmt, lut)
-        out[lo:lo + step] = h
+        out[lo:lo + step] = run(a[lo:lo + step])
     return out
 
 
@@ -550,8 +577,8 @@ def train_minimal(
     epochs, batch_size = as_int(epochs, "epochs"), as_int(batch_size, "batch_size")
     if not isinstance(lr, numbers.Real) or isinstance(lr, bool):
         raise ConfigError(f"lr must be a real number, got {lr!r}")
-    if not (math.isfinite(lr) and epochs >= 0 and batch_size >= 1):
-        raise ConfigError(f"need a finite lr, epochs >= 0 and batch_size >= 1, "
+    if not (math.isfinite(lr) and lr >= 0 and epochs >= 0 and batch_size >= 1):
+        raise ConfigError(f"need a finite lr >= 0, epochs >= 0 and batch_size >= 1, "
                           f"got {lr}, {epochs} and {batch_size}")
     rng = _rng(seed)
     x = np.asarray(x, dtype=np.float64)

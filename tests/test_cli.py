@@ -6,24 +6,29 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import synthetic_digits, write_idx_images, write_idx_labels
 import hydrasim
 from hydrasim import cli
 from hydrasim.cli import main
 from hydrasim.datapath import AfKind
 from hydrasim.dataio import load_dataset, to_input_vector
 from hydrasim.engine import Engine, classify
-from hydrasim.fxp import QFormat
+from hydrasim.fxp import _CHUNK, QFormat
 from hydrasim.model import (
     Mode,
     NetworkConfig,
     forward_quantized_batch,
     init_params,
     load_params,
+    prepare_batch,
+    quantize_array,
     quantize_params,
     save_params,
 )
@@ -616,12 +621,16 @@ def test_simulate_csv_equals_engine_stepped_on_every_image(tmp_path, float_param
 
 def test_simulate_kernel_engine_disagreement_is_an_error(tmp_path, float_params_file,
                                                          synth_dataset_dir, monkeypatch, capsys):
-    def off_by_one(cfg, params, x_raw):
-        out = forward_quantized_batch(cfg, params, x_raw)
-        out[0, 0] += 1
-        return out
+    def off_by_one(cfg, params):
+        run = prepare_batch(cfg, params)
 
-    monkeypatch.setattr(cli, "forward_quantized_batch", off_by_one)
+        def run_off(x_raw):
+            out = run(x_raw)
+            out[0, 0] += 1
+            return out
+        return run_off
+
+    monkeypatch.setattr(cli, "prepare_batch", off_by_one)
     out = tmp_path / "sim.csv"
     rc = main(["simulate", "--params", str(float_params_file),
                "--images", str(synth_dataset_dir["test_images"]),
@@ -631,6 +640,90 @@ def test_simulate_kernel_engine_disagreement_is_an_error(tmp_path, float_params_
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "image 0" in err
     assert not out.exists()
+
+
+CHUNK_ROWS = max(1, _CHUNK // 196)   # 668 images per row chunk
+# 2 * 668 + 1 = 1,337 images cross both chunk edges; the limits sit on and beside the first.
+CHUNK_CASES = [(None, "mean"), ("0", "mean"), ("667", "mean"), ("668", "max"),
+               ("669", "subsample")]
+
+
+@pytest.fixture(scope="module")
+def chunk_dataset_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("chunk_idx")
+    images, labels = synthetic_digits(2 * CHUNK_ROWS + 1, seed=13)
+    return write_idx_images(root / "images", images), write_idx_labels(root / "labels", labels)
+
+
+def _whole_batch(files, limit, fold, fmt, params):
+    """The reference: labels and raw outputs of forward_quantized_batch over the whole set."""
+    ds = load_dataset(*files, fold=fold, limit=None if limit is None else int(limit))
+    cfg = NetworkConfig(tuple(int(s) for s in LAYERS.split(":")), qformat=fmt)
+    return ds, forward_quantized_batch(cfg, quantize_params(params, fmt),
+                                       quantize_array(ds.flat, fmt))
+
+
+@pytest.mark.parametrize("limit, fold", CHUNK_CASES)
+def test_chunk_edges_simulate_matches_the_whole_batch(tmp_path, float_params_file,
+                                                      chunk_dataset_files, monkeypatch,
+                                                      limit, fold):
+    inputs = []
+
+    class RecordingEngine(Engine):
+        def run(self, x):
+            inputs.append([v.raw for v in x])
+            return super().run(x)
+
+    monkeypatch.setattr(cli, "Engine", RecordingEngine)
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--params", str(float_params_file), "--images", str(chunk_dataset_files[0]),
+            "--labels", str(chunk_dataset_files[1]), "--fold", fold, "--out", str(out)]
+    assert main(argv + ([] if limit is None else ["--limit", limit])) == 0
+    ds, out_raw = _whole_batch(chunk_dataset_files, limit, fold, QFormat(8, 3),
+                               load_params(float_params_file))
+    preds = np.argmax(out_raw, axis=1)
+    rows = ["# schema=hydrasim.simulate.v1", "index,label,prediction,cycles"]
+    rows += [f"{i},{label},{pred},{CYCLES}" for i, (label, pred) in enumerate(zip(ds.labels, preds))]
+    assert out.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+    # The engine cross-checks image 0 once, and only when there is an image 0.
+    assert inputs == [[v.raw for v in to_input_vector(img, QFormat(8, 3))] for img in ds.images[:1]]
+
+
+@pytest.mark.parametrize("limit, fold", CHUNK_CASES)
+def test_chunk_edges_sweep_matches_the_whole_batch(tmp_path, float_params_file,
+                                                   chunk_dataset_files, limit, fold):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--params", str(float_params_file), "--images", str(chunk_dataset_files[0]),
+            "--labels", str(chunk_dataset_files[1]), "--fold", fold, "--out", str(out)]
+    assert main(argv + ([] if limit is None else ["--limit", limit])) == 0
+    rows = ["# schema=hydrasim.sweep.v1", "bits,accuracy,cycles"]
+    for width in (5, 8, 16, 32):
+        ds, out_raw = _whole_batch(chunk_dataset_files, limit, fold, QFormat(width, 3),
+                                   load_params(float_params_file))
+        accuracy = float(np.mean(np.argmax(out_raw, axis=1) == ds.labels)) if len(ds) else 0.0
+        rows.append(f"{width},{accuracy:.6f},{CYCLES}")
+    assert out.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+
+def test_chunk_pipeline_keeps_sweep_memory_chunk_sized(tmp_path, float_params_file):
+    """sweep holds the image file's bytes and chunk-sized buffers, never a
+    dataset-sized fold or quantized copy (12.5 MB each at these 8,000 images)."""
+    rng = np.random.default_rng(14)
+    n = 8000
+    images = write_idx_images(tmp_path / "images", rng.integers(0, 256, (n, 28, 28), np.uint8))
+    labels = write_idx_labels(tmp_path / "labels", rng.integers(0, 10, n, np.uint8))
+    argv = ["sweep", "--params", str(float_params_file), "--images", str(images),
+            "--labels", str(labels), "--out", str(tmp_path / "sweep.csv")]
+    tracemalloc.start()   # numpy reports its buffers to tracemalloc
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measured: the file plus 4.9 chunk buffers (numpy 2.4); a whole-dataset
+    # fold and its quantized copy put it past 21.
+    chunk_bytes = CHUNK_ROWS * 196 * 8
+    assert peak <= images.stat().st_size + 8 * chunk_bytes, peak
 
 
 def test_timing_and_sweep_build_no_engine(tmp_path, float_params_file, synth_dataset_dir,
@@ -816,8 +909,21 @@ def test_simulate_rejects_bad_clock_before_writing(tmp_path, float_params_file,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("clock, label", [("5", "5 Hz"), ("250e3", "250000 Hz"),
+                                          ("50e6", "50 MHz"), ("123.4567e6", "123.457 MHz")])
+def test_simulate_labels_every_positive_clock_by_its_rate(tmp_path, float_params_file,
+                                                          synth_dataset_dir, capsys, clock, label):
+    rc = main(["simulate", "--params", str(float_params_file),
+               "--images", str(synth_dataset_dir["test_images"]),
+               "--labels", str(synth_dataset_dir["test_labels"]),
+               "--limit", "2", "--clock-hz", clock, "--out", str(tmp_path / "sim.csv")])
+    assert rc == 0
+    gops = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("gops @ ")]
+    assert [ln.rsplit(None, 1)[0] for ln in gops] == [f"gops @ {label}"]
+
+
 @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "inf"], ["--epochs", "-1"],
-                                   ["--batch-size", "0"], ["--seed", "-1"]])
+                                   ["--batch-size", "0"], ["--seed", "-1"], ["--lr", "-1"]])
 def test_train_rejects_bad_hyperparameters(tmp_path, synth_dataset_dir, capsys, flags):
     out = tmp_path / "p.json"
     rc = main(["train", "--images", str(synth_dataset_dir["train_images"]),
@@ -896,11 +1002,11 @@ def test_sweep_takes_int_bits_from_the_config(tmp_path, float_params_file, synth
                                               monkeypatch):
     formats = []
 
-    def recording(cfg, params, x_raw):
-        formats.append(params.qformat)
-        return forward_quantized_batch(cfg, params, x_raw)
+    def recording(params, fmt):
+        formats.append(fmt)
+        return quantize_params(params, fmt)
 
-    monkeypatch.setattr(cli, "forward_quantized_batch", recording)
+    monkeypatch.setattr(cli, "quantize_params", recording)
     cfg_path = tmp_path / "net.json"
     cfg_path.write_text(json.dumps({"qformat": {"total_bits": 8, "int_bits": 5}}))
     rc = main(["sweep", "--params", str(float_params_file), "--config", str(cfg_path),
@@ -915,11 +1021,11 @@ def test_sweep_applies_int_bits_to_the_swept_widths_only(tmp_path, float_params_
                                                          synth_dataset_dir, monkeypatch):
     formats = []
 
-    def recording(cfg, params, x_raw):
-        formats.append(params.qformat)
-        return forward_quantized_batch(cfg, params, x_raw)
+    def recording(params, fmt):
+        formats.append(fmt)
+        return quantize_params(params, fmt)
 
-    monkeypatch.setattr(cli, "forward_quantized_batch", recording)
+    monkeypatch.setattr(cli, "quantize_params", recording)
     rc = main(["sweep", "--params", str(float_params_file), "--int-bits", "12",
                "--images", str(synth_dataset_dir["test_images"]),
                "--labels", str(synth_dataset_dir["test_labels"]),
@@ -933,11 +1039,11 @@ def test_sweep_validates_only_the_swept_formats(tmp_path, float_params_file, syn
     # The config's own Q<32,3> is never swept, so sigmoid's 16-bit bound does not apply to it.
     formats = []
 
-    def recording(cfg, params, x_raw):
-        formats.append(cfg.qformat)
-        return forward_quantized_batch(cfg, params, x_raw)
+    def recording(params, fmt):
+        formats.append(fmt)
+        return quantize_params(params, fmt)
 
-    monkeypatch.setattr(cli, "forward_quantized_batch", recording)
+    monkeypatch.setattr(cli, "quantize_params", recording)
     cfg_path = tmp_path / "net.json"
     cfg_path.write_text(json.dumps({"qformat": {"total_bits": 32, "int_bits": 3}}))
     argv = ["sweep", "--params", str(float_params_file), "--config", str(cfg_path),

@@ -196,7 +196,7 @@ def _mean_fold_in_corner_order(imgs):
     np.random.default_rng(1).integers(0, 256, (40, 28, 28), dtype=np.uint8),
 ], ids=["uint8-0", "uint8-255", "uint8"])
 def test_mean_fold_equals_the_corner_order_sum(images):
-    got = dataio._fold_batch(images, "mean")
+    got = dataio.fold_images(images, "mean")
     want = _mean_fold_in_corner_order(images)
     assert got.dtype == want.dtype == np.float64
     np.testing.assert_array_equal(got, want)
@@ -211,7 +211,7 @@ def test_fold_rejects_a_non_byte_image(dtype):
         with pytest.raises(ValueError, match=f"needs uint8 byte images, got {dtype}"):
             half_fold(img, mode)
         with pytest.raises(ValueError, match=f"got {dtype}"):
-            dataio._fold_batch(img[np.newaxis], mode)
+            dataio.fold_images(img[np.newaxis], mode)
 
 
 def test_half_fold_max_and_subsample_modes():

@@ -208,6 +208,22 @@ def test_quantize_array_chunks_keep_shape_and_reject_non_finite():
             quantize_array(xs, Q83)
 
 
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits", [8, 64])
+def test_quantize_array_writes_into_a_given_buffer(total_bits):
+    fmt = QFormat(total_bits, 3)
+    xs = np.linspace(-9.0, 9.0, 3 * 20011).reshape(3, 20011)
+    buf = np.full((4, 20011), 7, np.int64)
+    assert quantize_array(xs, fmt, out=buf[:3]).base is buf
+    np.testing.assert_array_equal(buf[:3], quantize_array(xs, fmt))
+    assert (buf[3] == 7).all()
+    for bad in (np.empty((3, 20010), np.int64), np.empty((3, 20011)),
+                np.empty((20011, 3), np.int64).T):
+        with pytest.raises(ValueError, match=re.escape("out must be a C-contiguous int64 "
+                                                       "array of shape (3, 20011)")):
+            quantize_array(xs, fmt, out=bad)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("at", [_CHUNK, _CHUNK + 12345, 2 * _CHUNK + 1])
 def test_quantize_array_rejects_non_finite_past_the_first_chunk(bad, at):
@@ -502,7 +518,7 @@ def test_train_rejects_inputs_of_the_wrong_shape(shape):
 
 @pytest.mark.parametrize("kwargs", [{"lr": math.nan}, {"lr": -math.inf}, {"epochs": -1},
                                     {"batch_size": 0}, {"lr": "0.1"}, {"lr": True},
-                                    {"seed": -1}])
+                                    {"seed": -1}, {"lr": -1.0}, {"lr": -5e-324}])
 def test_train_rejects_bad_hyperparameters(kwargs):
     x, y = _synthetic_training_set(n=8)
     with pytest.raises(ConfigError, match=next(iter(kwargs))):
@@ -922,6 +938,23 @@ def test_batch_rejects_inputs_that_are_not_2d(shape):
     params = Params([LayerParams(np.zeros((1, 2), np.int64), np.zeros(1, np.int64))], Q83)
     with pytest.raises(ConfigError, match=re.escape("expected raw inputs of shape [N, 2]")):
         forward_quantized_batch(cfg, params, np.zeros(shape, np.int64))
+
+
+def test_batch_rejects_an_empty_batch_of_the_wrong_width():
+    cfg = NetworkConfig((196, 10))
+    params = quantize_params(init_params(cfg, seed=0), cfg.qformat)
+    with pytest.raises(ConfigError, match="input length 5 != input dimension 196"):
+        forward_quantized_batch(cfg, params, np.zeros((0, 5), np.int64))
+    assert forward_quantized_batch(cfg, params, np.zeros((0, 196), np.int64)).shape == (0, 10)
+
+
+def test_batch_checks_the_raw_inputs_of_every_chunk():
+    cfg = NetworkConfig((2, 1), max_fma=1)
+    params = Params([LayerParams(np.zeros((1, 2), np.int64), np.zeros(1, np.int64))], Q83)
+    x = np.zeros((_CHUNK // 2 + 1, 2), np.int64)
+    x[-1, 1] = 128   # the only code outside Q<8,3>, in the second chunk
+    with pytest.raises(ValueError, match="raw inputs outside"):
+        forward_quantized_batch(cfg, params, x)
 
 
 def test_batch_rejects_out_of_range_raw_inputs():

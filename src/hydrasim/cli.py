@@ -343,10 +343,10 @@ def cmd_trace(args) -> int:
     ensure_valid(cfg)
     qparams = _quantized_for(cfg, params)
     if args.images:
-        ds = load_dataset(args.images, args.labels, fold=args.fold, limit=index + 1)
-        if index >= len(ds):
-            raise ConfigError(f"--index {index} out of range for dataset of {len(ds)}")
-        x = to_input_vector(ds.images[index], cfg.qformat)
+        images, _ = load_idx_pair(args.images, args.labels, index + 1)
+        if index >= len(images):
+            raise ConfigError(f"--index {index} out of range for dataset of {len(images)}")
+        x = to_input_vector(fold_images(images[index:index + 1], args.fold)[0], cfg.qformat)
     else:
         x = [QValue(0, cfg.qformat)] * cfg.layer_sizes[0]
 

@@ -3,9 +3,11 @@
 Two blocks of the physical layer: the bank of array slots that fuse
 multiply-accumulate with bias preload (FmaBank), and the single shared
 activation unit (ActivationUnit) that the values drained from the
-parallel-in-serial-out capture stage pass through.  The capture stage itself
-is the engine's list of a pass's rounded accumulators, drained by index.
-Both blocks carry raw integer codes; `activate_raw` is the one activation
+parallel-in-serial-out capture stage pass through.  The bank keeps its
+accumulators as signed K-bit lanes of one Python int, K being acc_bits (the
+proven accumulator width of a format and fan-in) rounded up to whole bytes,
+so one multiply-add steps every slot.  The capture stage itself is the
+engine's list of a pass's rounded accumulators, drained by index.  Both blocks carry raw integer codes; `activate_raw` is the one activation
 rule, shared with the golden models.  The sigmoid table's entries are
 quantized by fxp (quantize_array, and quantize for the scalar definition);
 nothing here rounds or saturates by itself.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -32,43 +35,123 @@ class AfKind(Enum):
     IDENTITY = "identity"
 
 
-class FmaBank:
-    """The array's multiply-accumulate slots, one wide accumulator per slot.
+def acc_bits(fmt: QFormat, fan_in: int) -> int:
+    """Signed bits that hold every accumulator of a neuron of fan_in inputs in
+    fmt: 2t + bitlen(fan_in) - 1.
 
-    Accumulators are Python ints at product scale, exact for every format.  A
-    bias preload arms slots [0, w) and gates the rest off; a gated slot never
-    changes, and stepping a bank with no armed slot is a control fault.  State
-    is kept only for slots a preload has armed, so a bank costs memory in its
-    widest preload, not in its size.
+    Proof, for raw codes b (bias), x_i (inputs) and c_i (weights) inside
+    Q<t,i>, whose f = t - i fractional bits are at most t - 1.  After k <= n =
+    fan_in MAC steps, acc = b * 2^f + x_0 * c_0 + ... + x_(k-1) * c_(k-1).
+    Every term lies in [-2^(2t-2), 2^(2t-2)]; b * 2^f stays below 2^(2t-2)
+    (raw_max < 2^(t-1)) and every product above -2^(2t-2) (raw_min times
+    raw_max).  So |acc| <= 2^(2t-2) for k = 0, and |acc| < (k + 1) * 2^(2t-2)
+    <= (n + 1) * 2^(2t-2) <= 2^(bitlen(n) + 2t - 2) for k >= 1: in both
+    cases |acc| < 2^(acc_bits - 1).  check_forward puts every weight and bias
+    inside fmt, check_input every input, and every later input is a saturated
+    activation (ReLU or identity of round_acc's output, or a sigmoid table
+    entry), so the bound holds for every partial sum of every pass.
+    """
+    return 2 * fmt.total_bits + fan_in.bit_length() - 1
+
+
+def _in_each_lane(value: int, lanes: int, k: int) -> int:
+    """value in each of lanes k-bit lanes: value * sum of 2^(j*k) for j < lanes."""
+    return ((1 << (lanes * k)) - 1) // ((1 << k) - 1) * value
+
+
+class FmaBank:
+    """The array's multiply-accumulate slots, each a signed acc_bits-bit accumulator.
+
+    The accumulators are signed lanes of one Python int, word = sum of
+    acc_j * 2^(j*K) over the slots j < lanes that a preload has armed so far.
+    The lane width K is acc_bits rounded up to whole bytes, so |acc_j| <
+    2^(K-1) wherever acc_bits holds (acc_bits proves it of every neuron), and
+    the lanes are the base-2^K digits of word + 2^(K-1) in each lane.  A MAC
+    cycle of every armed slot is then one exact multiply-add, word += x *
+    column, with column = sum of c_j * 2^(j*K) packed once by pack: the
+    borrows a negative lane takes from the lane above are undone by reading
+    the digits.  A bias preload arms slots [0, w) and gates the rest off; a
+    gated slot never changes, and stepping a bank with no armed slot is a
+    control fault.  State is kept only for slots a preload has armed, so a
+    bank costs memory in its widest preload, not in its size.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, acc_bits: int):
         self.size = size
-        self.acc: list[int] = []       # slots [0, widest preload so far)
+        self.lane_bits = -(-acc_bits // 8) * 8    # K, in whole bytes for pack's layout
+        self.word = 0
+        self.lanes = 0                 # the widest preload so far
         self.width = 0                 # armed slots are [0, width)
+        self._half = 0                 # 2^(K-1) in each of the lanes
 
     def preload(self, bias_raws: list[int], frac_bits: int) -> None:
         """Load biases into slots [0, len(bias_raws)), aligned to product scale."""
-        w = len(bias_raws)
+        w, k = len(bias_raws), self.lane_bits
         if w > self.size:
             raise ConfigError(f"preload of {w} biases exceeds {self.size} FMA slots")
-        self.acc[:w] = [b << frac_bits for b in bias_raws]
+        if w > self.lanes:
+            self.lanes, self._half = w, _in_each_lane(1 << (k - 1), w, k)
+        armed = 0
+        for b in reversed(bias_raws):
+            armed = (armed << k) + b
+        # Lanes [w, lanes) are what lies above bit w*K once the armed lanes
+        # are offset into [0, 2^K): the gated slots, kept as they are.
+        shift = w * k
+        gated = (self.word + (self._half & ((1 << shift) - 1))) >> shift
+        self.word = (armed << frac_bits) + (gated << shift)
         self.width = w
 
-    def step(self, x_raw: int, wcol_raws: list[int]) -> None:
-        """One MAC cycle: armed slot j adds x_raw * wcol_raws[j], exactly.
+    def pack(self, cols) -> list[tuple[int, int]]:
+        """Each row of cols, an n x w array of raw codes, as the (w, column word)
+        step takes.
+
+        numpy lays each code out in its lane's bytes, offset to be non-negative
+        by 2^(K-1), or by 2^63 in a lane wider than 64 bits (an int64 code of a
+        format the lane holds fits either way); each word is then one
+        int.from_bytes, less the offsets.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        n, w = cols.shape
+        k = self.lane_bits
+        kb, low = k // 8, min(k // 8, 8)
+        offset = 1 << (8 * low - 1)
+        biased = cols.astype("<u8", order="C")   # two's complement, little-endian
+        biased += np.uint64(offset)              # wraps to code + offset, which fits
+        lanes = np.zeros((n, w * kb), np.uint8)
+        item = np.dtype((np.void, low))          # a lane's low bytes, copied as one
+        np.ndarray((n, w), item, lanes, 0, (w * kb, kb))[...] = \
+            np.ndarray((n, w), item, biased, 0, biased.strides)
+        offsets = _in_each_lane(offset, w, k)
+        rows = lanes.view(np.dtype((np.void, w * kb))).ravel().tolist()
+        return [(w, word - offsets) for word in map(int.from_bytes, rows, repeat("little"))]
+
+    def step(self, x_raw: int, column: tuple[int, int]) -> None:
+        """One MAC cycle: armed slot j adds x_raw * c_j, exactly, for a column
+        (w, word) of pack.
 
         A zero input adds only zero products, so it leaves every accumulator
         as it is and does no arithmetic (zero skipping); the gate and the
-        column's length are checked all the same.
+        column's width are checked all the same.
         """
-        w = self.width
-        if not w:
+        w, word = column
+        if not self.width:
             raise ControlFault("stepped a power-gated FMA bank")
-        if len(wcol_raws) != w:
-            raise ValueError(f"a column of {len(wcol_raws)} weights for {w} armed slots")
+        if w != self.width:
+            raise ValueError(f"a column of {w} weights for {self.width} armed slots")
         if x_raw:
-            self.acc[:w] = [a + x_raw * c for a, c in zip(self.acc[:w], wcol_raws)]
+            self.word += x_raw * word
+
+    def read(self, w: int) -> list[int]:
+        """The accumulators of slots [0, w), for w up to lanes: the word's
+        low w digits, each less its offset."""
+        k = self.lane_bits
+        half, mask, digits = 1 << (k - 1), (1 << k) - 1, self.word + self._half
+        return [((digits >> s) & mask) - half for s in range(0, w * k, k)]
+
+    @property
+    def acc(self) -> list[int]:
+        """The accumulators of slots [0, widest preload so far)."""
+        return self.read(self.lanes)
 
 
 # Entries whose scaled value lies this many of its ulps from a .5 tie are

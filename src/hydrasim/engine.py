@@ -19,6 +19,14 @@ oracle's own rules.  Every setting, the mode included, comes from the config
 the engine is built with: to run another mode, build an engine from
 dataclasses.replace(cfg, mode=...).
 
+The FmaBank holds its armed accumulators as signed lanes of one Python int.
+Their width K is acc_bits(fmt, widest fan-in) = 2t + bitlen(fan-in) - 1
+rounded up to whole bytes, and acc_bits proves |acc| < 2^(K-1) for every
+partial sum of every pass from what check_forward and check_input enforce
+and from saturated activations.  Engine.__init__ packs each pass's weight
+columns once (FmaBank.pack), so a MAC cycle of all the pass's units is one
+exact multiply-add, and the PISO capture reads the lanes once per pass.
+
 Cycle accounting, store-and-forward mode
 ----------------------------------------
     layer entry -> [inputs(l) MAC cycles, all enabled units in lockstep]
@@ -49,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .datapath import ActivationUnit, AfKind, FmaBank, build_sigmoid_lut
+from .datapath import ActivationUnit, AfKind, FmaBank, acc_bits, build_sigmoid_lut
 from .errors import ConfigError
 from .fxp import QValue, round_acc
 from .model import Mode, NetworkConfig, Params, check_forward, check_input, ensure_valid
@@ -160,11 +168,13 @@ class Engine:
         check_forward(cfg, params)
         self.cfg = cfg
         self.trace_hook = trace_hook
-        self.fma_bank = FmaBank(cfg.max_fma)
+        fan_in = max(cfg.layer_sizes[:-1])
+        bank = self.fma_bank = FmaBank(cfg.max_fma, acc_bits(cfg.qformat, fan_in))
         lut = build_sigmoid_lut(cfg.qformat) if AfKind.SIGMOID in cfg.afs else None
         self.afu = ActivationUnit(cfg.qformat, lut)
-        # Pre-banked weight memory: one column of raw codes per MAC step.
-        self._wcols = [lp.weights.T.tolist() for lp in params.layers]
+        # Pre-banked weight memory: one packed column per MAC step of each pass.
+        self._wcols = {(l, off): bank.pack(params.layers[l].weights[off:off + w].T)
+                       for l, off, w, _, _ in _passes(cfg)}
         self._biases = [lp.biases.tolist() for lp in params.layers]
 
     def _control(self, raws: list[int], outputs: list[int]):
@@ -182,11 +192,11 @@ class Engine:
             if not fed:
                 bank.preload(self._biases[l][off:off + w], fmt.frac_bits)
                 mac = Phase.MAC, l, w
-                for x_raw, col in zip(raws, self._wcols[l]):
-                    bank.step(x_raw, col[off:off + w])
+                for x_raw, col in zip(raws, self._wcols[l, off]):
+                    bank.step(x_raw, col)
                     yield mac
             # PISO capture through the single rounding point (round, saturate).
-            piso = [round_acc(a, fmt) for a in bank.acc[:w]]
+            piso = [round_acc(a, fmt) for a in bank.read(w)]
             yield Phase.PISO_LOAD, l, 0
             # Serialize: the AF output of cycle i is stored on cycle i + 1; in
             # streamed mode the next layer's MAC consumes it on that cycle.
@@ -198,7 +208,7 @@ class Engine:
                     if feeds:
                         if i == 1:
                             bank.preload(self._biases[l + 1], fmt.frac_bits)
-                        bank.step(out, self._wcols[l + 1][i - 1])
+                        bank.step(out, self._wcols[l + 1, 0][i - 1])
                         active = feeds
                 if i < w:
                     out = self.afu.apply_raw(piso[i])

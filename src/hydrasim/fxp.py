@@ -9,8 +9,8 @@ preloaded at product scale (2x fractional bits), products are added to it
 exactly as plain integers, and round_acc rounds the sum once on the way out
 (round to nearest, ties to even) with saturation to the format.  With every
 raw code inside Q<t,i>, a fan-in of n keeps that sum within
-2t + bitlen(n - 1) + 1 signed bits, so a hardware accumulator of that width
-never overflows.
+2t + bitlen(n) - 1 signed bits (datapath.acc_bits gives the proof), so a
+hardware accumulator of that width never overflows.
 
 A real becomes a raw code by one rule: scale by 2^frac_bits, round half to
 even, saturate.  quantize is its scalar reference and quantize_array its

@@ -120,12 +120,13 @@ def test_criterion_5_fixed_point_soundness():
     seeds = [0, 1, -1, 32, -4096, 1024, -1024, 16384, -16384, 65535, -65536,
              123456, -123456, limit - 16384, -(limit - 16384), 7]
     mac_mismatches = 0
-    bank = FmaBank(1)
+    bank = FmaBank(1, limit.bit_length() + 1)
+    cols = bank.pack([[w] for w in range(-128, 128)])
     for acc0 in seeds:
         for a in range(-128, 128):
-            for w in range(-128, 128):
+            for w, col in zip(range(-128, 128), cols):
                 bank.preload([acc0], 0)
-                bank.step(a, [w])
+                bank.step(a, col)
                 if bank.acc[0] != acc0 + a * w:   # arbitrary-precision oracle
                     mac_mismatches += 1
     from hydrasim.fxp import dequantize, quantize

@@ -18,7 +18,7 @@ import hydrasim
 from hydrasim import cli
 from hydrasim.cli import main
 from hydrasim.datapath import AfKind
-from hydrasim.dataio import load_dataset, to_input_vector
+from hydrasim.dataio import fold_images, load_dataset, to_input_vector
 from hydrasim.engine import Engine, classify
 from hydrasim.fxp import _CHUNK, QFormat
 from hydrasim.model import (
@@ -343,6 +343,31 @@ def test_trace_command(tmp_path, float_params_file, synth_dataset_dir):
     assert len(lines) == CYCLES
     assert lines[0] == "cycle=1 phase=mac layer=0 active_fma=12"
     assert lines[-1].endswith("phase=ann_done layer=1 active_fma=0")
+
+
+@pytest.mark.parametrize("fold", ["mean", "max"])
+def test_trace_folds_only_the_image_it_traces(tmp_path, float_params_file, synth_dataset_dir,
+                                              monkeypatch, fold):
+    rows, traced = [], []
+
+    def recording_fold(images, mode):
+        rows.append(len(images))
+        return fold_images(images, mode)
+
+    def recording_input(img14, fmt):
+        traced.append(np.array(img14))
+        return to_input_vector(img14, fmt)
+
+    monkeypatch.setattr(cli, "fold_images", recording_fold)
+    monkeypatch.setattr(cli, "to_input_vector", recording_input)
+    images, labels = synth_dataset_dir["test_images"], synth_dataset_dir["test_labels"]
+    rc = main(["trace", "--params", str(float_params_file), "--images", str(images),
+               "--labels", str(labels), "--index", "37", "--fold", fold,
+               "--out", str(tmp_path / "trace.log")])
+    assert rc == 0
+    assert rows == [1]
+    monkeypatch.undo()
+    assert np.array_equal(traced[0], load_dataset(images, labels, fold=fold).images[37])
 
 
 def test_rejected_trace_leaves_out_file_as_it_was(tmp_path, float_params_file, capsys):

@@ -1,16 +1,18 @@
-"""Datapath block tests: FMA bank gating, PISO order (via the engine), shared AF."""
+"""Datapath block tests: FMA bank gating and packed lanes, PISO order (via the
+engine), shared AF."""
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hydrasim.datapath import ActivationUnit, AfKind, FmaBank, _sigmoid_raw, build_sigmoid_lut
+from hydrasim.datapath import ActivationUnit, AfKind, FmaBank, _sigmoid_raw, acc_bits, build_sigmoid_lut
 from hydrasim.engine import Engine
 from hydrasim.errors import ConfigError, ControlFault
-from hydrasim.fxp import QFormat, QValue, quantize
-from hydrasim.model import LayerParams, NetworkConfig, Params
+from hydrasim.fxp import QFormat, QValue, quantize, round_acc
+from hydrasim.model import LayerParams, Mode, NetworkConfig, Params
 
 Q83 = QFormat(8, 3)
 F = Q83.frac_bits
@@ -18,6 +20,11 @@ F = Q83.frac_bits
 
 def qv(raw):
     return QValue(raw, Q83)
+
+
+def col(bank, *raws):
+    """One weight column of raws, packed for bank.step."""
+    return bank.pack([raws])[0]
 
 
 # =============================================================================
@@ -29,67 +36,67 @@ def test_fma_196_step_composition_matches_integer_oracle():
     a = rng.randint(-128, 128, 196)
     w = rng.randint(-128, 128, 196)
     bias = 17
-    bank = FmaBank(1)
+    bank = FmaBank(1, acc_bits(Q83, 196))
     bank.preload([bias], F)
-    for ai, wi in zip(a, w):
-        bank.step(int(ai), [int(wi)])
+    for ai, column in zip(a, bank.pack(w[:, None])):
+        bank.step(int(ai), column)
     expected = (bias << 5) + int(sum(int(x) * int(y) for x, y in zip(a, w)))
     assert bank.acc[0] == expected
 
 
 def test_fma_zero_input_leaves_acc_unchanged():
-    bank = FmaBank(1)
+    bank = FmaBank(1, acc_bits(Q83, 1))
     bank.preload([42], F)
     before = bank.acc[0]
-    bank.step(0, [-100])
+    bank.step(0, col(bank, -100))
     assert bank.acc[0] == before
 
 
 def test_stepping_disabled_unit_is_a_fault():
-    bank = FmaBank(1)
+    bank = FmaBank(1, acc_bits(Q83, 1))
     with pytest.raises(ControlFault):
-        bank.step(1, [1])
+        bank.step(1, col(bank, 1))
     bank.preload([0], F)
     bank.preload([], F)        # a preload of no biases gates every slot off
     with pytest.raises(ControlFault):
-        bank.step(1, [1])
+        bank.step(1, col(bank, 1))
 
 
 def test_gated_unit_accumulator_never_changes():
-    bank = FmaBank(3)
+    bank = FmaBank(3, acc_bits(Q83, 5))
     bank.preload([9, 4, 7], F)
-    bank.step(2, [3, 1, 5])
+    bank.step(2, col(bank, 3, 1, 5))
     frozen = list(bank.acc)
     bank.preload([9], F)       # a narrower preload, as a tiled layer's last pass
     for _ in range(5):
-        bank.step(1, [1])
+        bank.step(1, col(bank, 1))
     assert bank.acc[1:] == frozen[1:]
     assert bank.acc[0] == (9 << F) + 5
     frozen = list(bank.acc)
     bank.preload([], F)
     for _ in range(5):
         with pytest.raises(ControlFault):
-            bank.step(1, [1])
+            bank.step(1, col(bank, 1))
     assert bank.acc == frozen
 
 
 def test_zero_input_on_a_gated_bank_is_still_a_fault():
-    bank = FmaBank(2)
+    bank = FmaBank(2, acc_bits(Q83, 1))
     with pytest.raises(ControlFault):
-        bank.step(0, [1, 2])
+        bank.step(0, col(bank, 1, 2))
     bank.preload([0, 0], F)
     bank.preload([], F)
     with pytest.raises(ControlFault):
-        bank.step(0, [1, 2])
+        bank.step(0, col(bank, 1, 2))
 
 
 @pytest.mark.parametrize("x_raw", [0, 3])
 def test_column_of_the_wrong_length_is_rejected(x_raw):
-    bank = FmaBank(4)
+    bank = FmaBank(4, acc_bits(Q83, 1))
     bank.preload([1, 2, 3], F)
-    for col in ([5, 6], [5, 6, 7, 8]):
+    for raws in ([5, 6], [5, 6, 7, 8]):
         with pytest.raises(ValueError, match="armed slots"):
-            bank.step(x_raw, col)
+            bank.step(x_raw, col(bank, *raws))
     assert bank.acc == [1 << F, 2 << F, 3 << F]
 
 
@@ -101,26 +108,103 @@ def test_skipped_zero_inputs_leave_the_exact_sum():
     xs = [int(v) if i % 2 else 0 for i, v in enumerate(rng.integers(fmt.raw_min, fmt.raw_max, k))]
     cols = [[int(v) for v in rng.integers(fmt.raw_min, fmt.raw_max, w)] for _ in range(k)]
     biases = [int(v) for v in rng.integers(fmt.raw_min, fmt.raw_max, w)]
-    bank = FmaBank(w)
+    bank = FmaBank(w, acc_bits(fmt, k))
     bank.preload(biases, fmt.frac_bits)
-    for x, col in zip(xs, cols):
-        bank.step(x, col)
+    for x, column in zip(xs, bank.pack(cols)):
+        bank.step(x, column)
     assert bank.acc == [(b << fmt.frac_bits) + sum(x * c[j] for x, c in zip(xs, cols))
                         for j, b in enumerate(biases)]
 
 
 def test_preload_wider_than_the_bank_is_rejected():
-    bank = FmaBank(2)
+    bank = FmaBank(2, acc_bits(Q83, 1))
     with pytest.raises(ConfigError, match="preload of 3 biases exceeds 2 FMA slots"):
         bank.preload([1, 2, 3], F)
 
 
 def test_preload_resets_step_count():
-    bank = FmaBank(1)
+    bank = FmaBank(1, acc_bits(Q83, 1))
     bank.preload([0], F)
-    bank.step(1, [1])
+    bank.step(1, col(bank, 1))
     bank.preload([3], F)
     assert bank.acc[0] == 3 << 5
+
+
+# =============================================================================
+# Packed lanes at the rails
+# =============================================================================
+
+RAIL_FORMATS = [(4, 1), (8, 3), (16, 3), (32, 3), (53, 3), (54, 3), (64, 1)]
+RAIL_FAN_INS = [1, 196, 4096]
+
+
+def rail_format(t, i):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # nonstandard widths warn
+        return QFormat(t, i)
+
+
+@pytest.mark.parametrize("fan_in", RAIL_FAN_INS)
+@pytest.mark.parametrize("t, i", RAIL_FORMATS)
+def test_packed_lanes_hold_opposite_rails_side_by_side(t, i, fan_in):
+    # Lanes alternate the format's largest accumulator at this fan-in, a bias
+    # raw_max plus raw_min * raw_min products, and its most negative, a bias
+    # raw_min plus raw_min * raw_max products.  At fan-in 1 and 2t a multiple
+    # of 8, they fill the lanes: K = acc_bits = 2t.
+    fmt = rail_format(t, i)
+    lo, hi, f = fmt.raw_min, fmt.raw_max, fmt.frac_bits
+    bank = FmaBank(4, acc_bits(fmt, fan_in))
+    column, narrow = col(bank, lo, hi, lo, hi), col(bank, hi, lo)
+    top, bottom = (hi << f) + fan_in * lo * lo, (lo << f) + fan_in * lo * hi
+    bank.preload([hi, lo, hi, lo], f)
+    for _ in range(fan_in):
+        bank.step(lo, column)
+    assert bank.acc == [top, bottom, top, bottom]
+    # Zero inputs are clocked but skipped: only the others add products.
+    xs = [lo if s % 2 else 0 for s in range(fan_in)]
+    m = fan_in // 2
+    part = [(hi << f) + m * lo * lo, (lo << f) + m * lo * hi]
+    bank.preload([hi, lo, hi, lo], f)
+    for x in xs:
+        bank.step(x, column)
+    assert bank.acc == part + part
+    # A narrower preload gates lanes 2 and 3 off, and they keep their values
+    # while lanes 0 and 1 fill to the rails opposite to their last ones.
+    bank.preload([lo, hi], f)
+    for _ in range(fan_in):
+        bank.step(lo, narrow)
+    assert bank.acc == [bottom, top] + part
+
+
+@pytest.mark.parametrize("fan_in", RAIL_FAN_INS)
+@pytest.mark.parametrize("t, i", RAIL_FORMATS)
+def test_tiled_and_streamed_passes_read_exact_lanes_at_the_rails(t, i, fan_in):
+    # Units alternate raw_min and raw_max weight rows with opposite-rail
+    # biases; every pass's lanes, read at its PISO capture, must equal the
+    # exact integer sums, through a tiled layer (passes of 4 and 2) and a
+    # streamed one.
+    fmt = rail_format(t, i)
+    lo, hi, f = fmt.raw_min, fmt.raw_max, fmt.frac_bits
+    ident = AfKind.IDENTITY
+    configs = [NetworkConfig((fan_in, 6), max_fma=4, qformat=fmt, af_per_layer=(ident,)),
+               NetworkConfig((fan_in, 4, 3), max_fma=4, qformat=fmt, mode=Mode.STREAMED,
+                             af_per_layer=(ident, ident))]
+    for cfg in configs:
+        layers = [LayerParams(np.array([[(lo, hi)[j % 2]] * k for j in range(n)], np.int64),
+                              np.array([(hi, lo)[j % 2] for j in range(n)], np.int64))
+                  for k, n in zip(cfg.layer_sizes, cfg.layer_sizes[1:])]
+        engine = Engine(cfg, Params(layers, fmt))
+        reads, read = [], engine.fma_bank.read
+        engine.fma_bank.read = lambda w: reads.append(read(w)) or reads[-1]
+        outputs, _ = engine.run([QValue(lo, fmt)] * fan_in)
+        expected, raws = [], [lo] * fan_in
+        for lp in layers:
+            sums = [(b << f) + sum(x * c for x, c in zip(raws, row))
+                    for row, b in zip(lp.weights.tolist(), lp.biases.tolist())]
+            expected += [sums[off:off + 4] for off in range(0, len(sums), 4)]
+            raws = [round_acc(a, fmt) for a in sums]
+        assert reads == expected
+        assert [v.raw for v in outputs] == raws
 
 
 # =============================================================================

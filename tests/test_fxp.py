@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hydrasim.datapath import AfKind, FmaBank
+from hydrasim.datapath import AfKind, FmaBank, acc_bits
 from hydrasim.errors import ConfigError
 from hydrasim.fxp import (
     QFormat,
@@ -180,21 +180,22 @@ def _neuron(fmt, bias, x, w):
 
 
 def test_acc_init_bias_examples():
-    bank = FmaBank(3)
+    bank = FmaBank(3, acc_bits(Q83, 1))
     bank.preload([32, 0, -128], Q83.frac_bits)
     assert bank.acc == [1024, 0, -4096]
 
 
 def test_acc_mac_examples():
-    bank = FmaBank(1)
+    bank = FmaBank(1, acc_bits(Q83, 2))
+    half, minus = bank.pack([[16], [-77]])
     bank.preload([0], Q83.frac_bits)
-    bank.step(16, [16])             # 0.5 * 0.5
+    bank.step(16, half)             # 0.5 * 0.5
     assert bank.acc == [256]        # 0.25 at 2^-10 scale
-    bank.step(0, [-77])             # zero annihilator
+    bank.step(0, minus)             # zero annihilator
     assert bank.acc == [256]
     # bias 1.0 then 0.5*0.5 reads back 1.25
     bank.preload([32], Q83.frac_bits)
-    bank.step(16, [16])
+    bank.step(16, half)
     assert bank.acc == [1280]
     assert dequantize(QValue(round_acc(bank.acc[0], Q83), Q83)) == 1.25
 
@@ -254,14 +255,15 @@ def test_guard_bits_worst_case_never_overflows():
     # 196 full-scale products plus a full-scale bias: the exact worst case,
     # inside the 2t + bitlen(196 - 1) + 1 signed bits of a hardware accumulator.
     limit = 1 << (2 * Q83.total_bits + (196 - 1).bit_length())
-    bank = FmaBank(1)
+    bank = FmaBank(1, acc_bits(Q83, 196))
+    low, high = bank.pack([[-128], [127]])
     bank.preload([127], Q83.frac_bits)
     for _ in range(196):
-        bank.step(-128, [-128])
+        bank.step(-128, low)
     assert bank.acc == [127 * 32 + 196 * (128 * 128)] and bank.acc[0] < limit
     bank.preload([-128], Q83.frac_bits)
     for _ in range(196):
-        bank.step(-128, [127])
+        bank.step(-128, high)
     assert bank.acc == [-128 * 32 + 196 * (-128 * 127)] and -limit <= bank.acc[0]
 
 

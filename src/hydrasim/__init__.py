@@ -10,7 +10,7 @@ ingestion with half-folding.
 """
 
 from .datapath import ActivationUnit, AfKind, FmaBank, build_sigmoid_lut
-from .dataio import Dataset, half_fold, load_dataset, load_idx_images, load_idx_labels, to_input_vector
+from .dataio import Dataset, load_dataset, load_idx_images, load_idx_labels, to_input_vector
 from .engine import (
     CycleReport,
     Engine,
@@ -21,7 +21,7 @@ from .engine import (
     run_inference,
 )
 from .errors import ConfigError, ControlFault, ParamsFileError
-from .fxp import QFormat, QValue, dequantize, quantize
+from .fxp import QFormat, QValue, quantize
 from .model import (
     LayerParams,
     Mode,
@@ -63,11 +63,9 @@ __all__ = [
     "build_sigmoid_lut",
     "classify",
     "cycle_report",
-    "dequantize",
     "forward_float",
     "forward_quantized",
     "forward_quantized_batch",
-    "half_fold",
     "init_params",
     "load_dataset",
     "load_idx_images",

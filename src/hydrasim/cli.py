@@ -18,8 +18,8 @@ them off engine.cycle_report, and `simulate` steps the engine once per
 command, to cross-check image 0.  `simulate` and `sweep` share one image
 path: the IDX pair is read once, then each row chunk of about fxp._CHUNK
 input elements is folded once and run through every config of the command
-(quantize_array, the prepared batch kernel, argmax), so no array grows with
-the dataset beyond the file bytes and the per-image results.  All CSV
+(quantize_array, the runner prepare_batch returns, argmax), so no array grows
+with the dataset beyond the file bytes and the per-image results.  All CSV
 output is deterministic for fixed inputs: rows are ordered by input index
 and floats are printed with a fixed format.  Errors print as one
 `error: ...` line and warnings as one `warning: ...` line each, both on
@@ -65,9 +65,9 @@ SWEEP_SCHEMA = "hydrasim.sweep.v1"
 _MODE_NAMES = sorted(m.value for m in Mode)
 _AF_NAMES = sorted(k.value for k in AfKind)
 
-# simulate and sweep run the batch kernel chunk by chunk through
-# prepare_batch.  Its whole-array form stays a name of this module, beside
-# the library calls the commands make, for code that looks those up here.
+# simulate and sweep call the runner prepare_batch returns.  Its one-call
+# form stays a name of this module, beside the library calls the commands
+# make, for code that looks those up here.
 forward_quantized_batch = model.forward_quantized_batch
 
 
@@ -208,7 +208,7 @@ def cmd_simulate(args) -> int:
         out.writelines(rows)
 
     if n == 0:
-        print("no images evaluated (limit 0)")
+        print(f"no images evaluated ({'limit 0' if args.limit == 0 else 'empty dataset'})")
         return 0
     correct = sum(p == l for p, l in zip(preds, labels))
     print(f"images evaluated      {n}")

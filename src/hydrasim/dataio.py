@@ -108,14 +108,6 @@ def load_idx_labels(path) -> np.ndarray:
     return labels
 
 
-def half_fold(img, mode: str = "mean") -> np.ndarray:
-    """Reduce one 28x28 byte image to a 14x14 float64 matrix in [0, 1)."""
-    img = np.asarray(img)
-    if img.shape != (28, 28):
-        raise ValueError(f"half_fold expects a 28x28 image, got {img.shape}")
-    return fold_images(img[np.newaxis], mode)[0]
-
-
 def fold_images(imgs: np.ndarray, mode: str) -> np.ndarray:
     """Fold byte images [N, 28, 28] to float64 [N, 14, 14] from their 2x2 blocks."""
     if imgs.dtype != np.uint8:

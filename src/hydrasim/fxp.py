@@ -220,8 +220,3 @@ def quantize_array(x, fmt: QFormat, out: np.ndarray | None = None) -> np.ndarray
         if wide:
             dst[over] = fmt.raw_max
     return out
-
-
-def dequantize(v: QValue) -> float:
-    """raw * 2^-frac_bits (exact in binary64 for total_bits <= 53)."""
-    return v.value

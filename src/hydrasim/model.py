@@ -10,15 +10,15 @@ The two forward passes here are the reference semantics for everything else:
                           modeling.  This is the bit-exact oracle the cycle
                           engine must match.
 
-forward_quantized_batch is a vectorized equivalent for dataset-scale work: an
-exact float64 BLAS kernel at every width from 4 to 64 bits.  Row chunks run
-through every layer in turn; each layer is one float64 matmul where the
-operands' measured magnitudes allow, else limb-split operands with integer
-recombination, and one rounding either way.  prepare_batch readies that
-kernel once per (config, params) and returns its per-chunk runner, so a
-caller that streams its own row chunks (the CLI's image pipeline) checks and
-prepares the weights once.  The kernel is pinned bit-equal to the scalar
-oracle by tests, never by construction.
+The batch kernel is a vectorized equivalent for dataset-scale work: an exact
+float64 BLAS kernel at every width from 4 to 64 bits.  prepare_batch readies
+it once per (config, params) and returns its runner, the kernel's one entry:
+any number of rows in, int64 raw outputs out, each row chunk through every
+layer in turn.  Each layer is one float64 matmul where the operands'
+measured magnitudes allow, else limb-split operands with integer
+recombination, and one rounding either way.  forward_quantized_batch is
+prepare plus one run.  The kernel is pinned bit-equal to the scalar oracle by
+tests, never by construction.
 
 What a path needs of its config, parameters and input is stated once, in
 check_forward and check_input.  The engine calls them too, so all four paths
@@ -265,11 +265,14 @@ def check_input(cfg: NetworkConfig, length: int, values=(), raws=None) -> None:
     QValue in cfg.qformat, and every raw code of the array raws an integer in it."""
     if length != cfg.layer_sizes[0]:
         raise ConfigError(f"input length {length} != input dimension {cfg.layer_sizes[0]}")
+    same = {id(cfg.qformat)}   # ids of formats found equal to cfg.qformat: one == each
     for i, v in enumerate(values):
         if not isinstance(v, QValue):
             raise ConfigError(f"input element {i} must be a QValue, got {v!r}")
-        if v.fmt is not cfg.qformat and v.fmt != cfg.qformat:
-            raise ConfigError(f"input format {v.fmt} != config format {cfg.qformat}")
+        if id(v.fmt) not in same:
+            if v.fmt != cfg.qformat:
+                raise ConfigError(f"input format {v.fmt} != config format {cfg.qformat}")
+            same.add(id(v.fmt))
     if raws is not None and not raw_codes_fit(raws, cfg.qformat):
         raise ValueError(f"raw inputs outside {cfg.qformat}")
 
@@ -463,23 +466,17 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
     return np.clip(round_quotient(q, r, f), fmt.raw_min, fmt.raw_max).astype(np.int64, copy=False)
 
 
-def _raw_rows(cfg: NetworkConfig, x_raw) -> np.ndarray:
-    """x_raw as an array of raw input rows [N, D]."""
-    a = np.asarray(x_raw)
-    if a.ndim != 2:
-        raise ConfigError(f"expected raw inputs of shape [N, {cfg.layer_sizes[0]}]")
-    return a
-
-
 def prepare_batch(cfg: NetworkConfig, params: Params):
-    """The batch kernel of (cfg, params), prepared once for any number of row chunks.
+    """The batch kernel of (cfg, params), prepared once for any number of calls.
 
     Runs check_forward, then readies each layer's W.T * 2^-f, weight bits and
-    sigmoid LUT.  Returns run(x_raw): the raw outputs [N, out] int64 of the raw
-    input vectors x_raw [N, D], checked by check_input, through every layer
-    (_exact_layer, then activate_raw); a float-route layer hands its
-    activations on as float64 integers.  Every temporary is the size of x_raw,
-    so callers hand it row chunks of about _CHUNK input elements.
+    sigmoid LUT.  Returns run(x_raw): the int64 raw outputs [N, out] of the
+    raw input vectors x_raw [N, D], for any N.  run checks the shape and the
+    width once, N = 0 included, then takes each row chunk of about _CHUNK
+    input elements through check_input's raw-code check and every layer
+    (_exact_layer, then activate_raw), so every temporary stays chunk-sized.
+    Inside a chunk a float-route layer hands its activations on as float64
+    integers.
     """
     check_forward(cfg, params)
     fmt = cfg.qformat
@@ -491,32 +488,29 @@ def prepare_batch(cfg: NetworkConfig, params: Params):
         layers.append((lp, lp.weights.T * 2.0 ** -fmt.frac_bits, m_w, kind, lut))
 
     def run(x_raw) -> np.ndarray:
-        h = _raw_rows(cfg, x_raw)
-        check_input(cfg, h.shape[1], raws=h)
-        h = h.astype(np.int64, copy=False)
-        for lp, w_f, m_w, kind, lut in layers:
-            h = activate_raw(kind, _exact_layer(h, lp, fmt, w_f, m_w), fmt, lut)
-        return h
+        a = np.asarray(x_raw)
+        if a.ndim != 2:
+            raise ConfigError(f"expected raw inputs of shape [N, {cfg.layer_sizes[0]}]")
+        check_input(cfg, a.shape[1])
+        out = np.empty((len(a), cfg.layer_sizes[-1]), np.int64)
+        step = max(1, _CHUNK // a.shape[1])
+        for lo in range(0, len(a), step):
+            h = a[lo:lo + step]
+            check_input(cfg, a.shape[1], raws=h)
+            h = h.astype(np.int64, copy=False)
+            for lp, w_f, m_w, kind, lut in layers:
+                h = activate_raw(kind, _exact_layer(h, lp, fmt, w_f, m_w), fmt, lut)
+            out[lo:lo + step] = h
+        return out
 
     return run
 
 
 def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarray) -> np.ndarray:
-    """Vectorized forward_quantized over a batch of raw input vectors [N, D].
-
-    prepare_batch's kernel, run over row chunks of about _CHUNK input elements,
-    each chunk through every layer before the next starts, so every temporary
-    stays chunk-sized.  Raw inputs must lie inside the config's format; int64
-    and Python-int object arrays are both accepted.
-    """
-    run = prepare_batch(cfg, params)
-    a = _raw_rows(cfg, x_raw)
-    check_input(cfg, a.shape[1])   # the width, for N = 0 too; run checks each chunk's raws
-    out = np.empty((len(a), cfg.layer_sizes[-1]), np.int64)
-    step = max(1, _CHUNK // a.shape[1])
-    for lo in range(0, len(a), step):
-        out[lo:lo + step] = run(a[lo:lo + step])
-    return out
+    """Vectorized forward_quantized over a batch of raw input vectors [N, D]:
+    prepare_batch's kernel, run once.  Raw inputs must lie inside the
+    config's format; int64 and Python-int object arrays are both accepted."""
+    return prepare_batch(cfg, params)(x_raw)
 
 
 # =============================================================================

@@ -129,12 +129,12 @@ def test_criterion_5_fixed_point_soundness():
                 bank.step(a, col)
                 if bank.acc[0] != acc0 + a * w:   # arbitrary-precision oracle
                     mac_mismatches += 1
-    from hydrasim.fxp import dequantize, quantize
+    from hydrasim.fxp import quantize
     rt_mismatches = 0
     rt_formats = [QFormat(5, 2), QFormat(5, 3), Q83, QFormat(8, 5), QFormat(16, 3), QFormat(16, 8)]
     for fmt in rt_formats:
         for raw in range(fmt.raw_min, fmt.raw_max + 1):
-            if quantize(dequantize(QValue(raw, fmt)), fmt).raw != raw:
+            if quantize(QValue(raw, fmt).value, fmt).raw != raw:
                 rt_mismatches += 1
     ok = mac_mismatches == 0 and rt_mismatches == 0
     _verdict(

@@ -146,6 +146,21 @@ def test_simulate_limit_zero_writes_header_only(tmp_path, float_params_file, syn
     assert "no images evaluated" in capsys.readouterr().out
 
 
+def test_simulate_on_an_empty_dataset_names_no_limit(tmp_path, float_params_file, capsys):
+    images, labels = synthetic_digits(0, seed=1)
+    argv = ["simulate", "--params", str(float_params_file),
+            "--images", str(write_idx_images(tmp_path / "imgs", images)),
+            "--labels", str(write_idx_labels(tmp_path / "labels", labels)),
+            "--out", str(tmp_path / "empty.csv")]
+    for limit, said in ([], "empty dataset"), (["--limit", "3"], "empty dataset"), (["--limit", "0"], "limit 0"):
+        assert main(argv + limit) == 0
+        assert capsys.readouterr().out == f"no images evaluated ({said})\n"
+        assert (tmp_path / "empty.csv").read_text().splitlines() == [
+            "# schema=hydrasim.simulate.v1",
+            "index,label,prediction,cycles",
+        ]
+
+
 def test_simulate_without_dataset_flags_fails(tmp_path, float_params_file, capsys):
     rc = main(["simulate", "--params", str(float_params_file), "--out", str(tmp_path / "x.csv")])
     assert rc == 1

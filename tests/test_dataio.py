@@ -15,7 +15,7 @@ from hydrasim.dataio import (
     IdxShapeError,
     IdxTruncationError,
     IdxValueError,
-    half_fold,
+    fold_images,
     load_dataset,
     load_idx_images,
     load_idx_labels,
@@ -149,18 +149,18 @@ def test_parsing_is_total_under_fuzz(tmp_path):
 # =============================================================================
 
 def test_half_fold_zeros():
-    assert not half_fold(np.zeros((28, 28), np.uint8)).any()
+    assert not fold_images(np.zeros((1, 28, 28), np.uint8), "mean")[0].any()
 
 
 def test_half_fold_constant_128():
-    out = half_fold(np.full((28, 28), 128, np.uint8))
+    out = fold_images(np.full((1, 28, 28), 128, np.uint8), "mean")[0]
     assert np.all(out == 0.5)
 
 
 def test_half_fold_single_block_mean():
     img = np.zeros((28, 28), np.uint8)
     img[0:2, 0:2] = [[0, 64], [128, 64]]
-    out = half_fold(img)
+    out = fold_images(img[None], "mean")[0]
     assert out[0, 0] == 0.25          # mean 64 scaled by 1/256
     assert not out[1:, :].any() and not out[0, 1:].any()
 
@@ -169,7 +169,7 @@ def test_half_fold_mean_preserved_exactly():
     rng = np.random.RandomState(3)
     for _ in range(20):
         img = rng.randint(0, 256, (28, 28)).astype(np.uint8)
-        folded = half_fold(img)
+        folded = fold_images(img[None], "mean")[0]
         lhs = Fraction(int(img.astype(np.int64).sum()), 784 * 256)
         rhs = sum(Fraction(float(v)) for v in folded.reshape(-1)) / 196
         assert lhs == rhs
@@ -178,7 +178,7 @@ def test_half_fold_mean_preserved_exactly():
 def test_half_fold_range_strictly_below_one():
     img = np.full((28, 28), 255, np.uint8)
     for mode in ("mean", "max", "subsample"):
-        out = half_fold(img, mode)
+        out = fold_images(img[None], mode)[0]
         assert out.shape == (14, 14)
         assert np.all(out < 1.0) and np.all(out >= 0.0)
         assert np.all(out == 255 / 256)
@@ -200,7 +200,7 @@ def test_mean_fold_equals_the_corner_order_sum(images):
     want = _mean_fold_in_corner_order(images)
     assert got.dtype == want.dtype == np.float64
     np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(half_fold(images[-1]), want[-1])
+    np.testing.assert_array_equal(fold_images(images[-1][None], "mean")[0], want[-1])
 
 
 @pytest.mark.parametrize("dtype", ["float64", "uint16", "int64", "bool"])
@@ -209,7 +209,7 @@ def test_fold_rejects_a_non_byte_image(dtype):
     img = np.ones((28, 28), dtype)
     for mode in dataio.FOLD_MODES:
         with pytest.raises(ValueError, match=f"needs uint8 byte images, got {dtype}"):
-            half_fold(img, mode)
+            fold_images(img[None], mode)[0]
         with pytest.raises(ValueError, match=f"got {dtype}"):
             dataio.fold_images(img[np.newaxis], mode)
 
@@ -218,15 +218,10 @@ def test_half_fold_max_and_subsample_modes():
     img = np.zeros((28, 28), np.uint8)
     img[0, 0] = 100
     img[0, 1] = 200
-    assert half_fold(img, "max")[0, 0] == 200 / 256
-    assert half_fold(img, "subsample")[0, 0] == 100 / 256
+    assert fold_images(img[None], "max")[0][0, 0] == 200 / 256
+    assert fold_images(img[None], "subsample")[0][0, 0] == 100 / 256
     with pytest.raises(ValueError):
-        half_fold(img, "median")
-
-
-def test_half_fold_shape_checked():
-    with pytest.raises(ValueError):
-        half_fold(np.zeros((14, 14)))
+        fold_images(img[None], "median")[0]
 
 
 # =============================================================================
@@ -279,7 +274,7 @@ def test_load_dataset_end_to_end(tmp_path):
     assert np.all(ds.images >= 0.0) and np.all(ds.images < 1.0)
     assert np.all(ds.labels < 10)
     # batch fold equals the scalar fold
-    np.testing.assert_array_equal(ds.images[0], half_fold(images[0]))
+    np.testing.assert_array_equal(ds.images[0], fold_images(images[0][None], "mean")[0])
 
 
 def test_load_dataset_reads_each_file_once(tmp_path, monkeypatch):

@@ -17,7 +17,6 @@ from hydrasim.errors import ConfigError
 from hydrasim.fxp import (
     QFormat,
     QValue,
-    dequantize,
     quantize,
     round_acc,
     saturate_raw,
@@ -110,7 +109,7 @@ def test_numpy_integers_become_ints():
 
 
 # =============================================================================
-# quantize / dequantize
+# quantize / QValue.value
 # =============================================================================
 
 def test_quantize_examples():
@@ -156,16 +155,16 @@ def test_quantize_nonfinite_rejected():
 
 
 def test_dequantize_examples():
-    assert dequantize(QValue(6, Q83)) == 0.1875
-    assert dequantize(QValue(0, Q83)) == 0.0
-    assert dequantize(QValue(-128, Q83)) == -4.0
+    assert QValue(6, Q83).value == 0.1875
+    assert QValue(0, Q83).value == 0.0
+    assert QValue(-128, Q83).value == -4.0
 
 
 @pytest.mark.parametrize("fmt", [QFormat(5, 2), QFormat(5, 3), Q83, QFormat(8, 6), QFormat(16, 3), QFormat(16, 8)])
 def test_roundtrip_exhaustive(fmt):
     for raw in range(fmt.raw_min, fmt.raw_max + 1):
         v = QValue(raw, fmt)
-        assert quantize(dequantize(v), fmt) == v
+        assert quantize(v.value, fmt) == v
 
 
 # =============================================================================
@@ -197,7 +196,7 @@ def test_acc_mac_examples():
     bank.preload([32], Q83.frac_bits)
     bank.step(16, half)
     assert bank.acc == [1280]
-    assert dequantize(QValue(round_acc(bank.acc[0], Q83), Q83)) == 1.25
+    assert QValue(round_acc(bank.acc[0], Q83), Q83).value == 1.25
 
 
 def test_acc_round_examples():
@@ -273,5 +272,5 @@ def test_integer_only_format_zero_frac_bits():
     assert quantize(5.4, fmt).raw == 5
     assert quantize(200.0, fmt).raw == 127
     for raw in range(-128, 128):
-        assert quantize(dequantize(QValue(raw, fmt)), fmt).raw == raw
+        assert quantize(QValue(raw, fmt).value, fmt).raw == raw
     assert _neuron(fmt, 3, [10], [-2]) == -17

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import random_quantized_case, synthetic_digits, write_idx_images, write_idx_labels
-from hydrasim.dataio import FOLD_MODES, half_fold, load_dataset
+from hydrasim.dataio import FOLD_MODES, fold_images, load_dataset
 from hydrasim.datapath import AfKind
-from hydrasim.engine import run_inference
+from hydrasim.engine import Engine, run_inference
 from hydrasim.errors import ConfigError, ParamsFileError
-from hydrasim.fxp import QFormat, QValue, dequantize, quantize
+from hydrasim.fxp import QFormat, QValue, quantize
 from hydrasim.model import (
     LayerParams,
     Mode,
@@ -24,6 +24,7 @@ from hydrasim.model import (
     forward_quantized_batch,
     init_params,
     load_params,
+    prepare_batch,
     quantize_array,
     quantize_params,
     save_params,
@@ -123,7 +124,7 @@ def test_quantize_params_values():
     q = quantize_params(params, Q83)
     assert q.layers[0].weights.tolist() == [[6, 127, 0]]
     assert q.layers[0].biases.tolist() == [-128]
-    assert dequantize(QValue(6, Q83)) == 0.1875
+    assert QValue(6, Q83).value == 0.1875
 
 
 def test_quantize_params_zeros():
@@ -264,7 +265,7 @@ def test_quantization_error_bound():
         xs = rng.uniform(fmt.min_value, fmt.max_value, 400)
         for x in xs:
             x = float(x)
-            err = abs(dequantize(quantize(x, fmt)) - x)
+            err = abs(quantize(x, fmt).value - x)
             assert err <= 2.0 ** -(fmt.frac_bits + 1) + 1e-15
 
 
@@ -343,7 +344,7 @@ def test_forward_quantized_single_neuron_example():
         Q83,
     )
     out = forward_quantized(cfg, params, [quantize(0.5, Q83)])
-    assert dequantize(out[0]) == 1.25
+    assert out[0].value == 1.25
 
 
 def test_forward_quantized_zeros():
@@ -785,7 +786,7 @@ def test_batch_kernel_matches_oracle_across_limb_plans(total_bits):
 def test_batch_kernel_matches_oracle_on_folded_images(fold):
     # A folded pixel is k/1024 or k/256, so its raws share a power-of-two factor.
     images, _ = synthetic_digits(2, seed=5)
-    x = np.stack([half_fold(img, fold).reshape(-1) for img in images])
+    x = np.stack([fold_images(img[None], fold)[0].reshape(-1) for img in images])
     cfg = NetworkConfig((196, 5, 3), max_fma=5)
     float_params = init_params(cfg, seed=2)
     for total_bits in range(24, 65):
@@ -930,6 +931,42 @@ def _assert_extreme_layer_agrees(fmt, fan_in, hidden):
         oracle = [v.raw for v in forward_quantized(cfg, params, x)]
         engine, _ = run_inference(cfg, params, x)
         assert oracle == [v.raw for v in engine] == out.tolist(), (str(fmt), fan_in)
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits", [8, 32, 64])   # float route; int64 fold; Python ints
+@pytest.mark.parametrize("rows", [0, 1, max(1, _CHUNK // 196) + 1])   # the last crosses a chunk edge
+def test_batch_runner_returns_int64_for_any_row_count(total_bits, rows):
+    fmt = QFormat(total_bits, 3)
+    cfg = NetworkConfig((196, 64, 32, 32, 10), qformat=fmt)
+    params = quantize_params(init_params(cfg, seed=0), fmt)
+    x = quantize_array(np.random.default_rng(rows).random((rows, 196)), fmt)
+    out = prepare_batch(cfg, params)(x)
+    assert out.dtype == np.int64 and out.shape == (rows, 10)
+    np.testing.assert_array_equal(out, forward_quantized_batch(cfg, params, x))
+    for i in sorted({0, rows - 2, rows - 1} & set(range(rows))):   # row 0, each side of the edge
+        oracle = forward_quantized(cfg, params, [QValue(v, fmt) for v in x[i].tolist()])
+        assert [v.raw for v in oracle] == out[i].tolist(), i
+
+
+def test_check_input_compares_each_distinct_format_once(monkeypatch):
+    cfg = NetworkConfig((196, 10))
+    params = quantize_params(init_params(cfg, seed=0), cfg.qformat)
+    fmt = QFormat(8, 3)   # equal to cfg.qformat, not the same object
+    assert fmt is not cfg.qformat
+    x = [QValue(i % 7, fmt) for i in range(196)]
+    engine = Engine(cfg, params)
+    eq, calls = QFormat.__eq__, []
+
+    def counting_eq(self, other):
+        calls.append(self is fmt or other is fmt)
+        return eq(self, other)
+
+    monkeypatch.setattr(QFormat, "__eq__", counting_eq)
+    for forward in (lambda: engine.run(x), lambda: forward_quantized(cfg, params, x)):
+        calls.clear()
+        forward()
+        assert sum(calls) <= 1
 
 
 @pytest.mark.parametrize("shape", [(), (2,), (1, 2, 1)])

@@ -18,10 +18,10 @@ them off engine.cycle_report, and `simulate` steps the engine once per
 command, to cross-check image 0.  `simulate` and `sweep` share one image
 path: the IDX pair is read once, then each row chunk of about fxp._CHUNK
 input elements is folded once and run through every config of the command
-(quantize_array, the runner prepare_batch returns, argmax), so no array grows
-with the dataset beyond the file bytes and the per-image results.  All CSV
-output is deterministic for fixed inputs: rows are ordered by input index
-and floats are printed with a fixed format.  Errors print as one
+(the runner prepare_batch returns, which quantizes the chunk, then argmax),
+so no array grows with the dataset beyond the file bytes and the per-image
+results.  All CSV output is deterministic for fixed inputs: rows are ordered
+by input index and floats are printed with a fixed format.  Errors print as one
 `error: ...` line and warnings as one `warning: ...` line each, both on
 stderr.
 """
@@ -50,7 +50,6 @@ from .model import (
     ensure_valid,
     load_params,
     prepare_batch,
-    quantize_array,
     quantize_params,
     read_json_object,
     save_params,
@@ -65,10 +64,11 @@ SWEEP_SCHEMA = "hydrasim.sweep.v1"
 _MODE_NAMES = sorted(m.value for m in Mode)
 _AF_NAMES = sorted(k.value for k in AfKind)
 
-# simulate and sweep call the runner prepare_batch returns.  Its one-call
-# form stays a name of this module, beside the library calls the commands
-# make, for code that looks those up here.
+# simulate and sweep call the runner prepare_batch returns.  quantize_array and
+# the kernel's raw-code entry stay names of this module, beside the library
+# calls the commands make, for code that looks those up here.
 forward_quantized_batch = model.forward_quantized_batch
+quantize_array = model.quantize_array
 
 
 # Integer and real tokens: an optional sign and ASCII digits (a real's with a
@@ -142,20 +142,16 @@ def _quantized_for(cfg: NetworkConfig, params: Params) -> Params:
 
 def _chunk_outputs(images, labels, fold: str, kernels):
     """Per row chunk of the byte images: its labels, its folded images and each
-    (fmt, run) kernel's raw outputs on them.
+    kernel's raw outputs on them.
 
     A chunk holds about _CHUNK input elements and is folded once for every
-    kernel, so every array made here is chunk-sized.  Every kernel quantizes
-    into one reused buffer: a fresh chunk-sized array per kernel and chunk
-    would take fresh pages each time.
+    kernel, each of which quantizes it itself, so every array made here is
+    chunk-sized.
     """
     step = max(1, _CHUNK // 196)
-    buf = np.empty((min(step, len(images)), 196), np.int64)
     for lo in range(0, len(images), step):
         folded = fold_images(images[lo:lo + step], fold)
-        flat, raws = folded.reshape(len(folded), 196), buf[:len(folded)]
-        yield (labels[lo:lo + step], folded,
-               [run(quantize_array(flat, fmt, out=raws)) for fmt, run in kernels])
+        yield labels[lo:lo + step], folded, [run(folded.reshape(-1, 196)) for run in kernels]
 
 
 def _open_out(path):
@@ -183,7 +179,7 @@ def cmd_simulate(args) -> int:
     report = cycle_report(cfg)   # cycles depend only on the config
     tp = throughput_report(report, args.clock_hz)
     images, labels = load_idx_pair(args.images, args.labels, args.limit)
-    kernel = (cfg.qformat, prepare_batch(cfg, qparams))
+    kernel = prepare_batch(cfg, qparams)
     preds = []
     for _, folded, (out_raw,) in _chunk_outputs(images, labels, args.fold, [kernel]):
         if not preds:
@@ -281,8 +277,7 @@ def cmd_sweep(args) -> int:
     for cfg in cfgs:
         ensure_valid(cfg)
     cycles = cycle_report(cfgs[0]).total_cycles
-    kernels = [(cfg.qformat, prepare_batch(cfg, quantize_params(params, cfg.qformat)))
-               for cfg in cfgs]
+    kernels = [prepare_batch(cfg, quantize_params(params, cfg.qformat)) for cfg in cfgs]
     hits = [0] * len(cfgs)
     for chunk_labels, _, outs in _chunk_outputs(images, labels, args.fold, kernels):
         for i, out_raw in enumerate(outs):

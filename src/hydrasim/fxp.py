@@ -13,10 +13,10 @@ raw code inside Q<t,i>, a fan-in of n keeps that sum within
 hardware accumulator of that width never overflows.
 
 A real becomes a raw code by one rule: scale by 2^frac_bits, round half to
-even, saturate.  quantize is its scalar reference and quantize_array its
-vectorized form, which the sigmoid table, the IDX reader and post-training
-quantization use.  A raw code is an integer inside the format: QValue checks
-one, raw_codes_fit an array.
+even, saturate.  quantize is its scalar reference; _round_scaled is the
+vector core of quantize_array (the sigmoid table, the IDX reader, post-training
+quantization) and of the batch kernel's input stage.  A raw code is an
+integer inside the format: QValue checks one, raw_codes_fit an array.
 
 All operations here are pure functions of their inputs.
 """
@@ -181,6 +181,25 @@ def quantize(x: float, fmt: QFormat) -> QValue:
     return QValue(saturate_raw(round(scaled), fmt), fmt)
 
 
+def _round_scaled(part: np.ndarray, fmt: QFormat, buf: np.ndarray) -> np.ndarray:
+    """quantize's rule on the float64 array part, into the float64 array buf of
+    its shape: part * 2^f clipped to the rails, -2^(t-1) and the largest float64
+    not above raw_max, then rounded half to even.  NaN or an infinity is a
+    ValueError; the clip is skipped when the finite check's min and max lie inside."""
+    scale = float(1 << fmt.frac_bits)
+    top = float(1 << (fmt.total_bits - 1))   # raw_min is -top; raw_max + 1 is top
+    lo, hi = part.min(), part.max()   # NaN propagates through both; an infinity is one
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("cannot quantize non-finite values")
+    # Power-of-two scaling is exact, so clipping before it equals clipping
+    # after it, and the product cannot overflow.  Clipping at integers
+    # commutes with np.rint, which rounds halves to even, as quantize does.
+    rail = min(float(fmt.raw_max), np.nextafter(top, 0.0)) / scale
+    if lo < -top / scale or hi > rail:
+        part = np.clip(part, -top / scale, rail, out=buf)
+    return np.rint(np.multiply(part, scale, out=buf), out=buf)
+
+
 def quantize_array(x, fmt: QFormat, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized quantize: nearest (ties to even) with saturation, as int64 raws.
 
@@ -195,28 +214,14 @@ def quantize_array(x, fmt: QFormat, out: np.ndarray | None = None) -> np.ndarray
     elif out.shape != x.shape or out.dtype != np.int64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous int64 array of shape {x.shape}")
     flat, raws = x.reshape(-1), out.reshape(-1)   # raws is a view of out
-    scale = float(1 << fmt.frac_bits)
-    top = float(1 << (fmt.total_bits - 1))   # raw_min is -top; raw_max + 1 is top
-    # The largest float64 not above raw_max: raw_max itself through 54 bits.
-    # Past that raw_max rounds up to top as a float64, so every scaled value
-    # at or above top saturates through a mask instead.
-    hi = min(float(fmt.raw_max), np.nextafter(top, 0.0))
-    wide = hi < fmt.raw_max
+    # Past 54 bits raw_max rounds up to top = 2^(t-1) as a float64, so every
+    # scaled value at or above top saturates through a mask instead.
+    top = 1 << (fmt.total_bits - 1)
+    wide = float(fmt.raw_max) == top
     buf = np.empty(min(flat.size, _CHUNK))
     for lo in range(0, flat.size, _CHUNK):
         part, dst = flat[lo:lo + _CHUNK], raws[lo:lo + _CHUNK]
-        b = buf[:part.size]
-        # NaN propagates through min and max; an infinity is one of them.
-        if not (math.isfinite(part.min()) and math.isfinite(part.max())):
-            raise ValueError("cannot quantize non-finite values")
-        over = part >= top / scale if wide else None
-        # Power-of-two scaling is exact, so clipping at [-top, hi] / scale
-        # before it equals clipping after it, and the product cannot overflow.
-        # Clipping at integers commutes with rounding, and np.rint rounds
-        # halves to even, matching the scalar quantize exactly.
-        np.clip(part, -top / scale, hi / scale, out=b)
-        b *= scale
-        dst[...] = np.rint(b, out=b)
+        dst[...] = _round_scaled(part, fmt, buf[:part.size])
         if wide:
-            dst[over] = fmt.raw_max
+            dst[part >= top / (1 << fmt.frac_bits)] = fmt.raw_max
     return out

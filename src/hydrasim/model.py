@@ -12,13 +12,14 @@ The two forward passes here are the reference semantics for everything else:
 
 The batch kernel is a vectorized equivalent for dataset-scale work: an exact
 float64 BLAS kernel at every width from 4 to 64 bits.  prepare_batch readies
-it once per (config, params) and returns its runner, the kernel's one entry:
-any number of rows in, int64 raw outputs out, each row chunk through every
-layer in turn.  Each layer is one float64 matmul where the operands'
-measured magnitudes allow, else limb-split operands with integer
-recombination, and one rounding either way.  forward_quantized_batch is
-prepare plus one run.  The kernel is pinned bit-equal to the scalar oracle by
-tests, never by construction.
+it once per (config, params) and returns its runner: any number of real
+input rows in, int64 raw outputs out.  Each row chunk is quantized straight
+into the first layer's operand, then goes through every layer in turn;
+forward_quantized_batch is the raw-code entry to the same loops.  Each layer
+is one float64 matmul where the operands' measured magnitudes allow, else
+limb-split operands with integer recombination, and one rounding either
+way.  The kernel is pinned bit-equal to the scalar oracle by tests, never
+by construction.
 
 What a path needs of its config, parameters and input is stated once, in
 check_forward and check_input.  The engine calls them too, so all four paths
@@ -38,8 +39,8 @@ import numpy as np
 
 from .datapath import AfKind, activate_raw, build_sigmoid_lut
 from .errors import ConfigError, ParamsFileError
-from .fxp import (_CHUNK, QFormat, QValue, as_int, quantize_array, raw_codes_fit,
-                  require_ints, round_acc, round_quotient)
+from .fxp import (_CHUNK, QFormat, QValue, _round_scaled, as_int, quantize_array,
+                  raw_codes_fit, require_ints, round_acc, round_quotient)
 
 
 class Mode(Enum):
@@ -363,7 +364,7 @@ def _limbs(x: np.ndarray, nb: int, n: int, z: int = 0):
 
 
 def _bits(x: np.ndarray, z: int = 0) -> int:
-    """The least m >= 1 with |x >> z| <= 2^m for every entry of the integer array x."""
+    """The least m >= 1 with |x >> z| <= 2^m for every integer entry of x (int64 or float64)."""
     return max(1, ((max(int(x.max()), -int(x.min())) >> z) - 1).bit_length())
 
 
@@ -411,26 +412,25 @@ def _limb_plan(fmt: QFormat, fan_in: int, m_a: int | None = None, m_w: int | Non
 
 
 def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
-                 m_w: int | None) -> np.ndarray:
+                 m_w: int | None, w_limbs: dict) -> np.ndarray:
     """round_acc of each entry of a @ W.T + (bias << f), for in-range raws a.
 
     a is int64, or float64 holding integers, and w_f is W.T * 2^-f.  Where
     m_w is None the format's worst-case plan is already the float route; else
     the plan is sized from the operands (_limb_plan): m_w bits of weight, and
-    the common power-of-two factor 2^z of a with the bits of a >> z.
-    Error-free operand splitting (Ozaki, Ogita, Oishi & Rump, Numer.
-    Algorithms 59, 2012): float64 BLAS matmuls compute every limb product sum
-    exactly, in any summation order.  The float route returns float64
-    integers, the others int64.
+    the common power-of-two factor 2^z of a with the bits of a >> z; w_limbs
+    keeps W.T's limbs per (nb_w, n_w).  Error-free operand splitting (Ozaki,
+    Ogita, Oishi & Rump, Numer. Algorithms 59, 2012): float64 BLAS matmuls
+    compute every limb product sum exactly, in any summation order.  The
+    float route returns float64 integers, the others int64.
     """
     f = fmt.frac_bits
-    width, fan_in = lp.weights.shape
     dtype = np.float64
     if m_w is not None:
-        ints = a.astype(np.int64, copy=False)
-        ored = int(np.bitwise_or.reduce(ints, axis=None))
+        # The reduction casts float64 integers block by block: no chunk-sized int64 copy.
+        ored = int(np.bitwise_or.reduce(a, axis=None, dtype=np.int64))
         z = (ored & -ored).bit_length() - 1 if ored else 0   # the lowest set bit of the OR
-        n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, fan_in, _bits(ints, z), m_w, z)
+        n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, lp.weights.shape[1], _bits(a, z), m_w, z)
     if dtype is np.float64:
         # A float64 matmul is as exact on k * 2^z as on k, and scaling by 2^-f
         # is exact, so it yields (a @ W.T) * 2^-f and adding the bias S * 2^-f.
@@ -440,44 +440,45 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
         return np.rint(p, out=p)   # halves to even
     # Each limb product sum P_ij is folded into the quotient q and remainder r
     # of S by 2^f, so the bias adds to q unshifted, S is never formed and the
-    # single rounding happens on (q, r).
-    w_limbs = list(_limbs(lp.weights, nb_w, n_w))
-    q = np.empty((len(a), width), dtype)
-    q[...] = lp.biases
-    r = np.zeros((len(a), width), dtype)
-    for i, limb in enumerate(_limbs(a if n_a == 1 and not z else ints, nb_a, n_a, z)):
-        for j, w_limb in enumerate(w_limbs):
+    # single rounding happens on (q, r).  Either starts as its first term.
+    if (nb_w, n_w) not in w_limbs:
+        w_limbs[nb_w, n_w] = [limb.T for limb in _limbs(lp.weights, nb_w, n_w)]
+    q = r = None
+    x = a if n_a == 1 and not z else a.astype(np.int64, copy=False)   # _limbs shifts int64
+    for i, limb in enumerate(_limbs(x, nb_a, n_a, z)):
+        for j, w_limb in enumerate(w_limbs[nb_w, n_w]):
             # |P_ij| < 2^53, so the int64 cast is exact; object takes Python ints from it.
-            p = (limb @ w_limb.T).astype(np.int64).astype(dtype, copy=False)
+            p = (limb @ w_limb).astype(np.int64).astype(dtype, copy=False)
             s = z + i * nb_a + j * nb_w
             if s >= f:
-                p <<= s - f
-                q += p
+                q = _fold(q, p, s - f)
             elif s + _F64_EXACT_BITS + (n_a * n_w).bit_length() < 63:   # r holds it whole
-                p <<= s
-                r += p
+                r = _fold(r, p, s)
             else:
-                q += p >> (f - s)
+                q = _fold(q, p >> (f - s), 0)
                 p &= (1 << (f - s)) - 1
-                p <<= s
-                r += p
-    q += r >> f
-    r &= (1 << f) - 1
-    return np.clip(round_quotient(q, r, f), fmt.raw_min, fmt.raw_max).astype(np.int64, copy=False)
+                r = _fold(r, p, s)
+    if r is not None:   # r's whole multiples of 2^f move to q
+        q = _fold(q, r >> f, 0)
+        r &= (1 << f) - 1
+    q = round_quotient(_fold(q, lp.biases, 0), 0 if r is None else r, f)
+    return np.clip(q, fmt.raw_min, fmt.raw_max).astype(np.int64, copy=False)
 
 
-def prepare_batch(cfg: NetworkConfig, params: Params):
-    """The batch kernel of (cfg, params), prepared once for any number of calls.
+def _fold(total: np.ndarray | None, p: np.ndarray, shift: int) -> np.ndarray:
+    """total + (p << shift), in place into total and p; p itself if total is None."""
+    if shift:
+        p <<= shift
+    return p if total is None else np.add(total, p, out=total)
 
-    Runs check_forward, then readies each layer's W.T * 2^-f, weight bits and
-    sigmoid LUT.  Returns run(x_raw): the int64 raw outputs [N, out] of the
-    raw input vectors x_raw [N, D], for any N.  run checks the shape and the
-    width once, N = 0 included, then takes each row chunk of about _CHUNK
-    input elements through check_input's raw-code check and every layer
-    (_exact_layer, then activate_raw), so every temporary stays chunk-sized.
-    Inside a chunk a float-route layer hands its activations on as float64
-    integers.
-    """
+
+def _batch_runner(cfg: NetworkConfig, params: Params, what: str, operand):
+    """run(x): the int64 raw outputs [N, out] of the input rows x [N, D], any
+    N, with check_forward run and each layer's W.T * 2^-f, weight bits and LUT
+    readied once.  run checks the shape and width once, N = 0 included, then
+    takes each row chunk of about _CHUNK elements through operand, which makes
+    the first layer's raws, and every layer, so every temporary stays
+    chunk-sized."""
     check_forward(cfg, params)
     fmt = cfg.qformat
     layers = []
@@ -485,32 +486,51 @@ def prepare_batch(cfg: NetworkConfig, params: Params):
         float_route = _limb_plan(fmt, lp.weights.shape[1])[4] is np.float64
         lut = build_sigmoid_lut(fmt) if kind is AfKind.SIGMOID else None
         m_w = None if float_route else _bits(lp.weights)
-        layers.append((lp, lp.weights.T * 2.0 ** -fmt.frac_bits, m_w, kind, lut))
+        layers.append((lp, lp.weights.T * 2.0 ** -fmt.frac_bits, m_w, {}, kind, lut))
 
-    def run(x_raw) -> np.ndarray:
-        a = np.asarray(x_raw)
+    def run(x) -> np.ndarray:
+        a = np.asarray(x)
         if a.ndim != 2:
-            raise ConfigError(f"expected raw inputs of shape [N, {cfg.layer_sizes[0]}]")
+            raise ConfigError(f"expected {what} inputs of shape [N, {cfg.layer_sizes[0]}]")
         check_input(cfg, a.shape[1])
         out = np.empty((len(a), cfg.layer_sizes[-1]), np.int64)
         step = max(1, _CHUNK // a.shape[1])
         for lo in range(0, len(a), step):
-            h = a[lo:lo + step]
-            check_input(cfg, a.shape[1], raws=h)
-            h = h.astype(np.int64, copy=False)
-            for lp, w_f, m_w, kind, lut in layers:
-                h = activate_raw(kind, _exact_layer(h, lp, fmt, w_f, m_w), fmt, lut)
+            h = operand(a[lo:lo + step])
+            for lp, w_f, m_w, w_limbs, kind, lut in layers:
+                h = activate_raw(kind, _exact_layer(h, lp, fmt, w_f, m_w, w_limbs), fmt, lut)
             out[lo:lo + step] = h
         return out
 
     return run
 
 
+def prepare_batch(cfg: NetworkConfig, params: Params):
+    """The batch kernel of (cfg, params), prepared once: _batch_runner's run(x)
+    for real input vectors x [N, D].  Each row chunk of x is quantized by
+    quantize_array's rule straight into the first layer's operand, float64
+    integers through 53 bits and int64 beyond; NaN or an infinity in x is a
+    ValueError."""
+    fmt = cfg.qformat
+
+    def operand(chunk):
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if fmt.total_bits > _F64_EXACT_BITS:
+            return quantize_array(chunk, fmt)
+        return _round_scaled(chunk, fmt, np.empty(chunk.shape))
+
+    return _batch_runner(cfg, params, "real", operand)
+
+
 def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarray) -> np.ndarray:
-    """Vectorized forward_quantized over a batch of raw input vectors [N, D]:
-    prepare_batch's kernel, run once.  Raw inputs must lie inside the
-    config's format; int64 and Python-int object arrays are both accepted."""
-    return prepare_batch(cfg, params)(x_raw)
+    """Vectorized forward_quantized over raw input vectors [N, D]: the batch
+    kernel with check_input's raw-code check as its input stage.  int64 and
+    Python-int object arrays are both accepted."""
+    def operand(chunk):
+        check_input(cfg, chunk.shape[1], raws=chunk)
+        return chunk.astype(np.int64, copy=False)
+
+    return _batch_runner(cfg, params, "raw", operand)(x_raw)
 
 
 # =============================================================================

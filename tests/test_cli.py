@@ -664,8 +664,8 @@ def test_simulate_kernel_engine_disagreement_is_an_error(tmp_path, float_params_
     def off_by_one(cfg, params):
         run = prepare_batch(cfg, params)
 
-        def run_off(x_raw):
-            out = run(x_raw)
+        def run_off(x):
+            out = run(x)
             out[0, 0] += 1
             return out
         return run_off
@@ -743,6 +743,28 @@ def test_chunk_edges_sweep_matches_the_whole_batch(tmp_path, float_params_file,
         accuracy = float(np.mean(np.argmax(out_raw, axis=1) == ds.labels)) if len(ds) else 0.0
         rows.append(f"{width},{accuracy:.6f},{CYCLES}")
     assert out.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_chunk_non_finite_input_stops_the_batch_commands_before_any_csv_byte(
+        tmp_path, float_params_file, chunk_dataset_files, monkeypatch, capsys, command):
+    """A NaN in the last chunk's folded images, after two full chunks, is the
+    runner's ValueError, raised before either command writes its CSV."""
+    real_fold = cli.fold_images
+
+    def fold_nan_late(imgs, mode):
+        folded = real_fold(imgs, mode)
+        if len(imgs) < CHUNK_ROWS:   # the one-image chunk after two full ones
+            folded[-1, 3, 4] = math.nan
+        return folded
+
+    monkeypatch.setattr(cli, "fold_images", fold_nan_late)
+    out = tmp_path / "out.csv"
+    argv = [command, "--params", str(float_params_file), "--images", str(chunk_dataset_files[0]),
+            "--labels", str(chunk_dataset_files[1]), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: cannot quantize non-finite values\n"
+    assert not out.exists()
 
 
 def test_chunk_pipeline_keeps_sweep_memory_chunk_sized(tmp_path, float_params_file):

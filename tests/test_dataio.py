@@ -209,9 +209,7 @@ def test_fold_rejects_a_non_byte_image(dtype):
     img = np.ones((28, 28), dtype)
     for mode in dataio.FOLD_MODES:
         with pytest.raises(ValueError, match=f"needs uint8 byte images, got {dtype}"):
-            fold_images(img[None], mode)[0]
-        with pytest.raises(ValueError, match=f"got {dtype}"):
-            dataio.fold_images(img[np.newaxis], mode)
+            fold_images(img[None], mode)
 
 
 def test_half_fold_max_and_subsample_modes():
@@ -273,8 +271,11 @@ def test_load_dataset_end_to_end(tmp_path):
     assert ds.flat.shape == (20, 196)
     assert np.all(ds.images >= 0.0) and np.all(ds.images < 1.0)
     assert np.all(ds.labels < 10)
-    # batch fold equals the scalar fold
-    np.testing.assert_array_equal(ds.images[0], fold_images(images[0][None], "mean")[0])
+    # Each pixel is its 2x2 byte sum over 1024, summed here in Python ints.
+    want = [[[sum(int(img[2 * r + dr][2 * c + dc]) for dr in (0, 1) for dc in (0, 1)) / 1024
+              for c in range(14)] for r in range(14)] for img in images[:20].tolist()]
+    assert ds.images.tolist() == want
+    assert ds.labels.tolist() == labels[:20].tolist()
 
 
 def test_load_dataset_reads_each_file_once(tmp_path, monkeypatch):

@@ -940,13 +940,88 @@ def test_batch_runner_returns_int64_for_any_row_count(total_bits, rows):
     fmt = QFormat(total_bits, 3)
     cfg = NetworkConfig((196, 64, 32, 32, 10), qformat=fmt)
     params = quantize_params(init_params(cfg, seed=0), fmt)
-    x = quantize_array(np.random.default_rng(rows).random((rows, 196)), fmt)
+    x = np.random.default_rng(rows).random((rows, 196))
+    x_raw = quantize_array(x, fmt)
     out = prepare_batch(cfg, params)(x)
     assert out.dtype == np.int64 and out.shape == (rows, 10)
-    np.testing.assert_array_equal(out, forward_quantized_batch(cfg, params, x))
+    np.testing.assert_array_equal(out, forward_quantized_batch(cfg, params, x_raw))
     for i in sorted({0, rows - 2, rows - 1} & set(range(rows))):   # row 0, each side of the edge
-        oracle = forward_quantized(cfg, params, [QValue(v, fmt) for v in x[i].tolist()])
+        oracle = forward_quantized(cfg, params, [QValue(v, fmt) for v in x_raw[i].tolist()])
         assert [v.raw for v in oracle] == out[i].tolist(), i
+
+
+def _real_rows(rows, fmt, seed):
+    """rows real input vectors of width 196 spread past both rails of fmt, with
+    near-rail, saturating, tie and far-out values at the front of row 0 and
+    a row of the largest magnitudes last."""
+    rng = np.random.default_rng(seed)
+    top = 2.0 ** (fmt.int_bits - 1)   # fmt holds [-top, top)
+    x = rng.uniform(-1.25 * top, 1.25 * top, size=(rows, 196))
+    if rows:
+        ties = (np.arange(-4, 4) + 0.5) * fmt.resolution   # each scales to k + 1/2
+        special = [1020 / 1024, -1020 / 1024, top, -top, top - fmt.resolution / 2,
+                   -top - fmt.resolution, 1e300, -1e300, 0.0, -0.0, *ties]
+        x[0, :len(special)] = special
+        x[-1] = np.resize([1e300, -1e300, 5.0, -5.0], 196)
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits", [4, 5, 8, 16, 32, 53, 54, 64])
+@pytest.mark.parametrize("int_bits", [1, 3])
+@pytest.mark.parametrize("rows", [0, 1, max(1, _CHUNK // 196) + 1])   # the last crosses a chunk edge
+def test_batch_runner_on_real_rows_equals_quantize_then_raw_entry(total_bits, int_bits, rows):
+    """The runner quantizes each row chunk itself: bit-equal to quantize_array
+    then the raw-code entry, and to the scalar oracle."""
+    fmt = QFormat(total_bits, int_bits)
+    cfg = NetworkConfig((196, 6, 3), max_fma=6, qformat=fmt)
+    params = quantize_params(init_params(cfg, seed=3), fmt)
+    x = _real_rows(rows, fmt, seed=total_bits + rows)
+    x_raw = quantize_array(x, fmt)
+    out = prepare_batch(cfg, params)(x)
+    assert out.dtype == np.int64 and out.shape == (rows, 3)
+    np.testing.assert_array_equal(out, forward_quantized_batch(cfg, params, x_raw))
+    for i in sorted({0, rows - 2, rows - 1} & set(range(rows))):   # row 0, each side of the edge
+        x_q = [quantize(v, fmt) for v in x[i].tolist()]
+        assert [v.raw for v in x_q] == x_raw[i].tolist(), i
+        assert [v.raw for v in forward_quantized(cfg, params, x_q)] == out[i].tolist(), i
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits", [4, 8, 32, 53, 54, 64])
+def test_batch_input_stage_clips_only_a_chunk_past_the_rails(total_bits, monkeypatch):
+    """Through an identity layer the runner returns its quantized inputs: equal
+    to quantize_array for a chunk wholly inside the rails (no clip) and for
+    one with a single entry past them (clipped)."""
+    fmt = QFormat(total_bits, 3)
+    cfg = NetworkConfig((196, 196), max_fma=196, qformat=fmt, af_per_layer=(AfKind.IDENTITY,))
+    one = np.eye(196, dtype=np.int64) << fmt.frac_bits   # weight 1.0
+    run = prepare_batch(cfg, Params([LayerParams(one, np.zeros(196, np.int64))], fmt))
+    real_clip, clipped = np.clip, []
+
+    def spy(a, *args, out=None, **kwargs):   # the layer clips in place or with no out
+        clipped.append(out is not None and out is not a)
+        return real_clip(a, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(np, "clip", spy)
+    inside = np.random.default_rng(total_bits).uniform(-4.0, 3.5, size=(5, 196))
+    outside = inside.copy()
+    outside[3, 7] = 4.0   # the only value past the rails
+    for x, clips in ((inside, 0), (outside, 1)):
+        clipped.clear()
+        out = run(x)
+        assert sum(clipped) == clips
+        np.testing.assert_array_equal(out, quantize_array(x, fmt))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_batch_runner_rejects_non_finite_inputs_in_a_later_chunk(bad):
+    cfg = NetworkConfig((196, 10))
+    run = prepare_batch(cfg, quantize_params(init_params(cfg, seed=0), cfg.qformat))
+    x = np.zeros((max(1, _CHUNK // 196) + 1, 196))
+    x[-1, 5] = bad   # the second chunk's one row
+    with pytest.raises(ValueError, match="^cannot quantize non-finite values$"):
+        run(x)
 
 
 def test_check_input_compares_each_distinct_format_once(monkeypatch):

@@ -10,7 +10,10 @@ Subcommands:
     trace      dump the per-cycle FSM trace of one inference
 
 Each subcommand registers only the flags it reads, and no parser accepts an
-abbreviated flag, so a flag that would change nothing exits 2.  A network flag
+abbreviated flag, so a flag that would change nothing exits 2.  main builds the
+parser on every call with all six subcommands registered, but adds flags only
+to the one argv names (to all six when its first token names none, as for
+--help or a typo), from one table, _COMMANDS.  A network flag
 overrides --config, which overrides the parameter file; each command then
 validates exactly the configs it runs.  Simulated cycles depend only on the
 network config, never on the data: `simulate`, `timing` and `sweep` read
@@ -378,60 +381,66 @@ _FLAGS = {
 _NETWORK = "--config --layers --max-fma --bits --int-bits --mode --af --softmax-cycles"
 _DATASET = "--images --labels --fold"
 
+# Each subcommand's summary, handler, shared flags and own flags, in help order.
+_COMMANDS = {
+    "simulate": ("run the cycle engine over a dataset", cmd_simulate,
+                 f"{_NETWORK} {_DATASET} --limit", {
+        "--params": dict(required=True, help="parameter file (float or quantized)"),
+        "--out": dict(default="-", help="per-image CSV output path (default stdout)"),
+        "--clock-hz": dict(type=_float, default=100e6, help="clock for GOPS (default 100 MHz)"),
+    }),
+    "timing": ("closed-form and simulated cycle counts", cmd_timing,
+               "--config --layers --max-fma --softmax-cycles", {
+        "--params": dict(help="parameter file to derive layer sizes from"),
+        "--n-list": dict(help="comma-separated n(l) list for literal closed-form evaluation"),
+    }),
+    "sweep": ("bit-width sweep of a float model", cmd_sweep,
+              f"--config --layers --max-fma --mode --af --softmax-cycles {_DATASET} --limit", {
+        "--int-bits": dict(dest="swept_int_bits", type=_int, metavar="INT_BITS",
+                           help="integer bits of every swept width (default: the config's)"),
+        "--params": dict(required=True, help="float parameter file"),
+        "--bits-list": dict(default="5,8,16,32", help="comma-separated widths"),
+        "--out": dict(default="-", help="CSV output path (default stdout)"),
+    }),
+    "train": ("train a float model (deterministic)", cmd_train,
+              f"--config --layers --af {_DATASET} --limit", {
+        "--seed": dict(type=_int, default=0, help="PRNG seed (default 0)"),
+        "--epochs": dict(type=_int, default=3),
+        "--lr": dict(type=_float, default=0.05),
+        "--batch-size": dict(type=_int, default=32),
+        "--out": dict(required=True, help="output parameter file"),
+    }),
+    "quantize": ("quantize a float parameter file", cmd_quantize, "", {
+        "--bits": dict(_FLAGS["--bits"], default=NetworkConfig.qformat.total_bits),
+        "--int-bits": dict(_FLAGS["--int-bits"], default=NetworkConfig.qformat.int_bits),
+        "--params": dict(required=True, help="float parameter file"),
+        "--out": dict(required=True, help="output parameter file"),
+    }),
+    "trace": ("dump the per-cycle FSM trace of one inference", cmd_trace,
+              f"{_NETWORK} {_DATASET}", {
+        "--params": dict(required=True, help="parameter file (float or quantized)"),
+        "--index": dict(type=_int, default=None,
+                        help="dataset image index (default 0); needs --images and --labels"),
+        "--out": dict(default="-", help="trace output path (default stdout)"),
+    }),
+}
 
-def _subparser(sub, name: str, summary: str, func, flags: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=summary, allow_abbrev=False)
-    for flag in flags.split():
-        p.add_argument(flag, **_FLAGS[flag])
-    p.set_defaults(func=func)
-    return p
 
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The hydrasim parser.  Every subcommand is registered, so usage, help and
+    the invalid-choice error name all six; only command's subparser gets its
+    flags when command names one, else every subparser does."""
     parser = argparse.ArgumentParser(prog="hydrasim", allow_abbrev=False, description=(
         "Cycle-accurate simulator for a layer-multiplexed DNN accelerator"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _subparser(sub, "simulate", "run the cycle engine over a dataset", cmd_simulate,
-                   f"{_NETWORK} {_DATASET} --limit")
-    p.add_argument("--params", required=True, help="parameter file (float or quantized)")
-    p.add_argument("--out", default="-", help="per-image CSV output path (default stdout)")
-    p.add_argument("--clock-hz", type=_float, default=100e6, help="clock for GOPS (default 100 MHz)")
-
-    p = _subparser(sub, "timing", "closed-form and simulated cycle counts", cmd_timing,
-                   "--config --layers --max-fma --softmax-cycles")
-    p.add_argument("--params", help="parameter file to derive layer sizes from")
-    p.add_argument("--n-list", help="comma-separated n(l) list for literal closed-form evaluation")
-
-    p = _subparser(sub, "sweep", "bit-width sweep of a float model", cmd_sweep,
-                   f"--config --layers --max-fma --mode --af --softmax-cycles {_DATASET} --limit")
-    p.add_argument("--int-bits", dest="swept_int_bits", type=_int, metavar="INT_BITS",
-                   help="integer bits of every swept width (default: the config's)")
-    p.add_argument("--params", required=True, help="float parameter file")
-    p.add_argument("--bits-list", default="5,8,16,32", help="comma-separated widths")
-    p.add_argument("--out", default="-", help="CSV output path (default stdout)")
-
-    p = _subparser(sub, "train", "train a float model (deterministic)", cmd_train,
-                   f"--config --layers --af {_DATASET} --limit")
-    p.add_argument("--seed", type=_int, default=0, help="PRNG seed (default 0)")
-    p.add_argument("--epochs", type=_int, default=3)
-    p.add_argument("--lr", type=_float, default=0.05)
-    p.add_argument("--batch-size", type=_int, default=32)
-    p.add_argument("--out", required=True, help="output parameter file")
-
-    p = _subparser(sub, "quantize", "quantize a float parameter file", cmd_quantize,
-                   "--bits --int-bits")
-    p.set_defaults(bits=NetworkConfig.qformat.total_bits, int_bits=NetworkConfig.qformat.int_bits)
-    p.add_argument("--params", required=True, help="float parameter file")
-    p.add_argument("--out", required=True, help="output parameter file")
-
-    p = _subparser(sub, "trace", "dump the per-cycle FSM trace of one inference", cmd_trace,
-                   f"{_NETWORK} {_DATASET}")
-    p.add_argument("--params", required=True, help="parameter file (float or quantized)")
-    p.add_argument("--index", type=_int, default=None,
-                   help="dataset image index (default 0); needs --images and --labels")
-    p.add_argument("--out", default="-", help="trace output path (default stdout)")
-
+    for name, (summary, func, shared, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if command == name or command not in _COMMANDS:
+            for flag in shared.split():
+                p.add_argument(flag, **_FLAGS[flag])
+            for flag, settings in own.items():
+                p.add_argument(flag, **settings)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -440,8 +449,8 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # A warning prints as one line whatever the caller's filters, which
         # catch_warnings restores on exit, with the caller's handler.

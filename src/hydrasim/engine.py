@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .datapath import ActivationUnit, AfKind, FmaBank, acc_bits, build_sigmoid_lut
 from .errors import ConfigError
@@ -71,8 +72,9 @@ class Phase(Enum):
     ANN_DONE = "ann_done"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One traced cycle; a tuple, so it also equals a plain tuple of its fields."""
+
     cycle: int
     phase: str
     layer: int

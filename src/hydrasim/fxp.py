@@ -112,9 +112,13 @@ class QValue:
     fmt: QFormat
 
     def __post_init__(self):
-        object.__setattr__(self, "raw", as_int(self.raw, "raw"))
-        if not (self.fmt.raw_min <= self.raw <= self.fmt.raw_max):
-            raise ValueError(f"raw {self.raw} does not fit in {self.fmt}")
+        raw = self.raw
+        if type(raw) is not int:   # an int needs no conversion; a subclass becomes one
+            raw = as_int(raw, "raw")
+            object.__setattr__(self, "raw", raw)
+        half = 1 << (self.fmt.total_bits - 1)   # raw_min = -half, raw_max = half - 1
+        if not -half <= raw < half:
+            raise ValueError(f"raw {raw} does not fit in {self.fmt}")
 
     @property
     def value(self) -> float:

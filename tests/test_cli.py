@@ -1,5 +1,6 @@
 """End-to-end CLI tests over synthetic IDX datasets in tmp dirs."""
 
+import argparse
 import json
 import math
 import os
@@ -626,6 +627,71 @@ def test_help_names_only_registered_flags(capsys, command, dropped):
     registered = set(re.findall(r"--[a-z][a-z-]*", usage)) | {"--help"}   # usage says -h
     assert set(re.findall(r"--[a-z][a-z-]*", rest)) <= registered
     assert not registered & set(dropped)
+
+
+# Every flag of each command, one of its integer flags and its required flag
+# (timing has none), for comparing the parser main builds with the full one.
+_NETWORK_FLAGS = "--config --layers --max-fma --bits --int-bits --mode --af --softmax-cycles"
+_ALL_FLAGS = {
+    "simulate": (f"{_NETWORK_FLAGS} --images --labels --fold --limit --params --out --clock-hz",
+                 "--limit", "--params"),
+    "timing": ("--config --layers --max-fma --softmax-cycles --params --n-list", "--max-fma", None),
+    "sweep": ("--config --layers --max-fma --mode --af --softmax-cycles --images --labels --fold "
+              "--limit --int-bits --params --bits-list --out", "--int-bits", "--params"),
+    "train": ("--config --layers --af --images --labels --fold --limit --seed --epochs --lr "
+              "--batch-size --out", "--epochs", "--out"),
+    "quantize": ("--bits --int-bits --params --out", "--bits", "--params"),
+    "trace": (f"{_NETWORK_FLAGS} --images --labels --fold --params --index --out", "--index",
+              "--params"),
+}
+_FLAG_VALUES = {
+    "--config": "c.json", "--layers": "8:4", "--max-fma": "4", "--bits": "16", "--int-bits": "2",
+    "--mode": "stream", "--af": "sigmoid", "--softmax-cycles": "1", "--images": "i",
+    "--labels": "l", "--fold": "max", "--limit": "3", "--params": "p.json", "--out": "o",
+    "--clock-hz": "1e3", "--n-list": "1,2", "--bits-list": "5,8", "--seed": "4", "--epochs": "2",
+    "--lr": "0.5", "--batch-size": "8", "--index": "1",
+}
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(the Namespace, or the exit code, stdout, stderr) of parse(argv)."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", sorted(_ALL_FLAGS))
+def test_parser_main_builds_behaves_as_the_full_parser(capsys, command):
+    flags, int_flag, required = _ALL_FLAGS[command]
+    full = [tok for flag in flags.split() for tok in (flag, _FLAG_VALUES[flag])]
+    lazy = cli.build_parser(command)
+    assert lazy.format_help() == cli.build_parser().format_help()
+    namespace = lazy.parse_args([command, *full])
+    assert namespace == cli.build_parser().parse_args([command, *full])
+    assert None not in vars(namespace).values()   # the argv sets every flag
+    errors = [["--help"], [*full, "--bogus"], [*full, int_flag, "1_0"],
+              [*full, flags.split()[-1][:-1], "v"], [*full, flags.split()[-1]]]
+    if required:
+        i = full.index(required)
+        errors.append(full[:i] + full[i + 2:])
+    for argv in errors:
+        outcome = _parse_outcome(main, [command, *argv], capsys)
+        assert outcome == _parse_outcome(cli.build_parser().parse_args, [command, *argv], capsys)
+        assert outcome[0] in (0, 2)
+    assert "usage: hydrasim [-h] {simulate,timing,sweep,train,quantize,trace} ...\n" in (
+        _parse_outcome(main, [command, *full, "--bogus"], capsys)[2])
+    for sibling in set(_ALL_FLAGS) - {command}:   # registered, with -h alone
+        bare = argparse.ArgumentParser(prog=f"hydrasim {sibling}").format_help()
+        assert _parse_outcome(lazy.parse_args, [sibling, "-h"], capsys) == (0, bare, "")
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["simulat"]])
+def test_top_level_parse_of_main_equals_the_full_parser(capsys, argv):
+    outcome = _parse_outcome(main, argv, capsys)
+    assert outcome == _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert "{simulate,timing,sweep,train,quantize,trace}" in outcome[1] + outcome[2]
 
 
 # The CLI flags of each case and the NetworkConfig fields they stand for.

@@ -91,7 +91,7 @@ def test_load_params_mutants_parse_or_raise_typed_errors(tmp_path, quantized):
 def test_config_mutants_exit_0_or_1_with_an_error_line(tmp_path, capsys, monkeypatch):
     # Building the argparse parser is most of a call's cost, and the same for every mutant.
     parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "build_parser", lambda command: parser)
     path = tmp_path / "net.json"
     valid = json.dumps({
         "layer_sizes": [6, 4, 3], "max_fma": 4, "qformat": {"total_bits": 8, "int_bits": 3},

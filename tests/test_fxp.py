@@ -108,6 +108,27 @@ def test_numpy_integers_become_ints():
     assert {type(fmt.total_bits), type(fmt.int_bits), type(v.raw)} == {int}
 
 
+@pytest.mark.parametrize("t", [4, 53, 54, 64])
+def test_qvalue_accepts_both_rails_and_refuses_one_past_each(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # nonstandard widths warn
+        fmt = QFormat(t, 1)
+    assert (fmt.raw_min, fmt.raw_max) == (-2 ** (t - 1), 2 ** (t - 1) - 1)
+    for raw in (fmt.raw_min, fmt.raw_max):
+        assert QValue(raw, fmt).raw == raw
+    for raw in (fmt.raw_min - 1, fmt.raw_max + 1):
+        with pytest.raises(ValueError, match=f"^raw {raw} does not fit in Q<{t},1>$"):
+            QValue(raw, fmt)
+
+
+def test_qvalue_int_subclass_becomes_an_exact_int():
+    class Raw(int):
+        pass
+
+    v = QValue(Raw(-7), Q83)
+    assert type(v.raw) is int and v.raw == -7
+
+
 # =============================================================================
 # quantize / QValue.value
 # =============================================================================

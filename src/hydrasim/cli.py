@@ -351,8 +351,7 @@ def cmd_trace(args) -> int:
     # Built before --out is opened: a rejected trace leaves that file as it was.
     engine = Engine(cfg, qparams)
     with _open_out(args.out) as out:
-        engine.trace_hook = lambda r: out.write(r.line() + "\n")
-        outputs, report = engine.run(x)
+        outputs, report = engine.run(x, trace_hook=lambda r: out.write(r.line() + "\n"))
     print(f"traced {report.total_cycles} cycles; prediction {classify(outputs)}", file=sys.stderr)
     return 0
 

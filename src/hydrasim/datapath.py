@@ -63,42 +63,33 @@ class FmaBank:
     """The array's multiply-accumulate slots, each a signed acc_bits-bit accumulator.
 
     The accumulators are signed lanes of one Python int, word = sum of
-    acc_j * 2^(j*K) over the slots j < lanes that a preload has armed so far.
+    acc_j * 2^(j*K) over the slots j < width that the last preload armed.
     The lane width K is acc_bits rounded up to whole bytes, so |acc_j| <
     2^(K-1) wherever acc_bits holds (acc_bits proves it of every neuron), and
     the lanes are the base-2^K digits of word + 2^(K-1) in each lane.  A MAC
     cycle of every armed slot is then one exact multiply-add, word += x *
     column, with column = sum of c_j * 2^(j*K) packed once by pack: the
     borrows a negative lane takes from the lane above are undone by reading
-    the digits.  A bias preload arms slots [0, w) and gates the rest off; a
-    gated slot never changes, and stepping a bank with no armed slot is a
-    control fault.  State is kept only for slots a preload has armed, so a
-    bank costs memory in its widest preload, not in its size.
+    the digits.  A bias preload arms slots [0, w) and gates the rest off,
+    replacing the word with exactly its w lanes, so a bank holds no state for
+    a gated slot; stepping a bank with no armed slot is a control fault.
     """
 
     def __init__(self, size: int, acc_bits: int):
         self.size = size
         self.lane_bits = -(-acc_bits // 8) * 8    # K, in whole bytes for pack's layout
         self.word = 0
-        self.lanes = 0                 # the widest preload so far
         self.width = 0                 # armed slots are [0, width)
-        self._half = 0                 # 2^(K-1) in each of the lanes
 
     def preload(self, bias_raws: list[int], frac_bits: int) -> None:
-        """Load biases into slots [0, len(bias_raws)), aligned to product scale."""
+        """Arm slots [0, len(bias_raws)) with the biases, aligned to product scale."""
         w, k = len(bias_raws), self.lane_bits
         if w > self.size:
             raise ConfigError(f"preload of {w} biases exceeds {self.size} FMA slots")
-        if w > self.lanes:
-            self.lanes, self._half = w, _in_each_lane(1 << (k - 1), w, k)
         armed = 0
         for b in reversed(bias_raws):
             armed = (armed << k) + b
-        # Lanes [w, lanes) are what lies above bit w*K once the armed lanes
-        # are offset into [0, 2^K): the gated slots, kept as they are.
-        shift = w * k
-        gated = (self.word + (self._half & ((1 << shift) - 1))) >> shift
-        self.word = (armed << frac_bits) + (gated << shift)
+        self.word = armed << frac_bits
         self.width = w
 
     def pack(self, cols) -> list[tuple[int, int]]:
@@ -141,17 +132,13 @@ class FmaBank:
         if x_raw:
             self.word += x_raw * word
 
-    def read(self, w: int) -> list[int]:
-        """The accumulators of slots [0, w), for w up to lanes: the word's
-        low w digits, each less its offset."""
-        k = self.lane_bits
-        half, mask, digits = 1 << (k - 1), (1 << k) - 1, self.word + self._half
+    def read(self) -> list[int]:
+        """The accumulators of the armed slots: the word's width digits, each
+        less its offset."""
+        w, k = self.width, self.lane_bits
+        half, mask = 1 << (k - 1), (1 << k) - 1
+        digits = self.word + _in_each_lane(half, w, k)
         return [((digits >> s) & mask) - half for s in range(0, w * k, k)]
-
-    @property
-    def acc(self) -> list[int]:
-        """The accumulators of slots [0, widest preload so far)."""
-        return self.read(self.lanes)
 
 
 # Entries whose scaled value lies this many of its ulps from a .5 tie are

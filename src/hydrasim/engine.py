@@ -6,9 +6,10 @@ raw integer codes (QValues enter and leave only at Engine.run, the one entry
 point).  The schedule is one generator, _passes: each layer runs in passes of
 at most MAX_FMA units, and a pass arms its units, MACs, captures into the PISO
 and serializes.  Engine._control clocks each pass on the datapath and yields
-each cycle's phase, layer and active FMA count; run numbers the cycles.  An
-inference's buffers are the controller's locals, so an engine holds only its
-config, weights and hardware blocks, which every pass re-arms.  Cycles depend
+each cycle's phase, layer and active FMA count; run numbers the cycles and
+hands each to the trace hook it is given.  An inference's buffers are the
+controller's locals and its hook an argument of run, so an engine holds only
+its config, weights and hardware blocks, which every pass re-arms.  Cycles depend
 only on the config, so cycle_report(cfg) sums the same passes with no
 parameters and no datapath, and Engine.run returns that report.  The PISO
 capture is the list of a pass's rounded accumulators, drained by index; the
@@ -166,10 +167,9 @@ def cycle_report(cfg: NetworkConfig) -> CycleReport:
 class Engine:
     """Cycle-accurate execution of one network on the multiplexed layer."""
 
-    def __init__(self, cfg: NetworkConfig, params: Params, trace_hook=None):
+    def __init__(self, cfg: NetworkConfig, params: Params):
         check_forward(cfg, params)
         self.cfg = cfg
-        self.trace_hook = trace_hook
         fan_in = max(cfg.layer_sizes[:-1])
         bank = self.fma_bank = FmaBank(cfg.max_fma, acc_bits(cfg.qformat, fan_in))
         lut = build_sigmoid_lut(cfg.qformat) if AfKind.SIGMOID in cfg.afs else None
@@ -198,7 +198,7 @@ class Engine:
                     bank.step(x_raw, col)
                     yield mac
             # PISO capture through the single rounding point (round, saturate).
-            piso = [round_acc(a, fmt) for a in bank.read(w)]
+            piso = [round_acc(a, fmt) for a in bank.read()]
             yield Phase.PISO_LOAD, l, 0
             # Serialize: the AF output of cycle i is stored on cycle i + 1; in
             # streamed mode the next layer's MAC consumes it on that cycle.
@@ -219,15 +219,16 @@ class Engine:
                     yield Phase.ANN_DONE if last else Phase.LAYER_DONE, l, active
         outputs += stored
 
-    def run(self, x) -> tuple[list[QValue], CycleReport]:
-        """Load an input, clock the engine to 'ANN done', return outputs + report."""
+    def run(self, x, trace_hook=None) -> tuple[list[QValue], CycleReport]:
+        """Load an input, clock the engine to 'ANN done', return outputs + report;
+        trace_hook, if given, is called with each cycle's TraceRecord."""
         x = list(x)
         check_input(self.cfg, len(x), x)
-        hook, outputs = self.trace_hook, []
+        outputs = []
         control = self._control([v.raw for v in x], outputs)
         for cycle, (phase, layer, active) in enumerate(control, 1):
-            if hook is not None:
-                hook(TraceRecord(cycle, phase.value, layer, active))
+            if trace_hook is not None:
+                trace_hook(TraceRecord(cycle, phase.value, layer, active))
         return [QValue(r, self.cfg.qformat) for r in outputs], cycle_report(self.cfg)
 
 

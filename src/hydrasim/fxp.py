@@ -204,19 +204,14 @@ def _round_scaled(part: np.ndarray, fmt: QFormat, buf: np.ndarray) -> np.ndarray
     return np.rint(np.multiply(part, scale, out=buf), out=buf)
 
 
-def quantize_array(x, fmt: QFormat, out: np.ndarray | None = None) -> np.ndarray:
+def quantize_array(x, fmt: QFormat) -> np.ndarray:
     """Vectorized quantize: nearest (ties to even) with saturation, as int64 raws.
 
     Works through bounded chunks of x, so its float temporaries stay small
-    whatever the size of x.  The raws go to out, a C-contiguous int64 array
-    of x's shape, when given: a caller that quantizes chunk after chunk
-    reuses one buffer instead of taking fresh pages for each.
+    whatever the size of x.
     """
     x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty(x.shape, np.int64)
-    elif out.shape != x.shape or out.dtype != np.int64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous int64 array of shape {x.shape}")
+    out = np.empty(x.shape, np.int64)
     flat, raws = x.reshape(-1), out.reshape(-1)   # raws is a view of out
     # Past 54 bits raw_max rounds up to top = 2^(t-1) as a float64, so every
     # scaled value at or above top saturates through a mask instead.

@@ -40,8 +40,8 @@ def _verdict(n, ok, detail):
 def test_criterion_1_layer1_cycle_fidelity():
     t0 = time.perf_counter()
     trace = []
-    engine, cfg = bench_engine(trace_hook=trace.append)
-    _, report = engine.run(zeros_input(cfg))
+    engine, cfg = bench_engine()
+    _, report = engine.run(zeros_input(cfg), trace_hook=trace.append)
     elapsed = time.perf_counter() - t0
     l0 = report.per_layer[0]
     first, done = l0.first_output_cycle, l0.start_cycle + l0.total_cycles
@@ -127,7 +127,7 @@ def test_criterion_5_fixed_point_soundness():
             for w, col in zip(range(-128, 128), cols):
                 bank.preload([acc0], 0)
                 bank.step(a, col)
-                if bank.acc[0] != acc0 + a * w:   # arbitrary-precision oracle
+                if bank.read()[0] != acc0 + a * w:   # arbitrary-precision oracle
                     mac_mismatches += 1
     from hydrasim.fxp import quantize
     rt_mismatches = 0

@@ -41,15 +41,15 @@ def test_fma_196_step_composition_matches_integer_oracle():
     for ai, column in zip(a, bank.pack(w[:, None])):
         bank.step(int(ai), column)
     expected = (bias << 5) + int(sum(int(x) * int(y) for x, y in zip(a, w)))
-    assert bank.acc[0] == expected
+    assert bank.read()[0] == expected
 
 
 def test_fma_zero_input_leaves_acc_unchanged():
     bank = FmaBank(1, acc_bits(Q83, 1))
     bank.preload([42], F)
-    before = bank.acc[0]
+    before = bank.read()[0]
     bank.step(0, col(bank, -100))
-    assert bank.acc[0] == before
+    assert bank.read()[0] == before
 
 
 def test_stepping_disabled_unit_is_a_fault():
@@ -62,22 +62,21 @@ def test_stepping_disabled_unit_is_a_fault():
         bank.step(1, col(bank, 1))
 
 
-def test_gated_unit_accumulator_never_changes():
+def test_narrower_preload_holds_only_its_lanes():
     bank = FmaBank(3, acc_bits(Q83, 5))
     bank.preload([9, 4, 7], F)
     bank.step(2, col(bank, 3, 1, 5))
-    frozen = list(bank.acc)
     bank.preload([9], F)       # a narrower preload, as a tiled layer's last pass
+    assert bank.word == 9 << F
     for _ in range(5):
         bank.step(1, col(bank, 1))
-    assert bank.acc[1:] == frozen[1:]
-    assert bank.acc[0] == (9 << F) + 5
-    frozen = list(bank.acc)
+    assert bank.read() == [(9 << F) + 5]
+    assert bank.word == (9 << F) + 5
     bank.preload([], F)
     for _ in range(5):
         with pytest.raises(ControlFault):
             bank.step(1, col(bank, 1))
-    assert bank.acc == frozen
+    assert (bank.word, bank.read()) == (0, [])
 
 
 def test_zero_input_on_a_gated_bank_is_still_a_fault():
@@ -97,7 +96,7 @@ def test_column_of_the_wrong_length_is_rejected(x_raw):
     for raws in ([5, 6], [5, 6, 7, 8]):
         with pytest.raises(ValueError, match="armed slots"):
             bank.step(x_raw, col(bank, *raws))
-    assert bank.acc == [1 << F, 2 << F, 3 << F]
+    assert bank.read() == [1 << F, 2 << F, 3 << F]
 
 
 def test_skipped_zero_inputs_leave_the_exact_sum():
@@ -112,8 +111,8 @@ def test_skipped_zero_inputs_leave_the_exact_sum():
     bank.preload(biases, fmt.frac_bits)
     for x, column in zip(xs, bank.pack(cols)):
         bank.step(x, column)
-    assert bank.acc == [(b << fmt.frac_bits) + sum(x * c[j] for x, c in zip(xs, cols))
-                        for j, b in enumerate(biases)]
+    assert bank.read() == [(b << fmt.frac_bits) + sum(x * c[j] for x, c in zip(xs, cols))
+                          for j, b in enumerate(biases)]
 
 
 def test_preload_wider_than_the_bank_is_rejected():
@@ -127,7 +126,7 @@ def test_preload_resets_step_count():
     bank.preload([0], F)
     bank.step(1, col(bank, 1))
     bank.preload([3], F)
-    assert bank.acc[0] == 3 << 5
+    assert bank.read()[0] == 3 << 5
 
 
 # =============================================================================
@@ -159,7 +158,7 @@ def test_packed_lanes_hold_opposite_rails_side_by_side(t, i, fan_in):
     bank.preload([hi, lo, hi, lo], f)
     for _ in range(fan_in):
         bank.step(lo, column)
-    assert bank.acc == [top, bottom, top, bottom]
+    assert bank.read() == [top, bottom, top, bottom]
     # Zero inputs are clocked but skipped: only the others add products.
     xs = [lo if s % 2 else 0 for s in range(fan_in)]
     m = fan_in // 2
@@ -167,13 +166,14 @@ def test_packed_lanes_hold_opposite_rails_side_by_side(t, i, fan_in):
     bank.preload([hi, lo, hi, lo], f)
     for x in xs:
         bank.step(x, column)
-    assert bank.acc == part + part
-    # A narrower preload gates lanes 2 and 3 off, and they keep their values
-    # while lanes 0 and 1 fill to the rails opposite to their last ones.
+    assert bank.read() == part + part
+    # A narrower preload arms lanes 0 and 1 alone: the word holds exactly
+    # those two as they fill to the rails opposite to their last ones.
     bank.preload([lo, hi], f)
     for _ in range(fan_in):
         bank.step(lo, narrow)
-    assert bank.acc == [bottom, top] + part
+    assert bank.read() == [bottom, top]
+    assert bank.word == bottom + (top << bank.lane_bits)
 
 
 @pytest.mark.parametrize("fan_in", RAIL_FAN_INS)
@@ -195,7 +195,7 @@ def test_tiled_and_streamed_passes_read_exact_lanes_at_the_rails(t, i, fan_in):
                   for k, n in zip(cfg.layer_sizes, cfg.layer_sizes[1:])]
         engine = Engine(cfg, Params(layers, fmt))
         reads, read = [], engine.fma_bank.read
-        engine.fma_bank.read = lambda w: reads.append(read(w)) or reads[-1]
+        engine.fma_bank.read = lambda: reads.append(read()) or reads[-1]
         outputs, _ = engine.run([QValue(lo, fmt)] * fan_in)
         expected, raws = [], [lo] * fan_in
         for lp in layers:

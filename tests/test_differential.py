@@ -147,8 +147,8 @@ def test_engine_steps_the_cycle_sequence_of_the_readme_rules():
         overlapped += cfg.mode is Mode.STREAMED and cfg.n_layers > 1
         tiled += any(len(_pass_widths(cfg, l)) > 1 for l in range(cfg.n_layers))
         trace = []
-        engine = Engine(cfg, params, trace_hook=trace.append)
-        _, report = engine.run([QValue(int(v), cfg.qformat) for v in x[0]])
+        engine = Engine(cfg, params)
+        _, report = engine.run([QValue(int(v), cfg.qformat) for v in x[0]], trace_hook=trace.append)
         seq = _expected_trace(cfg)
         assert [(r.phase, r.layer, r.active_fma) for r in trace] == seq, (case, cfg)
         assert [r.cycle for r in trace] == list(range(1, len(seq) + 1))

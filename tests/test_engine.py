@@ -42,9 +42,9 @@ def zeros_input(cfg):
     return [QValue(0, cfg.qformat)] * cfg.layer_sizes[0]
 
 
-def bench_engine(mode=Mode.STORE_AND_FORWARD, softmax_cycles=0, trace_hook=None):
+def bench_engine(mode=Mode.STORE_AND_FORWARD, softmax_cycles=0):
     cfg = NetworkConfig(BENCH_SIZES, mode=mode, softmax_cycles=softmax_cycles)
-    return Engine(cfg, zero_params(cfg), trace_hook=trace_hook), cfg
+    return Engine(cfg, zero_params(cfg)), cfg
 
 
 # =============================================================================
@@ -106,8 +106,8 @@ def _first_cycles(trace):
 
 def test_layer_boundaries_benchmark():
     trace = []
-    engine, cfg = bench_engine(trace_hook=trace.append)
-    _, report = engine.run(zeros_input(cfg))
+    engine, cfg = bench_engine()
+    _, report = engine.run(zeros_input(cfg), trace_hook=trace.append)
     l0, l1 = report.per_layer[:2]
     # Each layer's first MAC, its first output and (store-and-forward) its end.
     assert (l0.start_cycle + 1, l0.first_output_cycle, l0.start_cycle + l0.total_cycles) \
@@ -192,8 +192,8 @@ def test_single_layer_modes_equal_reports():
 
 def test_streamed_trace_shows_overlapped_mac():
     trace = []
-    engine, cfg = bench_engine(mode=Mode.STREAMED, trace_hook=trace.append)
-    engine.run(zeros_input(cfg))
+    engine, cfg = bench_engine(mode=Mode.STREAMED)
+    engine.run(zeros_input(cfg), trace_hook=trace.append)
     by_cycle = {r.cycle: r for r in trace}
     assert len(trace) == 342
     # layer-1 MAC (32 units) runs during layer-0 store cycles 199..262
@@ -241,7 +241,7 @@ def test_exactly_one_activation_unit_per_engine():
 def test_gate_mask_popcount_tracks_layer_width():
     cfg = NetworkConfig((4, 3, 2), max_fma=5)
     trace = []
-    Engine(cfg, zero_params(cfg), trace_hook=trace.append).run(zeros_input(cfg))
+    Engine(cfg, zero_params(cfg)).run(zeros_input(cfg), trace_hook=trace.append)
     active_by_phase = [(r.layer, r.phase, r.active_fma) for r in trace if r.active_fma]
     # MAC activity is exactly n(l) units for inputs(l) cycles, nothing else.
     assert active_by_phase == [(0, "mac", 3)] * 4 + [(1, "mac", 2)] * 3
@@ -249,11 +249,17 @@ def test_gate_mask_popcount_tracks_layer_width():
 
 def test_gated_units_perform_zero_mac_steps():
     cfg = NetworkConfig((4, 3, 2), max_fma=5)
-    engine = Engine(cfg, zero_params(cfg))
+    params = zero_params(cfg)
+    params.layers[0].biases[:] = [5, 6, 7]
+    params.layers[1].biases[:] = [-3, 4]
+    engine = Engine(cfg, params)
     _, report = engine.run(zeros_input(cfg))
     assert report.mac_ops == 4 * 3 + 3 * 2
-    # Slots 3 and 4 are never armed, so the bank holds no accumulator for them.
-    assert len(engine.fma_bank.acc) == 3
+    # Slots 3 and 4 are never armed, and the last pass arms slots 0 and 1
+    # alone: the bank holds exactly those two lanes.
+    bank, f = engine.fma_bank, cfg.qformat.frac_bits
+    assert bank.read() == [-3 << f, 4 << f]
+    assert bank.word == (-3 << f) + ((4 << f) << bank.lane_bits)
 
 
 # =============================================================================
@@ -263,7 +269,7 @@ def test_gated_units_perform_zero_mac_steps():
 def test_oversized_layer_runs_in_passes():
     cfg = NetworkConfig((196, 65), max_fma=64)
     records = []
-    Engine(cfg, zero_params(cfg), trace_hook=records.append).run(zeros_input(cfg))
+    Engine(cfg, zero_params(cfg)).run(zeros_input(cfg), trace_hook=records.append)
     assert [r.active_fma for r in records if r.phase == "mac"] == [64] * 196 + [1] * 196
     assert [r.phase for r in records].count("piso_load") == 2
 
@@ -362,8 +368,8 @@ def test_cycle_determinism():
 
 def test_trace_records_one_per_cycle():
     trace = []
-    engine, cfg = bench_engine(trace_hook=trace.append)
-    _, report = engine.run(zeros_input(cfg))
+    engine, cfg = bench_engine()
+    _, report = engine.run(zeros_input(cfg), trace_hook=trace.append)
     assert len(trace) == report.last_output_cycle
     assert [r.cycle for r in trace] == list(range(1, report.last_output_cycle + 1))
     assert trace[0].phase == "mac" and trace[0].layer == 0 and trace[0].active_fma == 64
@@ -379,25 +385,69 @@ def test_engine_reset_reuses_cleanly():
     # A run keeps its state in the controller: it adds no field to the engine.
     for c in (cfg, dataclasses.replace(cfg, mode=Mode.STREAMED), dataclasses.replace(cfg, max_fma=4)):
         trace = []
-        engine = Engine(c, params, trace_hook=trace.append)
+        engine = Engine(c, params)
         fields = set(vars(engine))
-        first, first_trace = engine.run(x), trace.copy()
+        first, first_trace = engine.run(x, trace_hook=trace.append), trace.copy()
         assert set(vars(engine)) == fields
         trace.clear()
-        assert engine.run(x) == first and trace == first_trace
+        assert engine.run(x, trace_hook=trace.append) == first and trace == first_trace
         assert first_trace[-1].cycle == len(first_trace) == first[1].last_output_cycle
     # A run cut short (here by its trace hook) leaves nothing to the next one.
     def stop(record):
         if record.cycle == 20:
             raise RuntimeError("stopped")
 
-    engine = Engine(cfg, params, trace_hook=stop)
+    engine = Engine(cfg, params)
     fields = set(vars(engine))
     with pytest.raises(RuntimeError, match="stopped"):
-        engine.run(x)
+        engine.run(x, trace_hook=stop)
     assert set(vars(engine)) == fields
-    engine.trace_hook = None
     assert engine.run(x) == Engine(cfg, params).run(x)
+
+
+def _observed_run(engine, x):
+    """Run engine on x; return its outputs, trace, each pass's read() and the
+    bank word's bits above its armed lanes after every preload."""
+    bank, trace, reads, above = engine.fma_bank, [], [], []
+    preload, read = bank.preload, bank.read
+
+    def checked_preload(*args):
+        preload(*args)
+        above.append(bank.word >> (bank.width * bank.lane_bits))
+
+    bank.preload = checked_preload
+    bank.read = lambda: reads.append(read()) or reads[-1]
+    try:
+        outputs, _ = engine.run(x, trace_hook=trace.append)
+    finally:
+        del bank.preload, bank.read
+    return outputs, trace, reads, above
+
+
+@pytest.mark.parametrize("sizes, max_fma", [
+    ((3, 2, 5), 5),        # a 2-wide pass, after the previous run's 5-wide one
+    ((5, 2, 9, 3), 4),     # tiled store-and-forward: passes of 2 | 4, 4, 1 | 3
+])
+def test_bank_word_holds_only_its_armed_lanes(sizes, max_fma):
+    rng = np.random.default_rng(2029)
+    cfg = NetworkConfig(sizes, max_fma=max_fma,
+                        af_per_layer=(AfKind.IDENTITY,) * (len(sizes) - 1))
+    layers = [LayerParams(rng.integers(-128, 128, (n, k)), rng.integers(-128, 128, n))
+              for k, n in zip(sizes[:-1], sizes[1:])]
+    params = Params(layers, Q83)
+    x1, x2 = ([QValue(int(v), Q83) for v in rng.integers(-128, 128, sizes[0])] for _ in range(2))
+    engine = Engine(cfg, params)
+    fields = {"cfg", "fma_bank", "afu", "_wcols", "_biases"}
+    assert set(vars(engine)) == fields
+    first = _observed_run(engine, x1)
+    assert set(vars(engine)) == fields
+    second, fresh = _observed_run(engine, x2), _observed_run(Engine(cfg, params), x2)
+    # A preload leaves no lane above its own: the word is its armed lanes' signed sum.
+    for _, _, reads, above in (first, second):
+        assert len(above) == len(reads)   # one preload and one capture per pass
+        assert set(above) <= {0, -1}
+    assert second == fresh
+    assert second[2] != first[2]   # the new input reached the lanes
 
 
 def test_idle_and_finished_engines_are_freed_without_cyclic_gc():
@@ -422,8 +472,8 @@ def test_trace_agrees_with_report():
     for mode in (Mode.STORE_AND_FORWARD, Mode.STREAMED):
         cfg, params, x = random_quantized_case(rng, Q83)
         trace = []
-        engine = Engine(dataclasses.replace(cfg, mode=mode), params, trace_hook=trace.append)
-        _, report = engine.run(x)
+        engine = Engine(dataclasses.replace(cfg, mode=mode), params)
+        _, report = engine.run(x, trace_hook=trace.append)
         firsts = {layer: c for (phase, layer), c in _first_cycles(trace).items()
                   if phase == "serialize"}
         assert firsts == {lt.layer: lt.first_output_cycle for lt in report.per_layer}
@@ -433,8 +483,8 @@ def test_trace_agrees_with_report():
 def test_degenerate_phase_sequence():
     cfg = NetworkConfig((1, 1), max_fma=1)
     trace = []
-    engine = Engine(cfg, zero_params(cfg), trace_hook=trace.append)
-    engine.run(zeros_input(cfg))
+    engine = Engine(cfg, zero_params(cfg))
+    engine.run(zeros_input(cfg), trace_hook=trace.append)
     assert [r.phase for r in trace] == ["mac", "piso_load", "serialize", "ann_done"]
 
 

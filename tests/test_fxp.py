@@ -202,7 +202,7 @@ def _neuron(fmt, bias, x, w):
 def test_acc_init_bias_examples():
     bank = FmaBank(3, acc_bits(Q83, 1))
     bank.preload([32, 0, -128], Q83.frac_bits)
-    assert bank.acc == [1024, 0, -4096]
+    assert bank.read() == [1024, 0, -4096]
 
 
 def test_acc_mac_examples():
@@ -210,14 +210,14 @@ def test_acc_mac_examples():
     half, minus = bank.pack([[16], [-77]])
     bank.preload([0], Q83.frac_bits)
     bank.step(16, half)             # 0.5 * 0.5
-    assert bank.acc == [256]        # 0.25 at 2^-10 scale
+    assert bank.read() == [256]        # 0.25 at 2^-10 scale
     bank.step(0, minus)             # zero annihilator
-    assert bank.acc == [256]
+    assert bank.read() == [256]
     # bias 1.0 then 0.5*0.5 reads back 1.25
     bank.preload([32], Q83.frac_bits)
     bank.step(16, half)
-    assert bank.acc == [1280]
-    assert QValue(round_acc(bank.acc[0], Q83), Q83).value == 1.25
+    assert bank.read() == [1280]
+    assert QValue(round_acc(bank.read()[0], Q83), Q83).value == 1.25
 
 
 def test_acc_round_examples():
@@ -280,11 +280,11 @@ def test_guard_bits_worst_case_never_overflows():
     bank.preload([127], Q83.frac_bits)
     for _ in range(196):
         bank.step(-128, low)
-    assert bank.acc == [127 * 32 + 196 * (128 * 128)] and bank.acc[0] < limit
+    assert bank.read() == [127 * 32 + 196 * (128 * 128)] and bank.read()[0] < limit
     bank.preload([-128], Q83.frac_bits)
     for _ in range(196):
         bank.step(-128, high)
-    assert bank.acc == [-128 * 32 + 196 * (-128 * 127)] and -limit <= bank.acc[0]
+    assert bank.read() == [-128 * 32 + 196 * (-128 * 127)] and -limit <= bank.read()[0]
 
 
 def test_integer_only_format_zero_frac_bits():

@@ -209,22 +209,6 @@ def test_quantize_array_chunks_keep_shape_and_reject_non_finite():
             quantize_array(xs, Q83)
 
 
-@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
-@pytest.mark.parametrize("total_bits", [8, 64])
-def test_quantize_array_writes_into_a_given_buffer(total_bits):
-    fmt = QFormat(total_bits, 3)
-    xs = np.linspace(-9.0, 9.0, 3 * 20011).reshape(3, 20011)
-    buf = np.full((4, 20011), 7, np.int64)
-    assert quantize_array(xs, fmt, out=buf[:3]).base is buf
-    np.testing.assert_array_equal(buf[:3], quantize_array(xs, fmt))
-    assert (buf[3] == 7).all()
-    for bad in (np.empty((3, 20010), np.int64), np.empty((3, 20011)),
-                np.empty((20011, 3), np.int64).T):
-        with pytest.raises(ValueError, match=re.escape("out must be a C-contiguous int64 "
-                                                       "array of shape (3, 20011)")):
-            quantize_array(xs, fmt, out=bad)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("at", [_CHUNK, _CHUNK + 12345, 2 * _CHUNK + 1])
 def test_quantize_array_rejects_non_finite_past_the_first_chunk(bad, at):

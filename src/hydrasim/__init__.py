@@ -14,7 +14,6 @@ from .dataio import Dataset, load_dataset, load_idx_images, load_idx_labels, to_
 from .engine import (
     CycleReport,
     Engine,
-    Phase,
     TraceRecord,
     classify,
     cycle_report,
@@ -55,7 +54,6 @@ __all__ = [
     "NetworkConfig",
     "Params",
     "ParamsFileError",
-    "Phase",
     "QFormat",
     "QValue",
     "TraceRecord",

@@ -40,9 +40,9 @@ import warnings
 
 import numpy as np
 
-from . import model
+from . import dataio, model
 from .datapath import AfKind
-from .dataio import FOLD_MODES, fold_images, load_dataset, load_idx_pair, to_input_vector
+from .dataio import FOLD_MODES, fold_images, load_idx_pair, to_input_vector
 from .engine import Engine, classify, cycle_report
 from .errors import ConfigError, ControlFault
 from .fxp import _CHUNK, QFormat, QValue
@@ -67,11 +67,11 @@ SWEEP_SCHEMA = "hydrasim.sweep.v1"
 _MODE_NAMES = sorted(m.value for m in Mode)
 _AF_NAMES = sorted(k.value for k in AfKind)
 
-# simulate and sweep call the runner prepare_batch returns.  quantize_array and
-# the kernel's raw-code entry stay names of this module, beside the library
-# calls the commands make, for code that looks those up here.
+# No command calls these three; they stay names of this module because the
+# benchmark's tracer (bench/spans.py) looks them up here.
 forward_quantized_batch = model.forward_quantized_batch
 quantize_array = model.quantize_array
+load_dataset = dataio.load_dataset
 
 
 # Integer and real tokens: an optional sign and ASCII digits (a real's with a
@@ -304,10 +304,12 @@ def cmd_train(args) -> int:
         args.layers = "196:64:32:32:10"
     cfg = _build_config(args, None)
     ensure_valid(cfg, validate_layers)
-    ds = load_dataset(args.images, args.labels, fold=args.fold, limit=args.limit)
+    images, labels = load_idx_pair(args.images, args.labels, args.limit)
+    x = fold_images(images, args.fold).reshape(len(images), 196)
+    del images   # the image file's bytes: training reads only their fold
     params = train_minimal(
-        ds.flat,
-        ds.labels,
+        x,
+        labels,
         cfg,
         epochs=args.epochs,
         lr=args.lr,

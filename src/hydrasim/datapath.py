@@ -81,20 +81,17 @@ class FmaBank:
         self.word = 0
         self.width = 0                 # armed slots are [0, width)
 
-    def preload(self, bias_raws: list[int], frac_bits: int) -> None:
-        """Arm slots [0, len(bias_raws)) with the biases, aligned to product scale."""
-        w, k = len(bias_raws), self.lane_bits
+    def preload(self, biases: tuple[int, int], frac_bits: int) -> None:
+        """Arm slots [0, w) with a column (w, word) of pack's biases, shifted to product scale."""
+        w, word = biases
         if w > self.size:
             raise ConfigError(f"preload of {w} biases exceeds {self.size} FMA slots")
-        armed = 0
-        for b in reversed(bias_raws):
-            armed = (armed << k) + b
-        self.word = armed << frac_bits
+        self.word = word << frac_bits
         self.width = w
 
     def pack(self, cols) -> list[tuple[int, int]]:
         """Each row of cols, an n x w array of raw codes, as the (w, column word)
-        step takes.
+        that step and preload take.
 
         numpy lays each code out in its lane's bytes, offset to be non-negative
         by 2^(K-1), or by 2^63 in a lane wider than 64 bits (an int64 code of a

@@ -12,21 +12,21 @@ controller's locals and its hook an argument of run, so an engine holds only
 its config, weights and hardware blocks, which every pass re-arms.  Cycles depend
 only on the config, so cycle_report(cfg) sums the same passes with no
 parameters and no datapath, and Engine.run returns that report.  The PISO
-capture is the list of a pass's rounded accumulators, drained by index; the
-Phase labels each cycle for the trace.  That the sequence follows the cycle
-rules below is checked by the test suite, not at run time.  Config, parameters
-and input are checked by model.check_forward and model.check_input, the
-oracle's own rules.  Every setting, the mode included, comes from the config
-the engine is built with: to run another mode, build an engine from
-dataclasses.replace(cfg, mode=...).
+capture is the list of a pass's rounded accumulators, drained by index; a
+phase string ("mac", "piso_load", ...) labels each cycle for the trace.  That
+the sequence follows the cycle rules below is checked by the test suite, not
+at run time.  Config, parameters and input are checked by model.check_forward
+and model.check_input, the oracle's own rules.  Every setting, the mode
+included, comes from the config the engine is built with: to run another
+mode, build an engine from dataclasses.replace(cfg, mode=...).
 
 The FmaBank holds its armed accumulators as signed lanes of one Python int.
 Their width K is acc_bits(fmt, widest fan-in) = 2t + bitlen(fan-in) - 1
 rounded up to whole bytes, and acc_bits proves |acc| < 2^(K-1) for every
 partial sum of every pass from what check_forward and check_input enforce
-and from saturated activations.  Engine.__init__ packs each pass's weight
-columns once (FmaBank.pack), so a MAC cycle of all the pass's units is one
-exact multiply-add, and the PISO capture reads the lanes once per pass.
+and from saturated activations.  Engine.__init__ packs each pass's bias and
+weight columns once (FmaBank.pack), so a preload is one shift, a MAC cycle of
+all the pass's units one exact multiply-add, and a PISO capture one read.
 
 Cycle accounting, store-and-forward mode
 ----------------------------------------
@@ -56,21 +56,14 @@ boundaries reuse the layer-done phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 from .datapath import ActivationUnit, AfKind, FmaBank, acc_bits, build_sigmoid_lut
 from .errors import ConfigError
 from .fxp import QValue, round_acc
 from .model import Mode, NetworkConfig, Params, check_forward, check_input, ensure_valid
-
-
-class Phase(Enum):
-    MAC = "mac"
-    PISO_LOAD = "piso_load"
-    SERIALIZE = "serialize"
-    LAYER_DONE = "layer_done"
-    ANN_DONE = "ann_done"
 
 
 class TraceRecord(NamedTuple):
@@ -174,10 +167,12 @@ class Engine:
         bank = self.fma_bank = FmaBank(cfg.max_fma, acc_bits(cfg.qformat, fan_in))
         lut = build_sigmoid_lut(cfg.qformat) if AfKind.SIGMOID in cfg.afs else None
         self.afu = ActivationUnit(cfg.qformat, lut)
-        # Pre-banked weight memory: one packed column per MAC step of each pass.
-        self._wcols = {(l, off): bank.pack(params.layers[l].weights[off:off + w].T)
-                       for l, off, w, _, _ in _passes(cfg)}
-        self._biases = [lp.biases.tolist() for lp in params.layers]
+        # Pre-banked memory: each pass's bias column, then one weight column per MAC step.
+        self._banked = {}
+        for l, off, w, _, _ in _passes(cfg):
+            lp = params.layers[l]
+            bias, *cols = bank.pack(np.vstack([lp.biases[off:off + w], lp.weights[off:off + w].T]))
+            self._banked[l, off] = bias, cols
 
     def _control(self, raws: list[int], outputs: list[int]):
         """Clock each pass of _passes on input raws, yielding (phase, layer, active
@@ -192,14 +187,15 @@ class Engine:
                 stored = []
                 self.afu.configure(cfg.afs[l])
             if not fed:
-                bank.preload(self._biases[l][off:off + w], fmt.frac_bits)
-                mac = Phase.MAC, l, w
-                for x_raw, col in zip(raws, self._wcols[l, off]):
+                bias, cols = self._banked[l, off]
+                bank.preload(bias, fmt.frac_bits)
+                mac = "mac", l, w
+                for x_raw, col in zip(raws, cols):
                     bank.step(x_raw, col)
                     yield mac
             # PISO capture through the single rounding point (round, saturate).
             piso = [round_acc(a, fmt) for a in bank.read()]
-            yield Phase.PISO_LOAD, l, 0
+            yield "piso_load", l, 0
             # Serialize: the AF output of cycle i is stored on cycle i + 1; in
             # streamed mode the next layer's MAC consumes it on that cycle.
             last = l == cfg.n_layers - 1 and off + w == cfg.width_of(l)
@@ -208,15 +204,16 @@ class Engine:
                 if i:
                     stored.append(out)
                     if feeds:
+                        bias, cols = self._banked[l + 1, 0]
                         if i == 1:
-                            bank.preload(self._biases[l + 1], fmt.frac_bits)
-                        bank.step(out, self._wcols[l + 1, 0][i - 1])
+                            bank.preload(bias, fmt.frac_bits)
+                        bank.step(out, cols[i - 1])
                         active = feeds
                 if i < w:
                     out = self.afu.apply_raw(piso[i])
-                    yield Phase.SERIALIZE, l, active
+                    yield "serialize", l, active
                 else:
-                    yield Phase.ANN_DONE if last else Phase.LAYER_DONE, l, active
+                    yield "ann_done" if last else "layer_done", l, active
         outputs += stored
 
     def run(self, x, trace_hook=None) -> tuple[list[QValue], CycleReport]:
@@ -228,7 +225,7 @@ class Engine:
         control = self._control([v.raw for v in x], outputs)
         for cycle, (phase, layer, active) in enumerate(control, 1):
             if trace_hook is not None:
-                trace_hook(TraceRecord(cycle, phase.value, layer, active))
+                trace_hook(TraceRecord(cycle, phase, layer, active))
         return [QValue(r, self.cfg.qformat) for r in outputs], cycle_report(self.cfg)
 
 

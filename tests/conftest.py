@@ -1,4 +1,5 @@
-"""Shared test helpers: independent IDX writers, synthetic datasets, MNIST discovery."""
+"""Shared test helpers: packed FMA columns, random cases, independent IDX writers,
+synthetic datasets, MNIST discovery."""
 
 import gzip
 import os
@@ -11,6 +12,12 @@ import pytest
 from hydrasim.datapath import AfKind
 from hydrasim.fxp import QValue
 from hydrasim.model import LayerParams, NetworkConfig, Params
+
+
+def col(bank, *raws):
+    """One column of raws, packed for bank.step and bank.preload; (0, 0), the
+    column of no lanes, for no raws (pack needs at least one lane)."""
+    return bank.pack([raws])[0] if raws else (0, 0)
 
 
 def random_quantized_case(rng, fmt, max_depth=4):

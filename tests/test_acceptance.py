@@ -122,10 +122,11 @@ def test_criterion_5_fixed_point_soundness():
     mac_mismatches = 0
     bank = FmaBank(1, limit.bit_length() + 1)
     cols = bank.pack([[w] for w in range(-128, 128)])
-    for acc0 in seeds:
+    starts = bank.pack([[acc0] for acc0 in seeds])
+    for acc0, start in zip(seeds, starts):
         for a in range(-128, 128):
             for w, col in zip(range(-128, 128), cols):
-                bank.preload([acc0], 0)
+                bank.preload(start, 0)
                 bank.step(a, col)
                 if bank.read()[0] != acc0 + a * w:   # arbitrary-precision oracle
                     mac_mismatches += 1

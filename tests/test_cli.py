@@ -32,6 +32,7 @@ from hydrasim.model import (
     quantize_array,
     quantize_params,
     save_params,
+    train_minimal,
 )
 
 LAYERS = "196:12:10"           # small topology keeps engine runs fast
@@ -71,6 +72,21 @@ def test_train_deterministic_bytes(tmp_path, synth_dataset_dir):
         assert rc == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("fold, limit", [("mean", None), ("max", 37), ("subsample", 1)])
+def test_train_writes_the_bytes_of_the_library_trainer(tmp_path, synth_dataset_dir, fold, limit):
+    # train reads the IDX pair and folds it once; its file is the library's
+    # trainer on the same images and labels through load_dataset, byte for byte.
+    images, labels = synth_dataset_dir["train_images"], synth_dataset_dir["train_labels"]
+    out, expected = tmp_path / "cli.json", tmp_path / "lib.json"
+    argv = ["train", "--images", str(images), "--labels", str(labels), "--layers", LAYERS,
+            "--fold", fold, "--epochs", "1", "--seed", "9", "--out", str(out)]
+    assert main(argv + (["--limit", str(limit)] if limit is not None else [])) == 0
+    ds = load_dataset(images, labels, fold=fold, limit=limit)
+    cfg = NetworkConfig(tuple(int(s) for s in LAYERS.split(":")))
+    save_params(expected, train_minimal(ds.flat, ds.labels, cfg, epochs=1, seed=9))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_quantize_roundtrip_and_double_quantize_error(tmp_path, float_params_file, capsys):

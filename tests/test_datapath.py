@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import col
 from hydrasim.datapath import ActivationUnit, AfKind, FmaBank, _sigmoid_raw, acc_bits, build_sigmoid_lut
 from hydrasim.engine import Engine
 from hydrasim.errors import ConfigError, ControlFault
@@ -22,11 +23,6 @@ def qv(raw):
     return QValue(raw, Q83)
 
 
-def col(bank, *raws):
-    """One weight column of raws, packed for bank.step."""
-    return bank.pack([raws])[0]
-
-
 # =============================================================================
 # FmaBank
 # =============================================================================
@@ -37,7 +33,7 @@ def test_fma_196_step_composition_matches_integer_oracle():
     w = rng.randint(-128, 128, 196)
     bias = 17
     bank = FmaBank(1, acc_bits(Q83, 196))
-    bank.preload([bias], F)
+    bank.preload(col(bank, bias), F)
     for ai, column in zip(a, bank.pack(w[:, None])):
         bank.step(int(ai), column)
     expected = (bias << 5) + int(sum(int(x) * int(y) for x, y in zip(a, w)))
@@ -46,7 +42,7 @@ def test_fma_196_step_composition_matches_integer_oracle():
 
 def test_fma_zero_input_leaves_acc_unchanged():
     bank = FmaBank(1, acc_bits(Q83, 1))
-    bank.preload([42], F)
+    bank.preload(col(bank, 42), F)
     before = bank.read()[0]
     bank.step(0, col(bank, -100))
     assert bank.read()[0] == before
@@ -56,23 +52,23 @@ def test_stepping_disabled_unit_is_a_fault():
     bank = FmaBank(1, acc_bits(Q83, 1))
     with pytest.raises(ControlFault):
         bank.step(1, col(bank, 1))
-    bank.preload([0], F)
-    bank.preload([], F)        # a preload of no biases gates every slot off
+    bank.preload(col(bank, 0), F)
+    bank.preload(col(bank), F)   # a preload of no biases gates every slot off
     with pytest.raises(ControlFault):
         bank.step(1, col(bank, 1))
 
 
 def test_narrower_preload_holds_only_its_lanes():
     bank = FmaBank(3, acc_bits(Q83, 5))
-    bank.preload([9, 4, 7], F)
+    bank.preload(col(bank, 9, 4, 7), F)
     bank.step(2, col(bank, 3, 1, 5))
-    bank.preload([9], F)       # a narrower preload, as a tiled layer's last pass
+    bank.preload(col(bank, 9), F)   # a narrower preload, as a tiled layer's last pass
     assert bank.word == 9 << F
     for _ in range(5):
         bank.step(1, col(bank, 1))
     assert bank.read() == [(9 << F) + 5]
     assert bank.word == (9 << F) + 5
-    bank.preload([], F)
+    bank.preload(col(bank), F)
     for _ in range(5):
         with pytest.raises(ControlFault):
             bank.step(1, col(bank, 1))
@@ -83,8 +79,8 @@ def test_zero_input_on_a_gated_bank_is_still_a_fault():
     bank = FmaBank(2, acc_bits(Q83, 1))
     with pytest.raises(ControlFault):
         bank.step(0, col(bank, 1, 2))
-    bank.preload([0, 0], F)
-    bank.preload([], F)
+    bank.preload(col(bank, 0, 0), F)
+    bank.preload(col(bank), F)
     with pytest.raises(ControlFault):
         bank.step(0, col(bank, 1, 2))
 
@@ -92,7 +88,7 @@ def test_zero_input_on_a_gated_bank_is_still_a_fault():
 @pytest.mark.parametrize("x_raw", [0, 3])
 def test_column_of_the_wrong_length_is_rejected(x_raw):
     bank = FmaBank(4, acc_bits(Q83, 1))
-    bank.preload([1, 2, 3], F)
+    bank.preload(col(bank, 1, 2, 3), F)
     for raws in ([5, 6], [5, 6, 7, 8]):
         with pytest.raises(ValueError, match="armed slots"):
             bank.step(x_raw, col(bank, *raws))
@@ -108,7 +104,7 @@ def test_skipped_zero_inputs_leave_the_exact_sum():
     cols = [[int(v) for v in rng.integers(fmt.raw_min, fmt.raw_max, w)] for _ in range(k)]
     biases = [int(v) for v in rng.integers(fmt.raw_min, fmt.raw_max, w)]
     bank = FmaBank(w, acc_bits(fmt, k))
-    bank.preload(biases, fmt.frac_bits)
+    bank.preload(col(bank, *biases), fmt.frac_bits)
     for x, column in zip(xs, bank.pack(cols)):
         bank.step(x, column)
     assert bank.read() == [(b << fmt.frac_bits) + sum(x * c[j] for x, c in zip(xs, cols))
@@ -118,14 +114,14 @@ def test_skipped_zero_inputs_leave_the_exact_sum():
 def test_preload_wider_than_the_bank_is_rejected():
     bank = FmaBank(2, acc_bits(Q83, 1))
     with pytest.raises(ConfigError, match="preload of 3 biases exceeds 2 FMA slots"):
-        bank.preload([1, 2, 3], F)
+        bank.preload(col(bank, 1, 2, 3), F)
 
 
 def test_preload_resets_step_count():
     bank = FmaBank(1, acc_bits(Q83, 1))
-    bank.preload([0], F)
+    bank.preload(col(bank, 0), F)
     bank.step(1, col(bank, 1))
-    bank.preload([3], F)
+    bank.preload(col(bank, 3), F)
     assert bank.read()[0] == 3 << 5
 
 
@@ -155,7 +151,7 @@ def test_packed_lanes_hold_opposite_rails_side_by_side(t, i, fan_in):
     bank = FmaBank(4, acc_bits(fmt, fan_in))
     column, narrow = col(bank, lo, hi, lo, hi), col(bank, hi, lo)
     top, bottom = (hi << f) + fan_in * lo * lo, (lo << f) + fan_in * lo * hi
-    bank.preload([hi, lo, hi, lo], f)
+    bank.preload(col(bank, hi, lo, hi, lo), f)
     for _ in range(fan_in):
         bank.step(lo, column)
     assert bank.read() == [top, bottom, top, bottom]
@@ -163,13 +159,13 @@ def test_packed_lanes_hold_opposite_rails_side_by_side(t, i, fan_in):
     xs = [lo if s % 2 else 0 for s in range(fan_in)]
     m = fan_in // 2
     part = [(hi << f) + m * lo * lo, (lo << f) + m * lo * hi]
-    bank.preload([hi, lo, hi, lo], f)
+    bank.preload(col(bank, hi, lo, hi, lo), f)
     for x in xs:
         bank.step(x, column)
     assert bank.read() == part + part
     # A narrower preload arms lanes 0 and 1 alone: the word holds exactly
     # those two as they fill to the rails opposite to their last ones.
-    bank.preload([lo, hi], f)
+    bank.preload(col(bank, lo, hi), f)
     for _ in range(fan_in):
         bank.step(lo, narrow)
     assert bank.read() == [bottom, top]

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import random_quantized_case
-from hydrasim.datapath import ActivationUnit, AfKind
-from hydrasim.engine import Engine, classify, run_inference
+from hydrasim.datapath import ActivationUnit, AfKind, FmaBank
+from hydrasim.engine import Engine, TraceRecord, classify, run_inference
 from hydrasim.errors import ConfigError
 from hydrasim.fxp import QFormat, QValue
 from hydrasim.model import (
@@ -25,6 +25,7 @@ from hydrasim.model import (
     forward_quantized,
     forward_quantized_batch,
 )
+from test_differential import _expected_trace
 
 Q83 = QFormat(8, 3)
 BENCH_SIZES = (196, 64, 32, 32, 10)
@@ -437,7 +438,7 @@ def test_bank_word_holds_only_its_armed_lanes(sizes, max_fma):
     params = Params(layers, Q83)
     x1, x2 = ([QValue(int(v), Q83) for v in rng.integers(-128, 128, sizes[0])] for _ in range(2))
     engine = Engine(cfg, params)
-    fields = {"cfg", "fma_bank", "afu", "_wcols", "_biases"}
+    fields = {"cfg", "fma_bank", "afu", "_banked"}
     assert set(vars(engine)) == fields
     first = _observed_run(engine, x1)
     assert set(vars(engine)) == fields
@@ -448,6 +449,36 @@ def test_bank_word_holds_only_its_armed_lanes(sizes, max_fma):
         assert set(above) <= {0, -1}
     assert second == fresh
     assert second[2] != first[2]   # the new input reached the lanes
+
+
+@pytest.mark.parametrize("sizes, max_fma, fmt, mode, af", [
+    (BENCH_SIZES, 64, Q83, Mode.STORE_AND_FORWARD, AfKind.RELU),
+    (BENCH_SIZES, 64, QFormat(16, 3), Mode.STREAMED, AfKind.SIGMOID),
+    ((5, 2, 9, 3), 4, Q83, Mode.STORE_AND_FORWARD, AfKind.RELU),   # tiled: 2 | 4, 4, 1 | 3
+])
+def test_a_run_packs_nothing(monkeypatch, sizes, max_fma, fmt, mode, af):
+    # Every bias and weight column is banked at build time: with pack gone, a
+    # traced and an untraced run still give the oracle's outputs and the
+    # README rules' trace lines.
+    rng = np.random.default_rng(2030)
+    n_layers = len(sizes) - 1
+    cfg = NetworkConfig(sizes, max_fma=max_fma, qformat=fmt, mode=mode,
+                        af_per_layer=(af,) * (n_layers - 1) + (AfKind.IDENTITY,))
+    span = 1 << (fmt.total_bits - 4)
+    params = Params([LayerParams(rng.integers(-span, span, (n, k)), rng.integers(-span, span, n))
+                     for k, n in zip(sizes[:-1], sizes[1:])], fmt)
+    x = [QValue(int(v), fmt) for v in rng.integers(0, span, sizes[0])]
+    engine = Engine(cfg, params)
+
+    def no_pack(*args):
+        raise AssertionError("a run packed a column")
+
+    monkeypatch.setattr(FmaBank, "pack", no_pack)
+    lines = [TraceRecord(c, *r).line() for c, r in enumerate(_expected_trace(cfg), 1)]
+    trace = []
+    traced, _ = engine.run(x, trace_hook=trace.append)
+    assert traced == engine.run(x)[0] == forward_quantized(cfg, params, x)
+    assert [r.line() for r in trace] == lines
 
 
 def test_idle_and_finished_engines_are_freed_without_cyclic_gc():

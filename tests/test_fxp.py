@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import col
 from hydrasim.datapath import AfKind, FmaBank, acc_bits
 from hydrasim.errors import ConfigError
 from hydrasim.fxp import (
@@ -19,6 +20,7 @@ from hydrasim.fxp import (
     QValue,
     quantize,
     round_acc,
+    round_quotient,
     saturate_raw,
 )
 from hydrasim.model import LayerParams, NetworkConfig, Params, forward_quantized
@@ -201,20 +203,20 @@ def _neuron(fmt, bias, x, w):
 
 def test_acc_init_bias_examples():
     bank = FmaBank(3, acc_bits(Q83, 1))
-    bank.preload([32, 0, -128], Q83.frac_bits)
+    bank.preload(col(bank, 32, 0, -128), Q83.frac_bits)
     assert bank.read() == [1024, 0, -4096]
 
 
 def test_acc_mac_examples():
     bank = FmaBank(1, acc_bits(Q83, 2))
     half, minus = bank.pack([[16], [-77]])
-    bank.preload([0], Q83.frac_bits)
+    bank.preload(col(bank, 0), Q83.frac_bits)
     bank.step(16, half)             # 0.5 * 0.5
     assert bank.read() == [256]        # 0.25 at 2^-10 scale
     bank.step(0, minus)             # zero annihilator
     assert bank.read() == [256]
     # bias 1.0 then 0.5*0.5 reads back 1.25
-    bank.preload([32], Q83.frac_bits)
+    bank.preload(col(bank, 32), Q83.frac_bits)
     bank.step(16, half)
     assert bank.read() == [1280]
     assert QValue(round_acc(bank.read()[0], Q83), Q83).value == 1.25
@@ -243,6 +245,29 @@ def test_acc_round_matches_fraction_oracle():
         q, rem = divmod((v - raw) // 128, 17)
         w = [q + 1] * rem + [q] * (17 - rem) + [1]
         assert _neuron(Q83, 0, [-128] * 17 + [v], w) == expected, raw
+
+
+def small_format(t, i):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # 4 and 6 bits are nonstandard
+        return QFormat(t, i)
+
+
+@pytest.mark.parametrize("t, i", [(t, i) for t in (4, 5, 6) for i in range(1, t + 1)])
+def test_every_small_accumulator_rounds_as_the_fraction_spec(t, i):
+    # Every accumulator of a neuron of fan-in up to 4, |acc| < 2^(acc_bits - 1),
+    # through the single rounding point, the fold route's tie rule on int64 and
+    # the float route: each is acc / 2^f rounded half to even, then saturated.
+    fmt = small_format(t, i)
+    f, lo, hi = fmt.frac_bits, fmt.raw_min, fmt.raw_max
+    bound = 1 << (acc_bits(fmt, 4) - 1)
+    spec = [min(max(round_fraction_half_even(Fraction(a, 1 << f)), lo), hi)
+            for a in range(1 - bound, bound)]
+    assert [round_acc(a, fmt) for a in range(1 - bound, bound)] == spec
+    acc = np.arange(1 - bound, bound, dtype=np.int64)
+    fold = np.clip(round_quotient(acc >> f, acc & ((1 << f) - 1), f), lo, hi)
+    assert fold.dtype == np.int64 and fold.tolist() == spec
+    assert np.rint(np.clip(acc * 2.0 ** -f, lo, hi)).tolist() == spec
 
 
 def test_round_acc_basics():
@@ -277,11 +302,11 @@ def test_guard_bits_worst_case_never_overflows():
     limit = 1 << (2 * Q83.total_bits + (196 - 1).bit_length())
     bank = FmaBank(1, acc_bits(Q83, 196))
     low, high = bank.pack([[-128], [127]])
-    bank.preload([127], Q83.frac_bits)
+    bank.preload(col(bank, 127), Q83.frac_bits)
     for _ in range(196):
         bank.step(-128, low)
     assert bank.read() == [127 * 32 + 196 * (128 * 128)] and bank.read()[0] < limit
-    bank.preload([-128], Q83.frac_bits)
+    bank.preload(col(bank, -128), Q83.frac_bits)
     for _ in range(196):
         bank.step(-128, high)
     assert bank.read() == [-128 * 32 + 196 * (-128 * 127)] and -limit <= bank.read()[0]

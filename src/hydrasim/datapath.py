@@ -100,6 +100,8 @@ class FmaBank:
         """
         cols = np.asarray(cols, dtype=np.int64)
         n, w = cols.shape
+        if not w:   # numpy has no zero-size void dtype to view the empty rows as
+            return [(0, 0)] * n
         k = self.lane_bits
         kb, low = k // 8, min(k // 8, 8)
         offset = 1 << (8 * low - 1)

@@ -18,8 +18,8 @@ into the first layer's operand, then goes through every layer in turn;
 forward_quantized_batch is the raw-code entry to the same loops.  Each layer
 is one float64 matmul where the operands' measured magnitudes allow, else
 limb-split operands with integer recombination, and one rounding either
-way.  The kernel is pinned bit-equal to the scalar oracle by tests, never
-by construction.
+way, whose saturation is also a ReLU layer's activation.  The kernel is
+pinned bit-equal to the scalar oracle by tests, never by construction.
 
 What a path needs of its config, parameters and input is stated once, in
 check_forward and check_input.  The engine calls them too, so all four paths
@@ -412,8 +412,14 @@ def _limb_plan(fmt: QFormat, fan_in: int, m_a: int | None = None, m_w: int | Non
 
 
 def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
-                 m_w: int | None, w_limbs: dict) -> np.ndarray:
-    """round_acc of each entry of a @ W.T + (bias << f), for in-range raws a.
+                 m_w: int | None, w_limbs: dict, rail: int) -> np.ndarray:
+    """round_acc of each entry of a @ W.T + (bias << f), for in-range raws a,
+    saturated to [rail, raw_max].
+
+    rail is raw_min for round_acc itself and 0 for ReLU of it: clipping at
+    integer bounds commutes with rounding to an integer, ties included, so
+    on every route the one clip at the rounding point is both the saturation
+    and the ReLU.
 
     a is int64, or float64 holding integers, and w_f is W.T * 2^-f.  Where
     m_w is None the format's worst-case plan is already the float route; else
@@ -436,7 +442,7 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
         # is exact, so it yields (a @ W.T) * 2^-f and adding the bias S * 2^-f.
         p = a.astype(np.float64, copy=False) @ w_f
         p += lp.biases
-        np.clip(p, fmt.raw_min, fmt.raw_max, out=p)
+        np.clip(p, rail, fmt.raw_max, out=p)
         return np.rint(p, out=p)   # halves to even
     # Each limb product sum P_ij is folded into the quotient q and remainder r
     # of S by 2^f, so the bias adds to q unshifted, S is never formed and the
@@ -462,7 +468,7 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
         q = _fold(q, r >> f, 0)
         r &= (1 << f) - 1
     q = round_quotient(_fold(q, lp.biases, 0), 0 if r is None else r, f)
-    return np.clip(q, fmt.raw_min, fmt.raw_max).astype(np.int64, copy=False)
+    return np.clip(q, rail, fmt.raw_max, out=q).astype(np.int64, copy=False)
 
 
 def _fold(total: np.ndarray | None, p: np.ndarray, shift: int) -> np.ndarray:
@@ -474,8 +480,10 @@ def _fold(total: np.ndarray | None, p: np.ndarray, shift: int) -> np.ndarray:
 
 def _batch_runner(cfg: NetworkConfig, params: Params, what: str, operand):
     """run(x): the int64 raw outputs [N, out] of the input rows x [N, D], any
-    N, with check_forward run and each layer's W.T * 2^-f, weight bits and LUT
-    readied once.  run checks the shape and width once, N = 0 included, then
+    N, with check_forward run and each layer's W.T * 2^-f, weight bits, lower
+    rail and LUT readied once.  A ReLU layer's rail is 0, so _exact_layer's
+    clip applies it and only a sigmoid layer calls activate_raw; identity
+    keeps raw_min.  run checks the shape and width once, N = 0 included, then
     takes each row chunk of about _CHUNK elements through operand, which makes
     the first layer's raws, and every layer, so every temporary stays
     chunk-sized."""
@@ -486,7 +494,8 @@ def _batch_runner(cfg: NetworkConfig, params: Params, what: str, operand):
         float_route = _limb_plan(fmt, lp.weights.shape[1])[4] is np.float64
         lut = build_sigmoid_lut(fmt) if kind is AfKind.SIGMOID else None
         m_w = None if float_route else _bits(lp.weights)
-        layers.append((lp, lp.weights.T * 2.0 ** -fmt.frac_bits, m_w, {}, kind, lut))
+        rail = 0 if kind is AfKind.RELU else fmt.raw_min
+        layers.append((lp, lp.weights.T * 2.0 ** -fmt.frac_bits, m_w, {}, rail, lut))
 
     def run(x) -> np.ndarray:
         a = np.asarray(x)
@@ -497,8 +506,10 @@ def _batch_runner(cfg: NetworkConfig, params: Params, what: str, operand):
         step = max(1, _CHUNK // a.shape[1])
         for lo in range(0, len(a), step):
             h = operand(a[lo:lo + step])
-            for lp, w_f, m_w, w_limbs, kind, lut in layers:
-                h = activate_raw(kind, _exact_layer(h, lp, fmt, w_f, m_w, w_limbs), fmt, lut)
+            for lp, w_f, m_w, w_limbs, rail, lut in layers:
+                h = _exact_layer(h, lp, fmt, w_f, m_w, w_limbs, rail)
+                if lut is not None:
+                    h = activate_raw(AfKind.SIGMOID, h, fmt, lut)
             out[lo:lo + step] = h
         return out
 

@@ -172,6 +172,14 @@ def test_packed_lanes_hold_opposite_rails_side_by_side(t, i, fan_in):
     assert bank.word == bottom + (top << bank.lane_bits)
 
 
+def test_pack_gives_one_empty_column_per_zero_width_row():
+    bank = FmaBank(3, 20)
+    assert bank.pack([()]) == [(0, 0)]
+    assert bank.pack(np.zeros((4, 0), np.int64)) == [(0, 0)] * 4
+    assert bank.pack(np.zeros((0, 3), np.int64)) == []
+    assert bank.pack(np.zeros((0, 0), np.int64)) == []
+
+
 @pytest.mark.parametrize("fan_in", RAIL_FAN_INS)
 @pytest.mark.parametrize("t, i", RAIL_FORMATS)
 def test_tiled_and_streamed_passes_read_exact_lanes_at_the_rails(t, i, fan_in):

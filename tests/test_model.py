@@ -848,17 +848,28 @@ def test_batch_sigmoid_layer_after_a_float_route_layer(afs):
 
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
-@pytest.mark.parametrize("total_bits", [8, 32, 48, 64])
-def test_batch_kernel_ties_round_to_even_after_bias(total_bits):
-    # x * 2^(f-1) leaves a remainder of exactly half; the bias decides the parity
+@pytest.mark.parametrize("total_bits, af", [   # float route; int64 fold; Python ints
+    pytest.param(t, af, id=str(t) if af is AfKind.IDENTITY else f"{t}-{af.value}")
+    for af in (AfKind.IDENTITY, AfKind.RELU) for t in (8, 32, 48, 64)])
+def test_batch_kernel_ties_round_to_even_after_bias(total_bits, af):
+    # x * 2^(f-1) leaves a remainder of exactly half; the bias decides the
+    # parity.  Among the sums are -1/2 and -3/2 ulp, which ReLU takes to 0
+    # from either side of its rail, and sums past both of the format's rails.
     fmt = QFormat(total_bits, 3)
-    cfg = NetworkConfig((1, 4), max_fma=4, qformat=fmt, af_per_layer=(AfKind.IDENTITY,))
-    half = 1 << (fmt.frac_bits - 1)
-    params = Params([LayerParams(np.full((4, 1), half), np.array([0, 1, -1, 2]))], fmt)
-    for x in (1, -1, 3, -3):
-        oracle = forward_quantized(cfg, params, [QValue(x, fmt)])
-        batch = forward_quantized_batch(cfg, params, np.array([[x]]))
-        assert [v.raw for v in oracle] == batch[0].tolist()
+    f, lo, hi = fmt.frac_bits, fmt.raw_min, fmt.raw_max
+    cfg = NetworkConfig((2, 4), max_fma=4, qformat=fmt, af_per_layer=(af,))
+    biases = [0, 1, -1, 2]
+    params = Params([LayerParams(np.array([[1 << (f - 1), hi]] * 4), np.array(biases))], fmt)
+    rows = np.array([(1, 0), (-1, 0), (3, 0), (-3, 0), (0, lo), (0, hi)])
+    sums = {x0 * (1 << (f - 1)) + x1 * hi + (b << f) for x0, x1 in rows.tolist() for b in biases}
+    assert {-1 << (f - 1), -3 << (f - 1)} <= sums
+    assert min(sums) < lo << f and max(sums) > hi << f
+    batch = forward_quantized_batch(cfg, params, rows)
+    for row, out in zip(rows.tolist(), batch.tolist()):
+        x = [QValue(v, fmt) for v in row]
+        oracle = [v.raw for v in forward_quantized(cfg, params, x)]
+        engine, _ = run_inference(cfg, params, x)
+        assert oracle == [v.raw for v in engine] == out, row
 
 
 def _float_route(fmt, fan_in):
@@ -881,6 +892,65 @@ def test_float_route_boundary_engine_oracle_batch_agree(fan_in, last_float_bits)
 @pytest.mark.parametrize("fan_in", [196, 512])
 def test_float_route_sigmoid_layer_engine_oracle_batch_agree(fan_in):
     _assert_extreme_layer_agrees(QFormat(16, 3), fan_in, AfKind.SIGMOID)
+
+
+def _limb_max(m, nb, n, i):
+    """The largest |limb i| of _limbs' n-limb, nb-bit split of any v with |v| <= 2^m."""
+    return (1 << nb) - 1 if i < n - 1 else 1 << max(0, m - (n - 1) * nb)
+
+
+def _route_claim_holds(fmt, fan_in, m_a, m_w, z):
+    """Whether the route _limb_plan picks for these operand bounds is exact,
+    recomputed in Python ints from the worst-case operands: inputs that are
+    multiples of 2^z with |a >> z| <= 2^m_a, |W| <= 2^m_w, |bias| <= 2^(t-1).
+
+    Float route: every partial sum of (a @ W.T) * 2^-f + bias is a multiple
+    of 2^u, u = min(z - f, 0), so it is exact while at most 2^53 of those.
+    Else every limb product sum P_ij is at most 2^53, and on the int64 route
+    the magnitudes of all the terms the fold adds to q and to r, and of q
+    after the bias and the rounding, stay below 2^63.
+    """
+    t, f = fmt.total_bits, fmt.frac_bits
+    n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, fan_in, m_a, m_w, z)
+    bias = 1 << (t - 1)
+    if dtype is np.float64:
+        u = min(z - f, 0)
+        return (fan_in << (m_a + m_w + z - f - u)) + (bias << -u) <= 1 << 53
+    assert n_a * nb_a >= m_a and n_w * nb_w >= m_w
+    products, q, r = n_a * n_w, 0, 0
+    for i in range(n_a):
+        for j in range(n_w):
+            p = fan_in * _limb_max(m_a, nb_a, n_a, i) * _limb_max(m_w, nb_w, n_w, j)
+            if p > 1 << 53:
+                return False
+            s = z + i * nb_a + j * nb_w   # where _exact_layer folds P_ij
+            if s >= f:
+                q += p << (s - f)
+            elif s + 53 + products.bit_length() < 63:
+                r += p << s
+            else:
+                q += (p >> (f - s)) + 1
+                r += ((1 << (f - s)) - 1) << s
+    q += (r >> f) + 1 + bias + 1   # r's multiples of 2^f, the bias, the rounding
+    return dtype is object or max(q, r, 1 << f) < 1 << 63   # round_quotient adds 1 to r < 2^f
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+def test_limb_plan_route_claims_hold_for_worst_case_operands():
+    # Every format 4..64 bits at int_bits 1, 3 and t, every fan-in on each
+    # side of a bit-length boundary through 2^20; the format's worst case (z
+    # = 0, m_a = m_w = t - 1) and data-sized bounds: coarser inputs (z up to
+    # f, with a >> z still inside the format) and half-width weights.
+    fan_ins = sorted({1} | {v for b in range(1, 21) for v in ((1 << b) - 1, 1 << b)})
+    for t in range(4, 65):
+        for int_bits in sorted({1, 3, t}):
+            fmt = QFormat(t, int_bits)
+            f = fmt.frac_bits
+            for fan_in in fan_ins:
+                for z in sorted({0, f // 2, f}):
+                    for m_w in sorted({t // 2, t - 1}):
+                        assert _route_claim_holds(fmt, fan_in, max(1, t - 1 - z), m_w, z), \
+                            (t, int_bits, fan_in, z, m_w)
 
 
 def _assert_extreme_layer_agrees(fmt, fan_in, hidden):

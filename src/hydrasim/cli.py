@@ -10,23 +10,28 @@ Subcommands:
     trace      dump the per-cycle FSM trace of one inference
 
 Each subcommand registers only the flags it reads, and no parser accepts an
-abbreviated flag, so a flag that would change nothing exits 2.  main builds the
-parser on every call with all six subcommands registered, but adds flags only
-to the one argv names (to all six when its first token names none, as for
---help or a typo), from one table, _COMMANDS.  A network flag
-overrides --config, which overrides the parameter file; each command then
-validates exactly the configs it runs.  Simulated cycles depend only on the
-network config, never on the data: `simulate`, `timing` and `sweep` read
-them off engine.cycle_report, and `simulate` steps the engine once per
-command, to cross-check image 0.  `simulate` and `sweep` share one image
-path: the IDX pair is read once, then each row chunk of about fxp._CHUNK
-input elements is folded once and run through every config of the command
-(the runner prepare_batch returns, which quantizes the chunk, then argmax),
-so no array grows with the dataset beyond the file bytes and the per-image
-results.  All CSV output is deterministic for fixed inputs: rows are ordered
-by input index and floats are printed with a fixed format.  Errors print as one
-`error: ...` line and warnings as one `warning: ...` line each, both on
-stderr.
+abbreviated flag, so a flag that would change nothing exits 2.  The parsers
+come from one table, _COMMANDS, and are built on every call: when argv's
+first token names a subcommand, main builds that subcommand's parser alone
+and hands any argument it leaves over to the full parser's error, so every
+byte printed is the full parser's; any other argv (--help, a typo, none)
+goes through the full parser, all six subcommands with their flags.  A
+network flag overrides --config, which overrides the parameter file; each
+command then validates exactly the configs it runs.  Simulated cycles depend
+only on the network config, never on the data: `simulate`, `timing` and
+`sweep` read them off engine.cycle_report, and `simulate` steps the engine
+once per command, to cross-check image 0.  `simulate` and `sweep` share one
+image path: the IDX pair is read once, then each row chunk of about
+fxp._CHUNK input elements is folded once into its exact integer codes
+(fold_codes) and run through every config of the command (the runner
+prepare_batch returns, which rescales the codes to the config's format, then
+argmax), so no array grows with the dataset beyond the file bytes and the
+per-image results.  `simulate` quantizes its engine's image-0 input apart,
+through fold_images and to_input_vector, so the cross-check compares two
+separate quantizers.  All CSV output is deterministic for fixed inputs: rows
+are ordered by input index and floats are printed with a fixed format.
+Errors print as one `error: ...` line and warnings as one `warning: ...`
+line each, both on stderr.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 
 from . import dataio, model
 from .datapath import AfKind
-from .dataio import FOLD_MODES, fold_images, load_idx_pair, to_input_vector
+from .dataio import FOLD_MODES, fold_codes, fold_images, load_idx_pair, to_input_vector
 from .engine import Engine, classify, cycle_report
 from .errors import ConfigError, ControlFault
 from .fxp import _CHUNK, QFormat, QValue
@@ -144,17 +149,18 @@ def _quantized_for(cfg: NetworkConfig, params: Params) -> Params:
 
 
 def _chunk_outputs(images, labels, fold: str, kernels):
-    """Per row chunk of the byte images: its labels, its folded images and each
-    kernel's raw outputs on them.
+    """Per row chunk of the byte images: its labels and each kernel's raw
+    outputs on them.
 
-    A chunk holds about _CHUNK input elements and is folded once for every
-    kernel, each of which quantizes it itself, so every array made here is
-    chunk-sized.
+    A chunk holds about _CHUNK input elements and is folded once, into the
+    codes and fraction bits that fold_codes returns, for every kernel, each of
+    which rescales them itself, so every array made here is chunk-sized.
     """
     step = max(1, _CHUNK // 196)
     for lo in range(0, len(images), step):
-        folded = fold_images(images[lo:lo + step], fold)
-        yield labels[lo:lo + step], folded, [run(folded.reshape(-1, 196)) for run in kernels]
+        codes, s = fold_codes(images[lo:lo + step], fold)
+        codes = codes.reshape(-1, 196)
+        yield labels[lo:lo + step], [run(codes, s) for run in kernels]
 
 
 def _open_out(path):
@@ -184,11 +190,13 @@ def cmd_simulate(args) -> int:
     images, labels = load_idx_pair(args.images, args.labels, args.limit)
     kernel = prepare_batch(cfg, qparams)
     preds = []
-    for _, folded, (out_raw,) in _chunk_outputs(images, labels, args.fold, [kernel]):
+    for _, (out_raw,) in _chunk_outputs(images, labels, args.fold, [kernel]):
         if not preds:
-            # The stepped engine is ground truth: its one inference must
-            # reproduce the kernel's outputs on image 0.
-            outputs, _ = Engine(cfg, qparams).run(to_input_vector(folded[0], cfg.qformat))
+            # The stepped engine is ground truth: its one inference, on an
+            # input quantized apart from the kernel's, must reproduce the
+            # kernel's outputs on image 0.
+            x = to_input_vector(fold_images(images[:1], args.fold)[0], cfg.qformat)
+            outputs, _ = Engine(cfg, qparams).run(x)
             engine_raw = [v.raw for v in outputs]
             if engine_raw != out_raw[0].tolist():
                 raise ControlFault(
@@ -282,7 +290,7 @@ def cmd_sweep(args) -> int:
     cycles = cycle_report(cfgs[0]).total_cycles
     kernels = [prepare_batch(cfg, quantize_params(params, cfg.qformat)) for cfg in cfgs]
     hits = [0] * len(cfgs)
-    for chunk_labels, _, outs in _chunk_outputs(images, labels, args.fold, kernels):
+    for chunk_labels, outs in _chunk_outputs(images, labels, args.fold, kernels):
         for i, out_raw in enumerate(outs):
             hits[i] += int(np.count_nonzero(np.argmax(out_raw, axis=1) == chunk_labels))
     n = len(labels)
@@ -427,22 +435,39 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The hydrasim parser.  Every subcommand is registered, so usage, help and
-    the invalid-choice error name all six; only command's subparser gets its
-    flags when command names one, else every subparser does."""
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """Register command's flags, shared and own, and its handler on parser."""
+    _, func, shared, own = _COMMANDS[command]
+    for flag in shared.split():
+        parser.add_argument(flag, **_FLAGS[flag])
+    for flag, settings in own.items():
+        parser.add_argument(flag, **settings)
+    parser.set_defaults(func=func, command=command)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full hydrasim parser: all six subcommands, each with its flags."""
     parser = argparse.ArgumentParser(prog="hydrasim", allow_abbrev=False, description=(
         "Cycle-accurate simulator for a layer-multiplexed DNN accelerator"))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func, shared, own) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        if command == name or command not in _COMMANDS:
-            for flag in shared.split():
-                p.add_argument(flag, **_FLAGS[flag])
-            for flag, settings in own.items():
-                p.add_argument(flag, **settings)
-            p.set_defaults(func=func)
+    for name, (summary, *_) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=summary, allow_abbrev=False), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The full parser's Namespace for argv, from one ArgumentParser when
+    argv[0] names a subcommand: the subparser the full tree would build for
+    it, with the full parser's error for any argument it leaves over, so
+    help, usage and error bytes are the full parser's."""
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"hydrasim {argv[0]}", allow_abbrev=False)
+    _add_flags(parser, argv[0])
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -451,7 +476,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_args(argv)
     try:
         # A warning prints as one line whatever the caller's filters, which
         # catch_warnings restores on exit, with the caller's handler.

@@ -4,13 +4,17 @@ The accelerator consumes 14x14 images (196 pixels).  Half-folding here is 2x2
 non-overlapping average pooling of the 28x28 source image followed by a 1/256
 scale, which keeps every pixel strictly inside [0, 1) and preserves the image
 mean exactly in rational arithmetic.  2x2 max pooling and strided subsampling
-are selectable for experiments.
+are selectable for experiments.  A folded pixel is an exact fixed-point code:
+fold_codes returns the integer numerators k and their fraction bits s (the
+pixel is k * 2^-s), and fold_images is those codes as float64 reals.  Only
+this module knows s.
 
 IDX parsing is total: any byte stream yields either parsed data or one of the
 typed IdxFormatError subclasses, never a partial result.  Files ending in .gz
 are decompressed transparently.  load_idx_pair reads each file once, whole,
 and pairs the byte images with their labels; load_dataset folds every image
-of that pair, while a caller that streams folds row chunks with fold_images.
+of that pair, while a caller that streams folds row chunks with fold_codes or
+fold_images.
 to_input_vector quantizes through fxp.quantize_array, so this module needs
 nothing of the package beyond fxp and errors.
 """
@@ -108,23 +112,34 @@ def load_idx_labels(path) -> np.ndarray:
     return labels
 
 
-def fold_images(imgs: np.ndarray, mode: str) -> np.ndarray:
-    """Fold byte images [N, 28, 28] to float64 [N, 14, 14] from their 2x2 blocks."""
+def fold_codes(imgs: np.ndarray, mode: str) -> tuple[np.ndarray, int]:
+    """The fold of byte images [N, 28, 28] from their 2x2 blocks as exact raw
+    codes: uint16 numerators [N, 14, 14] and their fraction bits s, each
+    folded pixel being code * 2^-s with 0 <= code < 2^s.
+
+    mean is the 2x2 byte sum with s = 10 (4 * 255 < 1024); max and subsample
+    are a byte with s = 8.
+    """
     if imgs.dtype != np.uint8:
         raise ValueError(f"half-folding needs uint8 byte images, got {imgs.dtype}")
     corners = (imgs[:, ::2, ::2], imgs[:, ::2, 1::2], imgs[:, 1::2, ::2], imgs[:, 1::2, 1::2])
     if mode == "mean":
-        # (a+b+c+d)/1024 is exact in float64: the byte sum is an integer below
-        # 2^10 and 1024 is a power of two.  Integer sums are exact in any
-        # order, so this takes two pairwise uint16 adds (rows, then columns)
-        # with no stacked copy of the corners.
+        # Integer sums are exact in any order, so this takes two pairwise
+        # uint16 adds (rows, then columns) with no stacked copy of the corners.
         rows = np.add(imgs[:, ::2], imgs[:, 1::2], dtype=np.uint16)
-        return (rows[:, :, ::2] + rows[:, :, 1::2]) / 1024.0
+        return rows[:, :, ::2] + rows[:, :, 1::2], 10
     if mode == "max":
-        return np.maximum.reduce(corners) / 256.0
+        return np.maximum.reduce(corners, dtype=np.uint16), 8
     if mode == "subsample":
-        return corners[0] / 256.0
+        return corners[0].astype(np.uint16), 8
     raise ValueError(f"unknown fold mode {mode!r}; expected one of {FOLD_MODES}")
+
+
+def fold_images(imgs: np.ndarray, mode: str) -> np.ndarray:
+    """Fold byte images [N, 28, 28] to float64 [N, 14, 14]: fold_codes' codes
+    times 2^-s, exact in float64 since each code is an integer below 2^10."""
+    codes, s = fold_codes(imgs, mode)
+    return codes * 2.0 ** -s
 
 
 def to_input_vector(img14, fmt: QFormat) -> list[QValue]:

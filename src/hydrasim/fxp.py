@@ -13,10 +13,10 @@ raw code inside Q<t,i>, a fan-in of n keeps that sum within
 hardware accumulator of that width never overflows.
 
 A real becomes a raw code by one rule: scale by 2^frac_bits, round half to
-even, saturate.  quantize is its scalar reference; _round_scaled is the
-vector core of quantize_array (the sigmoid table, the IDX reader, post-training
-quantization) and of the batch kernel's input stage.  A raw code is an
-integer inside the format: QValue checks one, raw_codes_fit an array.
+even, saturate.  quantize is its scalar reference and quantize_array its
+vector form (the sigmoid table, the IDX reader, post-training quantization).
+A raw code is an integer inside the format: QValue checks one, raw_codes_fit
+an array.
 
 All operations here are pure functions of their inputs.
 """
@@ -185,42 +185,38 @@ def quantize(x: float, fmt: QFormat) -> QValue:
     return QValue(saturate_raw(round(scaled), fmt), fmt)
 
 
-def _round_scaled(part: np.ndarray, fmt: QFormat, buf: np.ndarray) -> np.ndarray:
-    """quantize's rule on the float64 array part, into the float64 array buf of
-    its shape: part * 2^f clipped to the rails, -2^(t-1) and the largest float64
-    not above raw_max, then rounded half to even.  NaN or an infinity is a
-    ValueError; the clip is skipped when the finite check's min and max lie inside."""
-    scale = float(1 << fmt.frac_bits)
-    top = float(1 << (fmt.total_bits - 1))   # raw_min is -top; raw_max + 1 is top
-    lo, hi = part.min(), part.max()   # NaN propagates through both; an infinity is one
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("cannot quantize non-finite values")
-    # Power-of-two scaling is exact, so clipping before it equals clipping
-    # after it, and the product cannot overflow.  Clipping at integers
-    # commutes with np.rint, which rounds halves to even, as quantize does.
-    rail = min(float(fmt.raw_max), np.nextafter(top, 0.0)) / scale
-    if lo < -top / scale or hi > rail:
-        part = np.clip(part, -top / scale, rail, out=buf)
-    return np.rint(np.multiply(part, scale, out=buf), out=buf)
-
-
 def quantize_array(x, fmt: QFormat) -> np.ndarray:
     """Vectorized quantize: nearest (ties to even) with saturation, as int64 raws.
 
     Works through bounded chunks of x, so its float temporaries stay small
-    whatever the size of x.
+    whatever the size of x.  Each chunk is x * 2^f clipped to the rails,
+    -2^(t-1) and the largest float64 not above raw_max, then rounded half to
+    even.  NaN or an infinity is a ValueError; the clip is skipped when the
+    finite check's min and max lie inside.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape, np.int64)
     flat, raws = x.reshape(-1), out.reshape(-1)   # raws is a view of out
-    # Past 54 bits raw_max rounds up to top = 2^(t-1) as a float64, so every
-    # scaled value at or above top saturates through a mask instead.
-    top = 1 << (fmt.total_bits - 1)
+    scale = float(1 << fmt.frac_bits)
+    top = 1 << (fmt.total_bits - 1)   # raw_min is -top; raw_max + 1 is top
+    # Power-of-two scaling is exact, so clipping before it equals clipping
+    # after it, and the product cannot overflow.  Clipping at integers
+    # commutes with np.rint, which rounds halves to even, as quantize does.
+    rail = min(float(fmt.raw_max), np.nextafter(float(top), 0.0)) / scale
+    # Past 54 bits raw_max rounds up to top as a float64, so every scaled
+    # value at or above top saturates through a mask instead.
     wide = float(fmt.raw_max) == top
     buf = np.empty(min(flat.size, _CHUNK))
-    for lo in range(0, flat.size, _CHUNK):
-        part, dst = flat[lo:lo + _CHUNK], raws[lo:lo + _CHUNK]
-        dst[...] = _round_scaled(part, fmt, buf[:part.size])
+    for start in range(0, flat.size, _CHUNK):
+        part, dst = flat[start:start + _CHUNK], raws[start:start + _CHUNK]
+        scaled = buf[:part.size]
+        lo, hi = part.min(), part.max()   # NaN propagates through both; an infinity is one
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("cannot quantize non-finite values")
+        src = part
+        if lo < -top / scale or hi > rail:
+            src = np.clip(part, -top / scale, rail, out=scaled)
+        dst[...] = np.rint(np.multiply(src, scale, out=scaled), out=scaled)
         if wide:
-            dst[part >= top / (1 << fmt.frac_bits)] = fmt.raw_max
+            dst[part >= top / scale] = fmt.raw_max
     return out

@@ -12,14 +12,15 @@ The two forward passes here are the reference semantics for everything else:
 
 The batch kernel is a vectorized equivalent for dataset-scale work: an exact
 float64 BLAS kernel at every width from 4 to 64 bits.  prepare_batch readies
-it once per (config, params) and returns its runner: any number of real
-input rows in, int64 raw outputs out.  Each row chunk is quantized straight
-into the first layer's operand, then goes through every layer in turn;
-forward_quantized_batch is the raw-code entry to the same loops.  Each layer
-is one float64 matmul where the operands' measured magnitudes allow, else
-limb-split operands with integer recombination, and one rounding either
-way, whose saturation is also a ReLU layer's activation.  The kernel is
-pinned bit-equal to the scalar oracle by tests, never by construction.
+it once per (config, params) and returns its runner: any number of rows of
+a fold's exact integer codes in, int64 raw outputs out.  Each row chunk is
+rescaled from its codes straight into the first layer's operand, then goes
+through every layer in turn; forward_quantized_batch is the raw-code entry
+to the same loops.  Each layer is one float64 matmul where the operands'
+measured magnitudes allow, else limb-split operands with integer
+recombination, and one rounding either way, whose saturation is also a ReLU
+layer's activation.  The kernel is pinned bit-equal to the scalar oracle by
+tests, never by construction.
 
 What a path needs of its config, parameters and input is stated once, in
 check_forward and check_input.  The engine calls them too, so all four paths
@@ -39,7 +40,7 @@ import numpy as np
 
 from .datapath import AfKind, activate_raw, build_sigmoid_lut
 from .errors import ConfigError, ParamsFileError
-from .fxp import (_CHUNK, QFormat, QValue, _round_scaled, as_int, quantize_array,
+from .fxp import (_CHUNK, QFormat, QValue, as_int, quantize_array,
                   raw_codes_fit, require_ints, round_acc, round_quotient)
 
 
@@ -478,15 +479,15 @@ def _fold(total: np.ndarray | None, p: np.ndarray, shift: int) -> np.ndarray:
     return p if total is None else np.add(total, p, out=total)
 
 
-def _batch_runner(cfg: NetworkConfig, params: Params, what: str, operand):
-    """run(x): the int64 raw outputs [N, out] of the input rows x [N, D], any
-    N, with check_forward run and each layer's W.T * 2^-f, weight bits, lower
-    rail and LUT readied once.  A ReLU layer's rail is 0, so _exact_layer's
-    clip applies it and only a sigmoid layer calls activate_raw; identity
-    keeps raw_min.  run checks the shape and width once, N = 0 included, then
-    takes each row chunk of about _CHUNK elements through operand, which makes
-    the first layer's raws, and every layer, so every temporary stays
-    chunk-sized."""
+def _batch_runner(cfg: NetworkConfig, params: Params, what: str):
+    """run(x, operand): the int64 raw outputs [N, out] of the input rows x
+    [N, D], any N, with check_forward run and each layer's W.T * 2^-f, weight
+    bits, lower rail and LUT readied once.  A ReLU layer's rail is 0, so
+    _exact_layer's clip applies it and only a sigmoid layer calls
+    activate_raw; identity keeps raw_min.  run checks the shape and width
+    once, N = 0 included, then takes each row chunk of about _CHUNK elements
+    through operand, which makes the first layer's raws, and every layer, so
+    every temporary stays chunk-sized."""
     check_forward(cfg, params)
     fmt = cfg.qformat
     layers = []
@@ -497,7 +498,7 @@ def _batch_runner(cfg: NetworkConfig, params: Params, what: str, operand):
         rail = 0 if kind is AfKind.RELU else fmt.raw_min
         layers.append((lp, lp.weights.T * 2.0 ** -fmt.frac_bits, m_w, {}, rail, lut))
 
-    def run(x) -> np.ndarray:
+    def run(x, operand) -> np.ndarray:
         a = np.asarray(x)
         if a.ndim != 2:
             raise ConfigError(f"expected {what} inputs of shape [N, {cfg.layer_sizes[0]}]")
@@ -517,20 +518,45 @@ def _batch_runner(cfg: NetworkConfig, params: Params, what: str, operand):
 
 
 def prepare_batch(cfg: NetworkConfig, params: Params):
-    """The batch kernel of (cfg, params), prepared once: _batch_runner's run(x)
-    for real input vectors x [N, D].  Each row chunk of x is quantized by
-    quantize_array's rule straight into the first layer's operand, float64
-    integers through 53 bits and int64 beyond; NaN or an infinity in x is a
-    ValueError."""
+    """The batch kernel of (cfg, params), prepared once: run(codes, s) for the
+    exact integer codes of half-folded images (dataio.fold_codes): rows
+    [N, D] of unsigned codes below 2^s, each input being code * 2^-s.
+
+    A row chunk's first operand is quantize_array's rule on codes * 2^-s,
+    made straight from the codes: np.multiply(codes, 2^(f-s)) into float64,
+    then np.rint in place only where f < s, then an upper clip only where
+    the top code 2^s - 1 rounds past raw_max (at int_bits 1 with f < s), so
+    the format and s decide both and no pass over the data does.  Codes are
+    >= 0, so the lower rail never binds.  This is exact at every width: a
+    code of fold_codes has at most 10 significant bits and 2^(f-s) is a
+    power of two, so each product is exact, and np.rint then rounds it half
+    to even as quantize does.  Through 53 bits the operand stays float64
+    integers; beyond, it is cast to int64, exactly, since every value is
+    below 2^f <= 2^63.  A code dtype that is not unsigned is a ConfigError;
+    that every code is below 2^s is fold_codes' guarantee (4 * 255 < 1024)
+    and is not checked again."""
     fmt = cfg.qformat
+    f = fmt.frac_bits
+    layers = _batch_runner(cfg, params, "code")
 
-    def operand(chunk):
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if fmt.total_bits > _F64_EXACT_BITS:
-            return quantize_array(chunk, fmt)
-        return _round_scaled(chunk, fmt, np.empty(chunk.shape))
+    def run(codes, s: int) -> np.ndarray:
+        codes = np.asarray(codes)
+        if codes.dtype.kind != "u":
+            raise ConfigError(f"fold codes must be unsigned integers, got {codes.dtype}")
+        scale = 2.0 ** (f - s)
+        clip = round(((1 << s) - 1) * scale) > fmt.raw_max   # round() is half to even, exact
 
-    return _batch_runner(cfg, params, "real", operand)
+        def operand(chunk):
+            a = np.multiply(chunk, scale, dtype=np.float64)
+            if f < s:
+                np.rint(a, out=a)
+            if clip:
+                np.minimum(a, fmt.raw_max, out=a)
+            return a.astype(np.int64) if fmt.total_bits > _F64_EXACT_BITS else a
+
+        return layers(codes, operand)
+
+    return run
 
 
 def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarray) -> np.ndarray:
@@ -541,7 +567,7 @@ def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarra
         check_input(cfg, chunk.shape[1], raws=chunk)
         return chunk.astype(np.int64, copy=False)
 
-    return _batch_runner(cfg, params, "raw", operand)(x_raw)
+    return _batch_runner(cfg, params, "raw")(x_raw, operand)
 
 
 # =============================================================================

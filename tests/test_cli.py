@@ -679,16 +679,24 @@ def _parse_outcome(parse, argv, capsys):
 
 
 @pytest.mark.parametrize("command", sorted(_ALL_FLAGS))
-def test_parser_main_builds_behaves_as_the_full_parser(capsys, command):
+def test_parser_main_builds_behaves_as_the_full_parser(capsys, monkeypatch, command):
     flags, int_flag, required = _ALL_FLAGS[command]
     full = [tok for flag in flags.split() for tok in (flag, _FLAG_VALUES[flag])]
-    lazy = cli.build_parser(command)
-    assert lazy.format_help() == cli.build_parser().format_help()
-    namespace = lazy.parse_args([command, *full])
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    namespace = cli._parse_args([command, *full])
+    assert built == [f"hydrasim {command}"]   # one parser for a named subcommand
+    monkeypatch.undo()
     assert namespace == cli.build_parser().parse_args([command, *full])
     assert None not in vars(namespace).values()   # the argv sets every flag
+    last = flags.split()[-1]
     errors = [["--help"], [*full, "--bogus"], [*full, int_flag, "1_0"],
-              [*full, flags.split()[-1][:-1], "v"], [*full, flags.split()[-1]]]
+              [*full, last[:-1], "v"], [*full, last]]
     if required:
         i = full.index(required)
         errors.append(full[:i] + full[i + 2:])
@@ -698,9 +706,14 @@ def test_parser_main_builds_behaves_as_the_full_parser(capsys, command):
         assert outcome[0] in (0, 2)
     assert "usage: hydrasim [-h] {simulate,timing,sweep,train,quantize,trace} ...\n" in (
         _parse_outcome(main, [command, *full, "--bogus"], capsys)[2])
-    for sibling in set(_ALL_FLAGS) - {command}:   # registered, with -h alone
-        bare = argparse.ArgumentParser(prog=f"hydrasim {sibling}").format_help()
-        assert _parse_outcome(lazy.parse_args, [sibling, "-h"], capsys) == (0, bare, "")
+    # `--`, `flag=value` and extra positionals, parsed or refused alike.
+    odd = [[*full, "--"], [*full, "--", "x"], ["--", *full], [*full, "--", "--help"],
+           [*full, "stray"], ["stray", *full, "--bogus"], [f"{int_flag}=7", *full],
+           [*full, f"{last}={_FLAG_VALUES[last]}"], [*full, f"{int_flag}="], ["--bogus=1", *full],
+           [*full, "-"], [*full, "-1"], ["=x", *full]]
+    for argv in odd:
+        outcome = _parse_outcome(cli._parse_args, [command, *argv], capsys)
+        assert outcome == _parse_outcome(cli.build_parser().parse_args, [command, *argv], capsys)
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["simulat"]])
@@ -746,8 +759,8 @@ def test_simulate_kernel_engine_disagreement_is_an_error(tmp_path, float_params_
     def off_by_one(cfg, params):
         run = prepare_batch(cfg, params)
 
-        def run_off(x):
-            out = run(x)
+        def run_off(codes, s):
+            out = run(codes, s)
             out[0, 0] += 1
             return out
         return run_off
@@ -830,22 +843,22 @@ def test_chunk_edges_sweep_matches_the_whole_batch(tmp_path, float_params_file,
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_chunk_non_finite_input_stops_the_batch_commands_before_any_csv_byte(
         tmp_path, float_params_file, chunk_dataset_files, monkeypatch, capsys, command):
-    """A NaN in the last chunk's folded images, after two full chunks, is the
-    runner's ValueError, raised before either command writes its CSV."""
-    real_fold = cli.fold_images
+    """An input error in the last chunk, after two full chunks, stops either
+    command before it writes its CSV.  Fold codes hold no non-finite value, so
+    the error is raised by the last chunk's fold."""
+    real_fold = cli.fold_codes
 
-    def fold_nan_late(imgs, mode):
-        folded = real_fold(imgs, mode)
+    def fold_fails_late(imgs, mode):
         if len(imgs) < CHUNK_ROWS:   # the one-image chunk after two full ones
-            folded[-1, 3, 4] = math.nan
-        return folded
+            raise ValueError("a late fold error")
+        return real_fold(imgs, mode)
 
-    monkeypatch.setattr(cli, "fold_images", fold_nan_late)
+    monkeypatch.setattr(cli, "fold_codes", fold_fails_late)
     out = tmp_path / "out.csv"
     argv = [command, "--params", str(float_params_file), "--images", str(chunk_dataset_files[0]),
             "--labels", str(chunk_dataset_files[1]), "--out", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: cannot quantize non-finite values\n"
+    assert capsys.readouterr().err == "error: a late fold error\n"
     assert not out.exists()
 
 

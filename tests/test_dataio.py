@@ -184,6 +184,16 @@ def test_half_fold_range_strictly_below_one():
         assert np.all(out == 255 / 256)
 
 
+@pytest.mark.parametrize("mode, s", [("mean", 10), ("max", 8), ("subsample", 8)])
+def test_fold_codes_are_the_exact_numerators_of_the_fold(mode, s):
+    images = np.random.default_rng(2).integers(0, 256, (7, 28, 28), dtype=np.uint8)
+    images[0] = 255   # the largest code of each mode
+    codes, bits = dataio.fold_codes(images, mode)
+    assert bits == s and codes.dtype == np.uint16 and codes.shape == (7, 14, 14)
+    assert int(codes.max()) == (1020 if mode == "mean" else 255) < 1 << s
+    np.testing.assert_array_equal(fold_images(images, mode) * (1 << s), codes)   # exact scaling
+
+
 def _mean_fold_in_corner_order(imgs):
     """The mean fold as ((a + b) + c) + d over the 2x2 corners, in uint16."""
     a, b, c, d = (imgs[:, i::2, j::2].astype(np.uint16) for i in (0, 1) for j in (0, 1))

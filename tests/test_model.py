@@ -4,11 +4,13 @@ import dataclasses
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_quantized_case, synthetic_digits, write_idx_images, write_idx_labels
+from hydrasim import model
 from hydrasim.dataio import FOLD_MODES, fold_images, load_dataset
 from hydrasim.datapath import AfKind
 from hydrasim.engine import Engine, run_inference
@@ -32,6 +34,8 @@ from hydrasim.model import (
     validate,
 )
 from hydrasim.model import _CHUNK, _limb_plan
+
+CHUNK_ROWS = max(1, _CHUNK // 196)   # 668 rows of 196 inputs per row chunk
 
 Q83 = QFormat(8, 3)
 BENCH = NetworkConfig((196, 64, 32, 32, 10))
@@ -989,14 +993,14 @@ def _assert_extreme_layer_agrees(fmt, fan_in, hidden):
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
 @pytest.mark.parametrize("total_bits", [8, 32, 64])   # float route; int64 fold; Python ints
-@pytest.mark.parametrize("rows", [0, 1, max(1, _CHUNK // 196) + 1])   # the last crosses a chunk edge
+@pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS + 1])   # the last crosses a chunk edge
 def test_batch_runner_returns_int64_for_any_row_count(total_bits, rows):
     fmt = QFormat(total_bits, 3)
     cfg = NetworkConfig((196, 64, 32, 32, 10), qformat=fmt)
     params = quantize_params(init_params(cfg, seed=0), fmt)
-    x = np.random.default_rng(rows).random((rows, 196))
-    x_raw = quantize_array(x, fmt)
-    out = prepare_batch(cfg, params)(x)
+    x = np.random.default_rng(rows).integers(0, 1 << 10, (rows, 196), dtype=np.uint16)
+    x_raw = quantize_array(x * 2.0 ** -10, fmt)
+    out = prepare_batch(cfg, params)(x, 10)
     assert out.dtype == np.int64 and out.shape == (rows, 10)
     np.testing.assert_array_equal(out, forward_quantized_batch(cfg, params, x_raw))
     for i in sorted({0, rows - 2, rows - 1} & set(range(rows))):   # row 0, each side of the edge
@@ -1004,78 +1008,140 @@ def test_batch_runner_returns_int64_for_any_row_count(total_bits, rows):
         assert [v.raw for v in oracle] == out[i].tolist(), i
 
 
-def _real_rows(rows, fmt, seed):
-    """rows real input vectors of width 196 spread past both rails of fmt, with
-    near-rail, saturating, tie and far-out values at the front of row 0 and
-    a row of the largest magnitudes last."""
+def _code_rows(rows, s, seed):
+    """rows fold-code vectors of width 196 below 2^s: random, with the
+    smallest codes, the codes around half of 2^s and the top codes at the
+    front of row 0, and the top code 2^s - 1 across the last row."""
     rng = np.random.default_rng(seed)
-    top = 2.0 ** (fmt.int_bits - 1)   # fmt holds [-top, top)
-    x = rng.uniform(-1.25 * top, 1.25 * top, size=(rows, 196))
+    codes = rng.integers(0, 1 << s, size=(rows, 196), dtype=np.uint16)
     if rows:
-        ties = (np.arange(-4, 4) + 0.5) * fmt.resolution   # each scales to k + 1/2
-        special = [1020 / 1024, -1020 / 1024, top, -top, top - fmt.resolution / 2,
-                   -top - fmt.resolution, 1e300, -1e300, 0.0, -0.0, *ties]
-        x[0, :len(special)] = special
-        x[-1] = np.resize([1e300, -1e300, 5.0, -5.0], 196)
-    return x
+        top, half = (1 << s) - 1, 1 << (s - 1)
+        special = [0, 1, 2, 3, half - 1, half, half + 1, top - 2, top - 1, top]
+        codes[0, :len(special)] = special
+        codes[-1] = top
+    return codes
 
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
 @pytest.mark.parametrize("total_bits", [4, 5, 8, 16, 32, 53, 54, 64])
 @pytest.mark.parametrize("int_bits", [1, 3])
-@pytest.mark.parametrize("rows", [0, 1, max(1, _CHUNK // 196) + 1])   # the last crosses a chunk edge
+@pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS + 1])   # the last crosses a chunk edge
 def test_batch_runner_on_real_rows_equals_quantize_then_raw_entry(total_bits, int_bits, rows):
-    """The runner quantizes each row chunk itself: bit-equal to quantize_array
-    then the raw-code entry, and to the scalar oracle."""
+    """The runner rescales each row chunk of fold codes itself: bit-equal to
+    quantize_array of the real rows code * 2^-s then the raw-code entry, and
+    to the scalar oracle, for the mean fold's s = 10 and the byte folds' 8."""
     fmt = QFormat(total_bits, int_bits)
     cfg = NetworkConfig((196, 6, 3), max_fma=6, qformat=fmt)
     params = quantize_params(init_params(cfg, seed=3), fmt)
-    x = _real_rows(rows, fmt, seed=total_bits + rows)
-    x_raw = quantize_array(x, fmt)
-    out = prepare_batch(cfg, params)(x)
-    assert out.dtype == np.int64 and out.shape == (rows, 3)
-    np.testing.assert_array_equal(out, forward_quantized_batch(cfg, params, x_raw))
-    for i in sorted({0, rows - 2, rows - 1} & set(range(rows))):   # row 0, each side of the edge
-        x_q = [quantize(v, fmt) for v in x[i].tolist()]
-        assert [v.raw for v in x_q] == x_raw[i].tolist(), i
-        assert [v.raw for v in forward_quantized(cfg, params, x_q)] == out[i].tolist(), i
+    run = prepare_batch(cfg, params)
+    for s in (8, 10):
+        codes = _code_rows(rows, s, seed=total_bits + rows + s)
+        x = codes * 2.0 ** -s
+        x_raw = quantize_array(x, fmt)
+        out = run(codes, s)
+        assert out.dtype == np.int64 and out.shape == (rows, 3)
+        np.testing.assert_array_equal(out, forward_quantized_batch(cfg, params, x_raw))
+        for i in sorted({0, rows - 2, rows - 1} & set(range(rows))):   # row 0, each side of the edge
+            x_q = [quantize(v, fmt) for v in x[i].tolist()]
+            assert [v.raw for v in x_q] == x_raw[i].tolist(), i
+            assert [v.raw for v in forward_quantized(cfg, params, x_q)] == out[i].tolist(), i
+
+
+def _top_code_saturates(s, fmt):
+    """True if the top code 2^s - 1, as the real (2^s - 1) / 2^s, rounds past raw_max."""
+    return round(Fraction((1 << s) - 1, 1 << s) * (1 << fmt.frac_bits)) > fmt.raw_max
+
+
+def _spy(monkeypatch, owner, name, calls):
+    """Wrap owner.name so each call appends its first argument to calls."""
+    real = getattr(owner, name)
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def _input_stage(fmt, monkeypatch):
+    """(run, operands, clipped): the runner of one identity layer 196 -> 196 at
+    fmt, with the first layer's operand of each chunk recorded in operands
+    and each np.minimum call, the input stage's upper clip, in clipped.  The
+    weight is 1.0, so the outputs are the operand; Q<t,1> holds no 1.0 and
+    its weights are 0."""
+    one = np.eye(196, dtype=np.int64) * (1 << fmt.frac_bits if fmt.int_bits > 1 else 0)
+    cfg = NetworkConfig((196, 196), max_fma=196, qformat=fmt, af_per_layer=(AfKind.IDENTITY,))
+    run = prepare_batch(cfg, Params([LayerParams(one, np.zeros(196, np.int64))], fmt))
+    operands, clipped = [], []
+    _spy(monkeypatch, model, "_exact_layer", operands)
+    _spy(monkeypatch, np, "minimum", clipped)
+    return run, operands, clipped
 
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
 @pytest.mark.parametrize("total_bits", [4, 8, 32, 53, 54, 64])
 def test_batch_input_stage_clips_only_a_chunk_past_the_rails(total_bits, monkeypatch):
-    """Through an identity layer the runner returns its quantized inputs: equal
-    to quantize_array for a chunk wholly inside the rails (no clip) and for
-    one with a single entry past them (clipped)."""
-    fmt = QFormat(total_bits, 3)
-    cfg = NetworkConfig((196, 196), max_fma=196, qformat=fmt, af_per_layer=(AfKind.IDENTITY,))
-    one = np.eye(196, dtype=np.int64) << fmt.frac_bits   # weight 1.0
-    run = prepare_batch(cfg, Params([LayerParams(one, np.zeros(196, np.int64))], fmt))
-    real_clip, clipped = np.clip, []
-
-    def spy(a, *args, out=None, **kwargs):   # the layer clips in place or with no out
-        clipped.append(out is not None and out is not a)
-        return real_clip(a, *args, out=out, **kwargs)
-
-    monkeypatch.setattr(np, "clip", spy)
-    inside = np.random.default_rng(total_bits).uniform(-4.0, 3.5, size=(5, 196))
+    """The runner's first operand is quantize_array of the rescaled codes, and
+    through an identity layer so are its outputs, for a format that holds the
+    top code (Q<t,3>: no clip) and one where it rounds past raw_max (Q<t,1>
+    below 8 fraction bits: clipped).  The format decides the clip, so a
+    chunk without the top code is clipped or not alike."""
+    inside = np.random.default_rng(total_bits).integers(0, 255, size=(5, 196), dtype=np.uint16)
     outside = inside.copy()
-    outside[3, 7] = 4.0   # the only value past the rails
-    for x, clips in ((inside, 0), (outside, 1)):
+    outside[3, 7] = 255   # the only top code
+    for int_bits in (3, 1):
+        fmt = QFormat(total_bits, int_bits)
+        run, operands, clipped = _input_stage(fmt, monkeypatch)
+        clips = int(_top_code_saturates(8, fmt))
+        assert clips == (int_bits == 1 and total_bits <= 8)
+        for x in (inside, outside):
+            operands.clear()
+            clipped.clear()
+            out = run(x, 8)
+            assert len(clipped) == clips
+            np.testing.assert_array_equal(operands[0], quantize_array(x * 2.0 ** -8, fmt))
+            if int_bits > 1:
+                np.testing.assert_array_equal(out, operands[0])
+        monkeypatch.undo()
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("s", [8, 10])
+@pytest.mark.parametrize("int_bits", [1, 3, "t"])
+@pytest.mark.parametrize("total_bits", [4, 5, 8, 9, 10, 11, 16, 32, 53, 54, 64])
+def test_batch_input_stage_rescales_every_code_exactly(total_bits, int_bits, s, monkeypatch):
+    """Every code 0 ... 2^s - 1 becomes quantize_array's raw of code * 2^-s in
+    the first layer's operand (float64 through 53 bits, int64 beyond) and,
+    through an identity layer, in the outputs, at 0, 1 and CHUNK_ROWS + 1
+    rows; the upper clip runs once per chunk exactly where the top code
+    rounds past raw_max."""
+    fmt = QFormat(total_bits, total_bits if int_bits == "t" else int_bits)
+    run, operands, clipped = _input_stage(fmt, monkeypatch)
+    forced = _top_code_saturates(s, fmt)
+    # Top code first, so one row holds it; CHUNK_ROWS + 1 rows hold every code.
+    every = np.arange((1 << s) - 1, -1, -1, dtype=np.uint16)
+    for rows in (0, 1, CHUNK_ROWS + 1):
+        codes = np.resize(every, (rows, 196))
+        want = quantize_array(codes * 2.0 ** -s, fmt)
+        operands.clear()
         clipped.clear()
-        out = run(x)
-        assert sum(clipped) == clips
-        np.testing.assert_array_equal(out, quantize_array(x, fmt))
+        out = run(codes, s)
+        chunks = -(-rows // CHUNK_ROWS)
+        assert len(operands) == chunks and len(clipped) == chunks * forced
+        for lo, a in zip(range(0, rows, CHUNK_ROWS), operands):
+            assert a.dtype == (np.float64 if total_bits <= 53 else np.int64)
+            np.testing.assert_array_equal(a, want[lo:lo + CHUNK_ROWS])
+        if fmt.int_bits > 1:
+            np.testing.assert_array_equal(out, want)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_batch_runner_rejects_non_finite_inputs_in_a_later_chunk(bad):
+@pytest.mark.parametrize("dtype", ["int16", "int64", "float64", "bool"])
+def test_batch_runner_refuses_codes_that_are_not_unsigned(dtype):
     cfg = NetworkConfig((196, 10))
     run = prepare_batch(cfg, quantize_params(init_params(cfg, seed=0), cfg.qformat))
-    x = np.zeros((max(1, _CHUNK // 196) + 1, 196))
-    x[-1, 5] = bad   # the second chunk's one row
-    with pytest.raises(ValueError, match="^cannot quantize non-finite values$"):
-        run(x)
+    with pytest.raises(ConfigError, match=f"^fold codes must be unsigned integers, got {dtype}$"):
+        run(np.zeros((2, 196), dtype), 10)
+    assert run(np.zeros((2, 196), np.uint8), 8).shape == (2, 10)
 
 
 def test_check_input_compares_each_distinct_format_once(monkeypatch):

@@ -16,11 +16,13 @@ it once per (config, params) and returns its runner: any number of rows of
 a fold's exact integer codes in, int64 raw outputs out.  Each row chunk is
 rescaled from its codes straight into the first layer's operand, then goes
 through every layer in turn; forward_quantized_batch is the raw-code entry
-to the same loops.  Each layer is one float64 matmul where the operands'
-measured magnitudes allow, else limb-split operands with integer
-recombination, and one rounding either way, whose saturation is also a ReLU
-layer's activation.  The kernel is pinned bit-equal to the scalar oracle by
-tests, never by construction.
+to the same loops.  Each layer is one float64 matmul where the bounds of its
+operands allow, else limb-split operands with integer recombination, and one
+rounding either way, whose saturation is also a ReLU layer's activation.
+The stage that makes a layer's input states its bound: the format for
+activations, the format and s for codes; only the raw entry measures its
+operand, once per chunk.  The kernel is pinned bit-equal to the scalar
+oracle by tests, never by construction.
 
 What a path needs of its config, parameters and input is stated once, in
 check_forward and check_input.  The engine calls them too, so all four paths
@@ -365,7 +367,7 @@ def _limbs(x: np.ndarray, nb: int, n: int, z: int = 0):
 
 
 def _bits(x: np.ndarray, z: int = 0) -> int:
-    """The least m >= 1 with |x >> z| <= 2^m for every integer entry of x (int64 or float64)."""
+    """The least m >= 1 with |x >> z| <= 2^m for every entry of the int64 array x."""
     return max(1, ((max(int(x.max()), -int(x.min())) >> z) - 1).bit_length())
 
 
@@ -413,7 +415,7 @@ def _limb_plan(fmt: QFormat, fan_in: int, m_a: int | None = None, m_w: int | Non
 
 
 def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
-                 m_w: int | None, w_limbs: dict, rail: int) -> np.ndarray:
+                 m_w: int | None, w_limbs: dict, rail: int, m_a: int, z: int) -> np.ndarray:
     """round_acc of each entry of a @ W.T + (bias << f), for in-range raws a,
     saturated to [rail, raw_max].
 
@@ -422,11 +424,12 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
     on every route the one clip at the rounding point is both the saturation
     and the ReLU.
 
-    a is int64, or float64 holding integers, and w_f is W.T * 2^-f.  Where
-    m_w is None the format's worst-case plan is already the float route; else
-    the plan is sized from the operands (_limb_plan): m_w bits of weight, and
-    the common power-of-two factor 2^z of a with the bits of a >> z; w_limbs
-    keeps W.T's limbs per (nb_w, n_w).  Error-free operand splitting (Ozaki,
+    a is int64, or float64 holding integers, and w_f is W.T * 2^-f.  The
+    stage that made a states its bound: every entry is a multiple of 2^z
+    with |a >> z| <= 2^m_a.  Where m_w is None the format's worst-case plan
+    is already the float route; else _limb_plan sizes the plan from m_a, z
+    and the m_w bits of weight, and no pass over a does; w_limbs keeps
+    W.T's limbs per (nb_w, n_w).  Error-free operand splitting (Ozaki,
     Ogita, Oishi & Rump, Numer. Algorithms 59, 2012): float64 BLAS matmuls
     compute every limb product sum exactly, in any summation order.  The
     float route returns float64 integers, the others int64.
@@ -434,10 +437,7 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
     f = fmt.frac_bits
     dtype = np.float64
     if m_w is not None:
-        # The reduction casts float64 integers block by block: no chunk-sized int64 copy.
-        ored = int(np.bitwise_or.reduce(a, axis=None, dtype=np.int64))
-        z = (ored & -ored).bit_length() - 1 if ored else 0   # the lowest set bit of the OR
-        n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, lp.weights.shape[1], _bits(a, z), m_w, z)
+        n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, lp.weights.shape[1], m_a, m_w, z)
     if dtype is np.float64:
         # A float64 matmul is as exact on k * 2^z as on k, and scaling by 2^-f
         # is exact, so it yields (a @ W.T) * 2^-f and adding the bias S * 2^-f.
@@ -486,8 +486,10 @@ def _batch_runner(cfg: NetworkConfig, params: Params, what: str):
     _exact_layer's clip applies it and only a sigmoid layer calls
     activate_raw; identity keeps raw_min.  run checks the shape and width
     once, N = 0 included, then takes each row chunk of about _CHUNK elements
-    through operand, which makes the first layer's raws, and every layer, so
-    every temporary stays chunk-sized."""
+    through operand, which makes the first layer's raws and states their
+    bound (m_a, z), and every layer, so every temporary stays chunk-sized.
+    A later layer's inputs are activations, raws of the format, so its bound
+    is (t - 1, 0) and its plan depends on (cfg, params) alone."""
     check_forward(cfg, params)
     fmt = cfg.qformat
     layers = []
@@ -506,11 +508,12 @@ def _batch_runner(cfg: NetworkConfig, params: Params, what: str):
         out = np.empty((len(a), cfg.layer_sizes[-1]), np.int64)
         step = max(1, _CHUNK // a.shape[1])
         for lo in range(0, len(a), step):
-            h = operand(a[lo:lo + step])
+            h, bound = operand(a[lo:lo + step])
             for lp, w_f, m_w, w_limbs, rail, lut in layers:
-                h = _exact_layer(h, lp, fmt, w_f, m_w, w_limbs, rail)
+                h = _exact_layer(h, lp, fmt, w_f, m_w, w_limbs, rail, *bound)
                 if lut is not None:
                     h = activate_raw(AfKind.SIGMOID, h, fmt, lut)
+                bound = (fmt.total_bits - 1, 0)
             out[lo:lo + step] = h
         return out
 
@@ -532,9 +535,17 @@ def prepare_batch(cfg: NetworkConfig, params: Params):
     power of two, so each product is exact, and np.rint then rounds it half
     to even as quantize does.  Through 53 bits the operand stays float64
     integers; beyond, it is cast to int64, exactly, since every value is
-    below 2^f <= 2^63.  A code dtype that is not unsigned is a ConfigError;
-    that every code is below 2^s is fold_codes' guarantee (4 * 255 < 1024)
-    and is not checked again."""
+    below 2^f <= 2^63.
+
+    The format and s also state the operand's bound for the first layer's
+    plan.  Where f >= s the operand is code * 2^(f-s) with code < 2^s: a
+    multiple of 2^(f-s) whose quotient is below 2^s, so (m_a, z) = (s, f -
+    s).  Where f < s, rint(code * 2^(f-s)) <= rint(2^f - 2^(f-s)) <= 2^f,
+    and the clip only lowers it, so (m_a, z) = (max(1, f), 0).  A code dtype
+    that is not unsigned is a ConfigError; that every code is below 2^s is
+    fold_codes' guarantee (4 * 255 < 1024) and is not checked again, though
+    it decides the plan: a larger code could take the first layer to a
+    route its sums do not fit."""
     fmt = cfg.qformat
     f = fmt.frac_bits
     layers = _batch_runner(cfg, params, "code")
@@ -545,6 +556,7 @@ def prepare_batch(cfg: NetworkConfig, params: Params):
             raise ConfigError(f"fold codes must be unsigned integers, got {codes.dtype}")
         scale = 2.0 ** (f - s)
         clip = round(((1 << s) - 1) * scale) > fmt.raw_max   # round() is half to even, exact
+        bound = (s, f - s) if f >= s else (max(1, f), 0)
 
         def operand(chunk):
             a = np.multiply(chunk, scale, dtype=np.float64)
@@ -552,7 +564,7 @@ def prepare_batch(cfg: NetworkConfig, params: Params):
                 np.rint(a, out=a)
             if clip:
                 np.minimum(a, fmt.raw_max, out=a)
-            return a.astype(np.int64) if fmt.total_bits > _F64_EXACT_BITS else a
+            return (a.astype(np.int64) if fmt.total_bits > _F64_EXACT_BITS else a), bound
 
         return layers(codes, operand)
 
@@ -562,10 +574,16 @@ def prepare_batch(cfg: NetworkConfig, params: Params):
 def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarray) -> np.ndarray:
     """Vectorized forward_quantized over raw input vectors [N, D]: the batch
     kernel with check_input's raw-code check as its input stage.  int64 and
-    Python-int object arrays are both accepted."""
+    Python-int object arrays are both accepted.  Raw inputs carry no bound
+    of their own, so each chunk is measured once for the first layer's plan:
+    the lowest set bit of the OR of its raws gives the common factor 2^z,
+    and _bits the m_a of a >> z."""
     def operand(chunk):
         check_input(cfg, chunk.shape[1], raws=chunk)
-        return chunk.astype(np.int64, copy=False)
+        a = chunk.astype(np.int64, copy=False)
+        ored = int(np.bitwise_or.reduce(a, axis=None))
+        z = (ored & -ored).bit_length() - 1 if ored else 0   # the lowest set bit of the OR
+        return a, (_bits(a, z), z)
 
     return _batch_runner(cfg, params, "raw")(x_raw, operand)
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import random_quantized_case, synthetic_digits, write_idx_images, write_idx_labels
 from hydrasim import model
-from hydrasim.dataio import FOLD_MODES, fold_images, load_dataset
+from hydrasim.dataio import FOLD_MODES, fold_codes, fold_images, load_dataset
 from hydrasim.datapath import AfKind
 from hydrasim.engine import Engine, run_inference
 from hydrasim.errors import ConfigError, ParamsFileError
@@ -735,13 +736,17 @@ def _plan_boundary_fan_ins(fmt, max_bit_length=7):
     return sorted(fan_ins)
 
 
-def _assert_batch_matches_oracle(cfg, params, x, *context):
-    """forward_quantized_batch on the raw rows x equals forward_quantized on each row."""
+def _assert_batch_matches_oracle(cfg, params, x, *context, codes=None):
+    """forward_quantized_batch on the raw rows x equals forward_quantized on
+    each row, and so does prepare_batch's runner on codes = (fold codes, s),
+    where given, whose rows code * 2^-s quantize to x."""
     fmt = cfg.qformat
     rows = x.tolist()
     qvalues = {v: QValue(v, fmt) for v in set().union(*rows)}   # one per distinct raw
     batch = forward_quantized_batch(cfg, params, x)
     assert batch.dtype == np.int64
+    if codes is not None:
+        np.testing.assert_array_equal(prepare_batch(cfg, params)(*codes), batch, str((fmt, *context)))
     for i, (row, out) in enumerate(zip(rows, batch.tolist())):
         oracle = forward_quantized(cfg, params, [qvalues[v] for v in row])
         assert [v.raw for v in oracle] == out, (str(fmt), *context, i)
@@ -772,16 +777,19 @@ def test_batch_kernel_matches_oracle_across_limb_plans(total_bits):
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
 @pytest.mark.parametrize("fold", FOLD_MODES)
 def test_batch_kernel_matches_oracle_on_folded_images(fold):
-    # A folded pixel is k/1024 or k/256, so its raws share a power-of-two factor.
+    """A folded pixel is k/1024 or k/256, so its raws share a power-of-two
+    factor, which the raw entry measures and the code entry states from s:
+    both entries' plans at every width from 24 bits, against the oracle."""
     images, _ = synthetic_digits(2, seed=5)
     x = np.stack([fold_images(img[None], fold)[0].reshape(-1) for img in images])
+    codes, s = fold_codes(images, fold)
     cfg = NetworkConfig((196, 5, 3), max_fma=5)
     float_params = init_params(cfg, seed=2)
     for total_bits in range(24, 65):
         fmt = QFormat(total_bits, 3)
         _assert_batch_matches_oracle(dataclasses.replace(cfg, qformat=fmt),
                                      quantize_params(float_params, fmt),
-                                     quantize_array(x, fmt), fold)
+                                     quantize_array(x, fmt), fold, codes=(codes.reshape(-1, 196), s))
 
 
 def _raw_params(rng, sizes, fmt, weight_bits=None):
@@ -798,7 +806,9 @@ def _raw_params(rng, sizes, fmt, weight_bits=None):
 def test_batch_kernel_matches_oracle_on_small_and_raw_min_inputs(total_bits):
     """Inputs of a few bits, some times a large power of two, and rows at
     raw_min (magnitude exactly 2^(t-1)) or holding only raw_min and 0, against
-    full-range and small weights."""
+    full-range and small weights.  The raw entry measures each block, so the
+    first layer's plan follows its inputs; the second layer's follows only
+    the format and its weights."""
     fmt = QFormat(total_bits, 3)
     rng = np.random.default_rng(700 + total_bits)
     cfg = NetworkConfig((48, 4, 3), max_fma=4, qformat=fmt,
@@ -819,7 +829,9 @@ def test_batch_kernel_matches_oracle_around_the_chunk_size(offset):
     """Row counts one short of, at and one past a chunk: small rows that fit
     one float matmul beside a last row at raw_min that needs limbs, an
     all-zero row, and past a chunk all-zero chunks before and after a
-    non-zero one."""
+    non-zero one.  The raw entry measures each chunk, so only the first
+    layer may change plan between chunks; the second is planned from the
+    format's bound on its inputs."""
     fmt, fan_in = QFormat(32, 3), 4096
     chunk = max(1, _CHUNK // fan_in)
     rows = chunk + offset
@@ -1052,30 +1064,37 @@ def _top_code_saturates(s, fmt):
     return round(Fraction((1 << s) - 1, 1 << s) * (1 << fmt.frac_bits)) > fmt.raw_max
 
 
-def _spy(monkeypatch, owner, name, calls):
-    """Wrap owner.name so each call appends its first argument to calls."""
+def _spy(monkeypatch, owner, name, calls, record=lambda a, *args: np.array(a)):
+    """Wrap owner.name so each call appends record(*its positional arguments),
+    by default a copy of the first, to calls."""
     real = getattr(owner, name)
 
-    def spy(a, *args, **kwargs):
-        calls.append(np.array(a))
-        return real(a, *args, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append(record(*args))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, spy)
 
 
 def _input_stage(fmt, monkeypatch):
-    """(run, operands, clipped): the runner of one identity layer 196 -> 196 at
-    fmt, with the first layer's operand of each chunk recorded in operands
-    and each np.minimum call, the input stage's upper clip, in clipped.  The
-    weight is 1.0, so the outputs are the operand; Q<t,1> holds no 1.0 and
-    its weights are 0."""
+    """(run, operands, clipped, bounds): the runner of one identity layer 196
+    -> 196 at fmt, with the first layer's operand of each chunk recorded in
+    operands, the bound (m_a, z) stated with it in bounds, and each
+    np.minimum call, the input stage's upper clip, in clipped.  The weight is
+    1.0, so the outputs are the operand; Q<t,1> holds no 1.0 and its weights
+    are 0."""
     one = np.eye(196, dtype=np.int64) * (1 << fmt.frac_bits if fmt.int_bits > 1 else 0)
     cfg = NetworkConfig((196, 196), max_fma=196, qformat=fmt, af_per_layer=(AfKind.IDENTITY,))
     run = prepare_batch(cfg, Params([LayerParams(one, np.zeros(196, np.int64))], fmt))
-    operands, clipped = [], []
-    _spy(monkeypatch, model, "_exact_layer", operands)
+    operands, clipped, bounds = [], [], []
+
+    def record(a, *args):
+        bounds.append(args[-2:])   # (m_a, z), _exact_layer's last two arguments
+        return np.array(a)
+
+    _spy(monkeypatch, model, "_exact_layer", operands, record)
     _spy(monkeypatch, np, "minimum", clipped)
-    return run, operands, clipped
+    return run, operands, clipped, bounds
 
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
@@ -1091,7 +1110,7 @@ def test_batch_input_stage_clips_only_a_chunk_past_the_rails(total_bits, monkeyp
     outside[3, 7] = 255   # the only top code
     for int_bits in (3, 1):
         fmt = QFormat(total_bits, int_bits)
-        run, operands, clipped = _input_stage(fmt, monkeypatch)
+        run, operands, clipped, _ = _input_stage(fmt, monkeypatch)
         clips = int(_top_code_saturates(8, fmt))
         assert clips == (int_bits == 1 and total_bits <= 8)
         for x in (inside, outside):
@@ -1114,9 +1133,10 @@ def test_batch_input_stage_rescales_every_code_exactly(total_bits, int_bits, s, 
     the first layer's operand (float64 through 53 bits, int64 beyond) and,
     through an identity layer, in the outputs, at 0, 1 and CHUNK_ROWS + 1
     rows; the upper clip runs once per chunk exactly where the top code
-    rounds past raw_max."""
+    rounds past raw_max; and every operand keeps the bound stated with it:
+    a multiple of 2^z with |a >> z| <= 2^m_a."""
     fmt = QFormat(total_bits, total_bits if int_bits == "t" else int_bits)
-    run, operands, clipped = _input_stage(fmt, monkeypatch)
+    run, operands, clipped, bounds = _input_stage(fmt, monkeypatch)
     forced = _top_code_saturates(s, fmt)
     # Top code first, so one row holds it; CHUNK_ROWS + 1 rows hold every code.
     every = np.arange((1 << s) - 1, -1, -1, dtype=np.uint16)
@@ -1125,14 +1145,48 @@ def test_batch_input_stage_rescales_every_code_exactly(total_bits, int_bits, s, 
         want = quantize_array(codes * 2.0 ** -s, fmt)
         operands.clear()
         clipped.clear()
+        bounds.clear()
         out = run(codes, s)
         chunks = -(-rows // CHUNK_ROWS)
-        assert len(operands) == chunks and len(clipped) == chunks * forced
-        for lo, a in zip(range(0, rows, CHUNK_ROWS), operands):
+        assert len(operands) == len(bounds) == chunks and len(clipped) == chunks * forced
+        for lo, a, (m_a, z) in zip(range(0, rows, CHUNK_ROWS), operands, bounds):
             assert a.dtype == (np.float64 if total_bits <= 53 else np.int64)
             np.testing.assert_array_equal(a, want[lo:lo + CHUNK_ROWS])
+            k = a.astype(np.int64)
+            assert z >= 0 and not (k & ((1 << z) - 1)).any(), (m_a, z)
+            assert np.abs(k >> z).max() <= 1 << m_a, (m_a, z)
         if fmt.int_bits > 1:
             np.testing.assert_array_equal(out, want)
+
+
+@pytest.mark.parametrize("fold", ["mean", "max"])
+def test_batch_kernel_plans_from_stated_bounds_not_scans(fold, monkeypatch):
+    """On the benchmark network at Q<32,3>, where no layer's worst case is
+    the float route, the code entry plans its first layer at the bound the
+    format and s state and every later one at the format's (t - 1, 0), with
+    no reduce over an operand; the raw entry measures each chunk once."""
+    fmt = QFormat(32, 3)
+    f, s = fmt.frac_bits, {"mean": 10, "max": 8}[fold]
+    cfg = dataclasses.replace(BENCH, qformat=fmt)
+    params = quantize_params(init_params(cfg, seed=0), fmt)
+    run = prepare_batch(cfg, params)
+    codes = _code_rows(CHUNK_ROWS + 1, s, seed=s)   # two chunks
+    plans, reduces = [], []
+    _spy(monkeypatch, model, "_limb_plan", plans, lambda _, *args: args)   # (fan_in, m_a, m_w, z)
+    ored = types.SimpleNamespace(reduce=np.bitwise_or.reduce)
+    _spy(monkeypatch, ored, "reduce", reduces)
+    monkeypatch.setattr(np, "bitwise_or", ored)
+    out = run(codes, s)
+    bounds = [(s, f - s)] + [(fmt.total_bits - 1, 0)] * 3
+    want = [(lp.weights.shape[1], m_a, model._bits(lp.weights), z)
+            for lp, (m_a, z) in zip(params.layers, bounds)]
+    assert plans == want * 2 and reduces == []
+    plans.clear()
+    x_raw = quantize_array(codes * 2.0 ** -s, fmt)
+    np.testing.assert_array_equal(forward_quantized_batch(cfg, params, x_raw), out)
+    assert len(reduces) == 2
+    planned = [p for p in plans if len(p) == 4]   # the runner's set-up asks for worst cases
+    assert len(planned) == 8 and planned[1:4] == planned[5:8] == want[1:]
 
 
 @pytest.mark.parametrize("dtype", ["int16", "int64", "float64", "bool"])

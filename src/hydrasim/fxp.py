@@ -15,7 +15,7 @@ hardware accumulator of that width never overflows.
 A real becomes a raw code by one rule: scale by 2^frac_bits, round half to
 even, saturate.  quantize is its scalar reference and quantize_array its
 vector form (the sigmoid table, the IDX reader, post-training quantization).
-A raw code is an integer inside the format: QValue checks one, raw_codes_fit
+A raw code is an integer inside the format: QValue checks one, raw_code_peak
 an array.
 
 All operations here are pure functions of their inputs.
@@ -135,11 +135,13 @@ def require_ints(arr: np.ndarray, name: str) -> None:
             as_int(value, name)
 
 
-def raw_codes_fit(arr: np.ndarray, fmt: QFormat) -> bool:
-    """True if every raw code in arr lies inside fmt: QValue's range rule on an
-    array.  A code that is no integer is QValue's ConfigError for it."""
+def raw_code_peak(arr: np.ndarray, fmt: QFormat) -> int | None:
+    """The largest |code| in arr (0 if it is empty), or None if a raw code lies
+    outside fmt: QValue's range rule on an array, from one read of its
+    extremes.  A code that is no integer is QValue's ConfigError for it."""
     require_ints(arr, "raw")
-    return not arr.size or (fmt.raw_min <= arr.min() and arr.max() <= fmt.raw_max)
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    return max(hi, -lo) if fmt.raw_min <= lo and hi <= fmt.raw_max else None
 
 
 def round_quotient(q, r, shift: int):

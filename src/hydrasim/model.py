@@ -11,18 +11,19 @@ The two forward passes here are the reference semantics for everything else:
                           engine must match.
 
 The batch kernel is a vectorized equivalent for dataset-scale work: an exact
-float64 BLAS kernel at every width from 4 to 64 bits.  prepare_batch readies
+float BLAS kernel at every width from 4 to 64 bits.  prepare_batch readies
 it once per (config, params) and returns its runner: any number of rows of
 a fold's exact integer codes in, int64 raw outputs out.  Each row chunk is
 rescaled from its codes straight into the first layer's operand, then goes
 through every layer in turn; forward_quantized_batch is the raw-code entry
-to the same loops.  Each layer is one float64 matmul where the bounds of its
-operands allow, else limb-split operands with integer recombination, and one
-rounding either way, whose saturation is also a ReLU layer's activation.
-The stage that makes a layer's input states its bound: the format for
-activations, the format and s for codes; only the raw entry measures its
-operand, once per chunk.  The kernel is pinned bit-equal to the scalar
-oracle by tests, never by construction.
+to the same loops.  Each layer is one float32 or float64 matmul where the
+bounds of its operands allow, else limb-split operands with integer
+recombination, and one rounding either way, whose saturation is also a ReLU
+layer's activation.  Each layer is planned once from the bound the stage
+that makes its input states: the format for activations, the format and s
+for codes; only the raw entry measures its operand, once per chunk.  The
+kernel is pinned bit-equal to the scalar oracle by tests, never by
+construction.
 
 What a path needs of its config, parameters and input is stated once, in
 check_forward and check_input.  The engine calls them too, so all four paths
@@ -43,7 +44,7 @@ import numpy as np
 from .datapath import AfKind, activate_raw, build_sigmoid_lut
 from .errors import ConfigError, ParamsFileError
 from .fxp import (_CHUNK, QFormat, QValue, as_int, quantize_array,
-                  raw_codes_fit, require_ints, round_acc, round_quotient)
+                  raw_code_peak, require_ints, round_acc, round_quotient)
 
 
 class Mode(Enum):
@@ -239,7 +240,7 @@ class Params:
 def raw_codes_outside(lp: LayerParams, fmt: QFormat) -> str | None:
     """'weights' or 'biases' if that array holds a raw code outside fmt, else None."""
     for name, arr in (("weights", lp.weights), ("biases", lp.biases)):
-        if not raw_codes_fit(arr, fmt):
+        if raw_code_peak(arr, fmt) is None:
             return name
     return None
 
@@ -264,9 +265,10 @@ def check_forward(cfg: NetworkConfig, params: Params, quantized: bool = True) ->
             raise ValueError(f"layer {l} {bad} contain raw codes outside {fmt}")
 
 
-def check_input(cfg: NetworkConfig, length: int, values=(), raws=None) -> None:
+def check_input(cfg: NetworkConfig, length: int, values=(), raws=None) -> int | None:
     """The one input rule: length values per vector, every element of values a
-    QValue in cfg.qformat, and every raw code of the array raws an integer in it."""
+    QValue in cfg.qformat, and every raw code of the array raws an integer in it.
+    Returns the largest |raw| of raws, None without raws."""
     if length != cfg.layer_sizes[0]:
         raise ConfigError(f"input length {length} != input dimension {cfg.layer_sizes[0]}")
     same = {id(cfg.qformat)}   # ids of formats found equal to cfg.qformat: one == each
@@ -277,8 +279,10 @@ def check_input(cfg: NetworkConfig, length: int, values=(), raws=None) -> None:
             if v.fmt != cfg.qformat:
                 raise ConfigError(f"input format {v.fmt} != config format {cfg.qformat}")
             same.add(id(v.fmt))
-    if raws is not None and not raw_codes_fit(raws, cfg.qformat):
+    peak = None if raws is None else raw_code_peak(raws, cfg.qformat)
+    if raws is not None and peak is None:
         raise ValueError(f"raw inputs outside {cfg.qformat}")
+    return peak
 
 
 # =============================================================================
@@ -357,7 +361,7 @@ def _limbs(x: np.ndarray, nb: int, n: int, z: int = 0):
     """The n float64 limbs of x >> z, low first: x >> z = sum_i limb_i << (i*nb).
 
     The low limbs are unsigned and the top limb is signed.  x is int64, or
-    float64 integers where it is its own one limb (n = 1, z = 0).
+    float integers where it is its own one limb (n = 1, z = 0).
     """
     for i in range(n):
         limb = x >> (z + i * nb) if z or i else x
@@ -366,9 +370,9 @@ def _limbs(x: np.ndarray, nb: int, n: int, z: int = 0):
         yield limb.astype(np.float64, copy=False)
 
 
-def _bits(x: np.ndarray, z: int = 0) -> int:
-    """The least m >= 1 with |x >> z| <= 2^m for every entry of the int64 array x."""
-    return max(1, ((max(int(x.max()), -int(x.min())) >> z) - 1).bit_length())
+def _bits(peak: int, z: int = 0) -> int:
+    """The least m >= 1 with peak >> z <= 2^m: the m_a of multiples of 2^z up to peak."""
+    return max(1, ((peak >> z) - 1).bit_length())
 
 
 def _limb_plan(fmt: QFormat, fan_in: int, m_a: int | None = None, m_w: int | None = None,
@@ -383,14 +387,15 @@ def _limb_plan(fmt: QFormat, fan_in: int, m_a: int | None = None, m_w: int | Non
     products stays below 2^53.  Of those splits, the one with the fewest limb
     products wins, and on a tie the one that cuts the inputs into fewer limbs.
 
-    dtype picks the rounding route.  float64 when one matmul of a against
-    W * 2^-f plus the bias is the whole pre-rounding sum S = a @ W.T +
-    (bias << f) times 2^-f, exactly: every partial sum is a multiple of 2^u,
-    u = min(z - f, 0), and |a @ W.T| * 2^-f < 2^(bitlen(fan_in) + m_a + m_w +
-    z - f) <= 2^(52 + u) and |bias| <= 2^(t - 1) <= 2^(52 + u), so one
-    np.rint rounds.  In the worst case that is through 23 bits at fan-in 196.
-    Else the limb products are folded into the quotient and remainder of S by
-    2^f, in int64 when that provably fits, else in Python ints (object).
+    dtype picks the rounding route.  float32 (p = 24), else float64 (p = 53),
+    when one matmul of a against W * 2^-f plus the bias is the whole
+    pre-rounding sum S = a @ W.T + (bias << f) times 2^-f, exactly: every
+    partial sum is a multiple of 2^u, u = min(z - f, 0), and |a @ W.T| * 2^-f
+    < 2^(bitlen(fan_in) + m_a + m_w + z - f) <= 2^(p - 1 + u) and |bias| <=
+    2^(t - 1) <= 2^(p - 1 + u), so one np.rint rounds.  In the worst case at
+    fan-in 196 that is through 8 and 23 bits.  Else the limb products are
+    folded into the quotient and remainder of S by 2^f, in int64 when that
+    provably fits, else in Python ints (object).
     """
     t, f = fmt.total_bits, fmt.frac_bits
     m_a = t - 1 if m_a is None else m_a
@@ -405,17 +410,19 @@ def _limb_plan(fmt: QFormat, fan_in: int, m_a: int | None = None, m_w: int | Non
     products, n_a, nb_a, nb_w = min(splits)
     n_w = products // n_a
     u = min(z - f, 0)
-    if bits + m_a + m_w + z - f <= 52 + u and t - 1 <= 52 + u:
-        return n_a, nb_a, n_w, nb_w, np.float64
-    # |q| < 9 * fan_in * 2^(m_a + m_w + z - f) + |bias| + products, and |r| <
-    # products * 2^(62 - bitlen(products)): the fold adds to r each P_ij << s
-    # below 2^f, or whole where |P_ij << s| < 2^(53 + s) is that small.
-    fits = max(t - 1, bits + m_a + m_w + 2 + z - f) < 62 and f + products.bit_length() < 63
+    for dtype, p in ((np.float32, 24), (np.float64, _F64_EXACT_BITS)):
+        if max(bits + m_a + m_w + z - f, t - 1) <= p - 1 + u:
+            return n_a, nb_a, n_w, nb_w, dtype
+    # The limbs of a value bounded by 2^m weigh at most 1.5 * 2^m in all, so
+    # |q| <= 2.25 * fan_in * 2^(m_a + m_w + z - f) + |bias| + products + 1 <
+    # 2^63, and |r| < products * 2^(63 - bitlen(products)): the fold adds to r
+    # each P_ij << s below 2^f, or whole where |P_ij << s| < 2^(53 + s) is that small.
+    fits = max(t - 1, bits + m_a + m_w + 2 + z - f) < 63 and f + products.bit_length() < 64
     return n_a, nb_a, n_w, nb_w, np.int64 if fits else object
 
 
-def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
-                 m_w: int | None, w_limbs: dict, rail: int, m_a: int, z: int) -> np.ndarray:
+def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, plan: tuple,
+                 ops: dict, rail: int) -> np.ndarray:
     """round_acc of each entry of a @ W.T + (bias << f), for in-range raws a,
     saturated to [rail, raw_max].
 
@@ -424,36 +431,36 @@ def _exact_layer(a: np.ndarray, lp: LayerParams, fmt: QFormat, w_f: np.ndarray,
     on every route the one clip at the rounding point is both the saturation
     and the ReLU.
 
-    a is int64, or float64 holding integers, and w_f is W.T * 2^-f.  The
-    stage that made a states its bound: every entry is a multiple of 2^z
-    with |a >> z| <= 2^m_a.  Where m_w is None the format's worst-case plan
-    is already the float route; else _limb_plan sizes the plan from m_a, z
-    and the m_w bits of weight, and no pass over a does; w_limbs keeps
+    a is int64, or float integers.  plan is _limb_plan's for the bound the
+    stage that made a states, every entry a multiple of 2^z with |a >> z| <=
+    2^m_a, with that z appended; no pass over a plans.  ops keeps the
+    weights' operands per plan: W.T * 2^-f and the bias per float dtype,
     W.T's limbs per (nb_w, n_w).  Error-free operand splitting (Ozaki,
-    Ogita, Oishi & Rump, Numer. Algorithms 59, 2012): float64 BLAS matmuls
+    Ogita, Oishi & Rump, Numer. Algorithms 59, 2012): float BLAS matmuls
     compute every limb product sum exactly, in any summation order.  The
-    float route returns float64 integers, the others int64.
+    float route returns integers of its dtype, the others int64.
     """
     f = fmt.frac_bits
-    dtype = np.float64
-    if m_w is not None:
-        n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, lp.weights.shape[1], m_a, m_w, z)
-    if dtype is np.float64:
-        # A float64 matmul is as exact on k * 2^z as on k, and scaling by 2^-f
+    n_a, nb_a, n_w, nb_w, dtype, z = plan
+    if issubclass(dtype, np.floating):
+        # A float matmul is as exact on k * 2^z as on k, and scaling by 2^-f
         # is exact, so it yields (a @ W.T) * 2^-f and adding the bias S * 2^-f.
-        p = a.astype(np.float64, copy=False) @ w_f
-        p += lp.biases
+        if dtype not in ops:
+            ops[dtype] = np.multiply(lp.weights.T, 2.0 ** -f, dtype=dtype), lp.biases.astype(dtype)
+        w_f, bias = ops[dtype]
+        p = a.astype(dtype, copy=False) @ w_f
+        p += bias
         np.clip(p, rail, fmt.raw_max, out=p)
         return np.rint(p, out=p)   # halves to even
     # Each limb product sum P_ij is folded into the quotient q and remainder r
     # of S by 2^f, so the bias adds to q unshifted, S is never formed and the
     # single rounding happens on (q, r).  Either starts as its first term.
-    if (nb_w, n_w) not in w_limbs:
-        w_limbs[nb_w, n_w] = [limb.T for limb in _limbs(lp.weights, nb_w, n_w)]
+    if (nb_w, n_w) not in ops:
+        ops[nb_w, n_w] = [limb.T for limb in _limbs(lp.weights, nb_w, n_w)]
     q = r = None
     x = a if n_a == 1 and not z else a.astype(np.int64, copy=False)   # _limbs shifts int64
     for i, limb in enumerate(_limbs(x, nb_a, n_a, z)):
-        for j, w_limb in enumerate(w_limbs[nb_w, n_w]):
+        for j, w_limb in enumerate(ops[nb_w, n_w]):
             # |P_ij| < 2^53, so the int64 cast is exact; object takes Python ints from it.
             p = (limb @ w_limb).astype(np.int64).astype(dtype, copy=False)
             s = z + i * nb_a + j * nb_w
@@ -480,25 +487,28 @@ def _fold(total: np.ndarray | None, p: np.ndarray, shift: int) -> np.ndarray:
 
 
 def _batch_runner(cfg: NetworkConfig, params: Params, what: str):
-    """run(x, operand): the int64 raw outputs [N, out] of the input rows x
-    [N, D], any N, with check_forward run and each layer's W.T * 2^-f, weight
-    bits, lower rail and LUT readied once.  A ReLU layer's rail is 0, so
-    _exact_layer's clip applies it and only a sigmoid layer calls
-    activate_raw; identity keeps raw_min.  run checks the shape and width
-    once, N = 0 included, then takes each row chunk of about _CHUNK elements
-    through operand, which makes the first layer's raws and states their
-    bound (m_a, z), and every layer, so every temporary stays chunk-sized.
-    A later layer's inputs are activations, raws of the format, so its bound
-    is (t - 1, 0) and its plan depends on (cfg, params) alone."""
+    """(run, plan_first): run(x, operand) gives the int64 raw outputs [N, out]
+    of the input rows x [N, D], any N, with check_forward run and each
+    layer's weight bits, lower rail and LUT readied once.  A ReLU layer's
+    rail is 0, so _exact_layer's clip applies it and only a sigmoid layer
+    calls activate_raw; identity keeps raw_min.  run checks the shape and
+    width once, N = 0 included, then takes each row chunk of about _CHUNK
+    elements through operand, which returns the first layer's operand with
+    its plan_first(m_a, z) for the bound it keeps, and through every layer.
+    A later layer's inputs are activations, raws of the format, so its
+    bound is (t - 1, 0) and it is planned here, once."""
     check_forward(cfg, params)
     fmt = cfg.qformat
     layers = []
     for lp, kind in zip(params.layers, cfg.afs):
-        float_route = _limb_plan(fmt, lp.weights.shape[1])[4] is np.float64
         lut = build_sigmoid_lut(fmt) if kind is AfKind.SIGMOID else None
-        m_w = None if float_route else _bits(lp.weights)
         rail = 0 if kind is AfKind.RELU else fmt.raw_min
-        layers.append((lp, lp.weights.T * 2.0 ** -fmt.frac_bits, m_w, {}, rail, lut))
+        layers.append((lp, _bits(raw_code_peak(lp.weights, fmt)), {}, rail, lut))
+
+    def plan(l, m_a, z):   # layer l's _limb_plan for inputs bounded by (m_a, z), and z
+        return *_limb_plan(fmt, cfg.inputs_of(l), m_a, layers[l][1], z), z
+
+    later = [plan(l, fmt.total_bits - 1, 0) for l in range(1, cfg.n_layers)]
 
     def run(x, operand) -> np.ndarray:
         a = np.asarray(x)
@@ -508,16 +518,15 @@ def _batch_runner(cfg: NetworkConfig, params: Params, what: str):
         out = np.empty((len(a), cfg.layer_sizes[-1]), np.int64)
         step = max(1, _CHUNK // a.shape[1])
         for lo in range(0, len(a), step):
-            h, bound = operand(a[lo:lo + step])
-            for lp, w_f, m_w, w_limbs, rail, lut in layers:
-                h = _exact_layer(h, lp, fmt, w_f, m_w, w_limbs, rail, *bound)
+            h, first = operand(a[lo:lo + step])
+            for (lp, _, ops, rail, lut), p in zip(layers, (first, *later)):
+                h = _exact_layer(h, lp, fmt, p, ops, rail)
                 if lut is not None:
                     h = activate_raw(AfKind.SIGMOID, h, fmt, lut)
-                bound = (fmt.total_bits - 1, 0)
             out[lo:lo + step] = h
         return out
 
-    return run
+    return run, lambda m_a, z: plan(0, m_a, z)
 
 
 def prepare_batch(cfg: NetworkConfig, params: Params):
@@ -526,29 +535,32 @@ def prepare_batch(cfg: NetworkConfig, params: Params):
     [N, D] of unsigned codes below 2^s, each input being code * 2^-s.
 
     A row chunk's first operand is quantize_array's rule on codes * 2^-s,
-    made straight from the codes: np.multiply(codes, 2^(f-s)) into float64,
-    then np.rint in place only where f < s, then an upper clip only where
-    the top code 2^s - 1 rounds past raw_max (at int_bits 1 with f < s), so
-    the format and s decide both and no pass over the data does.  Codes are
-    >= 0, so the lower rail never binds.  This is exact at every width: a
-    code of fold_codes has at most 10 significant bits and 2^(f-s) is a
-    power of two, so each product is exact, and np.rint then rounds it half
-    to even as quantize does.  Through 53 bits the operand stays float64
-    integers; beyond, it is cast to int64, exactly, since every value is
-    below 2^f <= 2^63.
+    made straight from the codes: np.multiply(codes, 2^(f-s)) into the first
+    layer's planned float dtype (float64 on a limb route), then np.rint in
+    place only where f < s, then an upper clip only where the top code 2^s -
+    1 rounds past raw_max (at int_bits 1 with f < s), so the format and s
+    decide both and no pass over the data does.
+    Codes are >= 0, so the lower rail never binds.  This is exact at every
+    width: a code of fold_codes has at most 10 significant bits and 2^(f-s)
+    is a power of two, so each product is exact, and np.rint then rounds it
+    half to even as quantize does.  On a float route the operand is already
+    of the matmul's dtype, so no chunk is cast twice; on a limb route it is
+    float64 integers through 53 bits, and beyond it is cast to int64,
+    exactly, since every value is below 2^f <= 2^63.
 
-    The format and s also state the operand's bound for the first layer's
-    plan.  Where f >= s the operand is code * 2^(f-s) with code < 2^s: a
-    multiple of 2^(f-s) whose quotient is below 2^s, so (m_a, z) = (s, f -
-    s).  Where f < s, rint(code * 2^(f-s)) <= rint(2^f - 2^(f-s)) <= 2^f,
-    and the clip only lowers it, so (m_a, z) = (max(1, f), 0).  A code dtype
-    that is not unsigned is a ConfigError; that every code is below 2^s is
-    fold_codes' guarantee (4 * 255 < 1024) and is not checked again, though
-    it decides the plan: a larger code could take the first layer to a
-    route its sums do not fit."""
+    The format and s also state the operand's bound, from which run(codes,
+    s) plans the first layer once, before any chunk.  Where f >= s the
+    operand is code * 2^(f-s) with code < 2^s: a multiple of 2^(f-s) whose
+    quotient is below 2^s, so (m_a, z) = (s, f - s).  Where f < s,
+    rint(code * 2^(f-s)) <= rint(2^f - 2^(f-s)) <= 2^f, and the clip only
+    lowers it, so (m_a, z) = (max(1, f), 0).  A code dtype that is not
+    unsigned is a ConfigError; that every code is below 2^s is fold_codes'
+    guarantee (4 * 255 < 1024) and is not checked again, though it decides
+    the plan: a larger code could take the first layer to a route its sums
+    do not fit."""
     fmt = cfg.qformat
     f = fmt.frac_bits
-    layers = _batch_runner(cfg, params, "code")
+    layers, plan_first = _batch_runner(cfg, params, "code")
 
     def run(codes, s: int) -> np.ndarray:
         codes = np.asarray(codes)
@@ -556,15 +568,16 @@ def prepare_batch(cfg: NetworkConfig, params: Params):
             raise ConfigError(f"fold codes must be unsigned integers, got {codes.dtype}")
         scale = 2.0 ** (f - s)
         clip = round(((1 << s) - 1) * scale) > fmt.raw_max   # round() is half to even, exact
-        bound = (s, f - s) if f >= s else (max(1, f), 0)
+        first = plan_first(*((s, f - s) if f >= s else (max(1, f), 0)))
+        dtype = first[4] if issubclass(first[4], np.floating) else np.float64
 
         def operand(chunk):
-            a = np.multiply(chunk, scale, dtype=np.float64)
+            a = np.multiply(chunk, scale, dtype=dtype)
             if f < s:
                 np.rint(a, out=a)
             if clip:
                 np.minimum(a, fmt.raw_max, out=a)
-            return (a.astype(np.int64) if fmt.total_bits > _F64_EXACT_BITS else a), bound
+            return (a.astype(np.int64) if fmt.total_bits > _F64_EXACT_BITS else a), first
 
         return layers(codes, operand)
 
@@ -575,17 +588,19 @@ def forward_quantized_batch(cfg: NetworkConfig, params: Params, x_raw: np.ndarra
     """Vectorized forward_quantized over raw input vectors [N, D]: the batch
     kernel with check_input's raw-code check as its input stage.  int64 and
     Python-int object arrays are both accepted.  Raw inputs carry no bound
-    of their own, so each chunk is measured once for the first layer's plan:
+    of their own, so each chunk's first layer is planned from a measure:
     the lowest set bit of the OR of its raws gives the common factor 2^z,
-    and _bits the m_a of a >> z."""
+    and the largest |raw|, which check_input's range check reads anyway,
+    the m_a of a >> z."""
     def operand(chunk):
-        check_input(cfg, chunk.shape[1], raws=chunk)
+        peak = check_input(cfg, chunk.shape[1], raws=chunk)
         a = chunk.astype(np.int64, copy=False)
         ored = int(np.bitwise_or.reduce(a, axis=None))
         z = (ored & -ored).bit_length() - 1 if ored else 0   # the lowest set bit of the OR
-        return a, (_bits(a, z), z)
+        return a, plan_first(_bits(peak, z), z)
 
-    return _batch_runner(cfg, params, "raw")(x_raw, operand)
+    run, plan_first = _batch_runner(cfg, params, "raw")
+    return run(x_raw, operand)
 
 
 # =============================================================================

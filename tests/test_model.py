@@ -889,7 +889,7 @@ def test_batch_kernel_ties_round_to_even_after_bias(total_bits, af):
 
 
 def _float_route(fmt, fan_in):
-    return _limb_plan(fmt, fan_in)[4] is np.float64
+    return issubclass(_limb_plan(fmt, fan_in)[4], np.floating)
 
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
@@ -910,6 +910,29 @@ def test_float_route_sigmoid_layer_engine_oracle_batch_agree(fan_in):
     _assert_extreme_layer_agrees(QFormat(16, 3), fan_in, AfKind.SIGMOID)
 
 
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("int_bits", [1, 3, "t"])
+@pytest.mark.parametrize("fan_in, last_f32_bits", [(64, 9), (196, 8)])
+def test_float32_route_boundary_engine_oracle_batch_agree(fan_in, last_f32_bits, int_bits):
+    # The widest format whose worst-case sums fit float32, and the next, on float64.
+    formats = [QFormat(t, t if int_bits == "t" else int_bits) for t in (last_f32_bits, last_f32_bits + 1)]
+    assert [_limb_plan(fmt, fan_in)[4] for fmt in formats] == [np.float32, np.float64]
+    for fmt in formats:
+        _assert_extreme_layer_agrees(fmt, fan_in, AfKind.RELU)
+
+
+@pytest.mark.filterwarnings("ignore:nonstandard bit-width")
+@pytest.mark.parametrize("total_bits, int_bits, fan_in", [
+    (51, 3, 196), (52, 3, 64), (53, 3, 32), (53, 1, 196), (30, 30, 3)])
+def test_int64_fold_boundary_engine_oracle_batch_agree(total_bits, int_bits, fan_in):
+    # Worst-case plans the int64 fold takes only since its bound lost a spare
+    # bit (|q| <= 2.25 * fan_in * 2^(m_a + m_w + z - f) + ..., not 9 *).
+    fmt = QFormat(total_bits, int_bits)
+    assert _limb_plan(fmt, fan_in)[4] is np.int64
+    for hidden in (AfKind.RELU, AfKind.IDENTITY):
+        _assert_extreme_layer_agrees(fmt, fan_in, hidden)
+
+
 def _limb_max(m, nb, n, i):
     """The largest |limb i| of _limbs' n-limb, nb-bit split of any v with |v| <= 2^m."""
     return (1 << nb) - 1 if i < n - 1 else 1 << max(0, m - (n - 1) * nb)
@@ -921,17 +944,18 @@ def _route_claim_holds(fmt, fan_in, m_a, m_w, z):
     multiples of 2^z with |a >> z| <= 2^m_a, |W| <= 2^m_w, |bias| <= 2^(t-1).
 
     Float route: every partial sum of (a @ W.T) * 2^-f + bias is a multiple
-    of 2^u, u = min(z - f, 0), so it is exact while at most 2^53 of those.
-    Else every limb product sum P_ij is at most 2^53, and on the int64 route
-    the magnitudes of all the terms the fold adds to q and to r, and of q
-    after the bias and the rounding, stay below 2^63.
+    of 2^u, u = min(z - f, 0), so it is exact while at most 2^24 of those on
+    the float32 route and 2^53 on the float64 one.  Else every limb product
+    sum P_ij is at most 2^53, and on the int64 route the magnitudes of all
+    the terms the fold adds to q and to r, and of q after the bias and the
+    rounding, stay below 2^63.
     """
     t, f = fmt.total_bits, fmt.frac_bits
     n_a, nb_a, n_w, nb_w, dtype = _limb_plan(fmt, fan_in, m_a, m_w, z)
     bias = 1 << (t - 1)
-    if dtype is np.float64:
+    if dtype in (np.float32, np.float64):
         u = min(z - f, 0)
-        return (fan_in << (m_a + m_w + z - f - u)) + (bias << -u) <= 1 << 53
+        return (fan_in << (m_a + m_w + z - f - u)) + (bias << -u) <= 1 << (24 if dtype is np.float32 else 53)
     assert n_a * nb_a >= m_a and n_w * nb_w >= m_w
     products, q, r = n_a * n_w, 0, 0
     for i in range(n_a):
@@ -975,13 +999,13 @@ def _assert_extreme_layer_agrees(fmt, fan_in, hidden):
     Row 0 is all raw_min: against all-raw_min weights and a raw_max bias it is
     the largest same-sign sum (the upper rail), against all-raw_max weights
     and a raw_min bias the lower rail.  Rows 1 and 2 are (+-1, raw_min, ...):
-    against (2^(f-1), raw_min, raw_max, ...) weights the partial sums swing by
-    2^(2t-2), yet the sum stays small and is a tie of either sign, which the
-    biases 0, 1, -1 and 2 then round both ways.
+    against (2^(f-1), raw_min, raw_max, 1, ...) weights the partial sums swing
+    by 2^(2t-2), yet each triple cancels, so the sum is a tie of either sign
+    (0 where f = 0), which the biases 0, 1, -1 and 2 then round both ways.
     """
     f, lo, hi = fmt.frac_bits, fmt.raw_min, fmt.raw_max
-    pairs = (fan_in - 1) // 2
-    tie_w = [1 << (f - 1)] + [lo, hi] * pairs + [0] * (fan_in - 1 - 2 * pairs)
+    triples = (fan_in - 1) // 3
+    tie_w = [(1 << f) >> 1] + [lo, hi, 1] * triples + [0] * (fan_in - 1 - 3 * triples)
     w0 = np.array([[lo] * fan_in, [hi] * fan_in] + [tie_w] * 4, dtype=np.int64)
     b0 = np.array([hi, lo, 0, 1, -1, 2], dtype=np.int64)
     w1 = np.array([[hi, lo, hi, lo, hi, lo], [1, -1, 0, 2, -2, 3]], dtype=np.int64)
@@ -990,7 +1014,7 @@ def _assert_extreme_layer_agrees(fmt, fan_in, hidden):
     rows = np.array([[lo] * fan_in, [1] + [lo] * (fan_in - 1), [-1] + [lo] * (fan_in - 1)])
     for sign, row in zip((1, -1), rows[1:]):
         exact = sum(int(v) * int(w) for v, w in zip(row, tie_w))
-        assert exact % (1 << f) == 1 << (f - 1) and abs(exact >> f) < hi, sign
+        assert exact == sign * tie_w[0], sign
     batch = forward_quantized_batch(cfg, params, rows)
     hidden_batch = forward_quantized_batch(
         NetworkConfig((fan_in, 6), max_fma=6, qformat=fmt, af_per_layer=(AfKind.IDENTITY,)),
@@ -1077,24 +1101,25 @@ def _spy(monkeypatch, owner, name, calls, record=lambda a, *args: np.array(a)):
 
 
 def _input_stage(fmt, monkeypatch):
-    """(run, operands, clipped, bounds): the runner of one identity layer 196
-    -> 196 at fmt, with the first layer's operand of each chunk recorded in
-    operands, the bound (m_a, z) stated with it in bounds, and each
-    np.minimum call, the input stage's upper clip, in clipped.  The weight is
-    1.0, so the outputs are the operand; Q<t,1> holds no 1.0 and its weights
-    are 0."""
+    """(run, operands, clipped, bounds, dtypes): the runner of one identity
+    layer 196 -> 196 at fmt, with the first layer's operand of each chunk
+    recorded in operands and the dtype planned for it in dtypes, each bound
+    (m_a, z) that layer is planned from in bounds, and each np.minimum call,
+    the input stage's upper clip, in clipped.  The weight is 1.0, so the
+    outputs are the operand; Q<t,1> holds no 1.0 and its weights are 0."""
     one = np.eye(196, dtype=np.int64) * (1 << fmt.frac_bits if fmt.int_bits > 1 else 0)
     cfg = NetworkConfig((196, 196), max_fma=196, qformat=fmt, af_per_layer=(AfKind.IDENTITY,))
     run = prepare_batch(cfg, Params([LayerParams(one, np.zeros(196, np.int64))], fmt))
-    operands, clipped, bounds = [], [], []
+    operands, clipped, bounds, dtypes = [], [], [], []
 
-    def record(a, *args):
-        bounds.append(args[-2:])   # (m_a, z), _exact_layer's last two arguments
+    def record(a, lp, fmt, plan, *args):
+        dtypes.append(plan[4])
         return np.array(a)
 
     _spy(monkeypatch, model, "_exact_layer", operands, record)
+    _spy(monkeypatch, model, "_limb_plan", bounds, lambda fmt, fan_in, m_a, m_w, z: (m_a, z))
     _spy(monkeypatch, np, "minimum", clipped)
-    return run, operands, clipped, bounds
+    return run, operands, clipped, bounds, dtypes
 
 
 @pytest.mark.filterwarnings("ignore:nonstandard bit-width")
@@ -1110,7 +1135,7 @@ def test_batch_input_stage_clips_only_a_chunk_past_the_rails(total_bits, monkeyp
     outside[3, 7] = 255   # the only top code
     for int_bits in (3, 1):
         fmt = QFormat(total_bits, int_bits)
-        run, operands, clipped, _ = _input_stage(fmt, monkeypatch)
+        run, operands, clipped, *_ = _input_stage(fmt, monkeypatch)
         clips = int(_top_code_saturates(8, fmt))
         assert clips == (int_bits == 1 and total_bits <= 8)
         for x in (inside, outside):
@@ -1130,27 +1155,32 @@ def test_batch_input_stage_clips_only_a_chunk_past_the_rails(total_bits, monkeyp
 @pytest.mark.parametrize("total_bits", [4, 5, 8, 9, 10, 11, 16, 32, 53, 54, 64])
 def test_batch_input_stage_rescales_every_code_exactly(total_bits, int_bits, s, monkeypatch):
     """Every code 0 ... 2^s - 1 becomes quantize_array's raw of code * 2^-s in
-    the first layer's operand (float64 through 53 bits, int64 beyond) and,
-    through an identity layer, in the outputs, at 0, 1 and CHUNK_ROWS + 1
-    rows; the upper clip runs once per chunk exactly where the top code
-    rounds past raw_max; and every operand keeps the bound stated with it:
-    a multiple of 2^z with |a >> z| <= 2^m_a."""
+    the first layer's operand and, through an identity layer, in the outputs,
+    at 0, 1 and CHUNK_ROWS + 1 rows; the operand is of the float dtype
+    planned for the first layer (float32 through 10 bits here), else float64
+    through 53 bits and int64 beyond; the upper clip runs once per chunk
+    exactly where the top code rounds past raw_max; and the layer is planned
+    once per run, from a bound every operand keeps: a multiple of 2^z with
+    |a >> z| <= 2^m_a."""
     fmt = QFormat(total_bits, total_bits if int_bits == "t" else int_bits)
-    run, operands, clipped, bounds = _input_stage(fmt, monkeypatch)
+    run, operands, clipped, bounds, dtypes = _input_stage(fmt, monkeypatch)
     forced = _top_code_saturates(s, fmt)
     # Top code first, so one row holds it; CHUNK_ROWS + 1 rows hold every code.
     every = np.arange((1 << s) - 1, -1, -1, dtype=np.uint16)
     for rows in (0, 1, CHUNK_ROWS + 1):
         codes = np.resize(every, (rows, 196))
         want = quantize_array(codes * 2.0 ** -s, fmt)
-        operands.clear()
-        clipped.clear()
-        bounds.clear()
+        for spied in (operands, clipped, bounds, dtypes):
+            spied.clear()
         out = run(codes, s)
         chunks = -(-rows // CHUNK_ROWS)
-        assert len(operands) == len(bounds) == chunks and len(clipped) == chunks * forced
-        for lo, a, (m_a, z) in zip(range(0, rows, CHUNK_ROWS), operands, bounds):
-            assert a.dtype == (np.float64 if total_bits <= 53 else np.int64)
+        assert len(operands) == len(dtypes) == chunks and len(clipped) == chunks * forced
+        (m_a, z), = bounds
+        for lo, a, dtype in zip(range(0, rows, CHUNK_ROWS), operands, dtypes):
+            assert dtype is np.float32 or total_bits > 10, dtype
+            if not issubclass(dtype, np.floating):
+                dtype = np.float64 if total_bits <= 53 else np.int64
+            assert a.dtype == dtype
             np.testing.assert_array_equal(a, want[lo:lo + CHUNK_ROWS])
             k = a.astype(np.int64)
             assert z >= 0 and not (k & ((1 << z) - 1)).any(), (m_a, z)
@@ -1162,31 +1192,33 @@ def test_batch_input_stage_rescales_every_code_exactly(total_bits, int_bits, s, 
 @pytest.mark.parametrize("fold", ["mean", "max"])
 def test_batch_kernel_plans_from_stated_bounds_not_scans(fold, monkeypatch):
     """On the benchmark network at Q<32,3>, where no layer's worst case is
-    the float route, the code entry plans its first layer at the bound the
-    format and s state and every later one at the format's (t - 1, 0), with
-    no reduce over an operand; the raw entry measures each chunk once."""
+    the float route, the runner's set-up plans every later layer once at the
+    format's (t - 1, 0); the code entry plans its first layer once per run,
+    at the bound the format and s state, with no reduce over an operand; the
+    raw entry measures each chunk once and plans its first layer per chunk."""
     fmt = QFormat(32, 3)
     f, s = fmt.frac_bits, {"mean": 10, "max": 8}[fold]
     cfg = dataclasses.replace(BENCH, qformat=fmt)
     params = quantize_params(init_params(cfg, seed=0), fmt)
-    run = prepare_batch(cfg, params)
     codes = _code_rows(CHUNK_ROWS + 1, s, seed=s)   # two chunks
     plans, reduces = [], []
     _spy(monkeypatch, model, "_limb_plan", plans, lambda _, *args: args)   # (fan_in, m_a, m_w, z)
     ored = types.SimpleNamespace(reduce=np.bitwise_or.reduce)
     _spy(monkeypatch, ored, "reduce", reduces)
     monkeypatch.setattr(np, "bitwise_or", ored)
-    out = run(codes, s)
+    run = prepare_batch(cfg, params)
     bounds = [(s, f - s)] + [(fmt.total_bits - 1, 0)] * 3
-    want = [(lp.weights.shape[1], m_a, model._bits(lp.weights), z)
+    want = [(lp.weights.shape[1], m_a, model._bits(int(np.abs(lp.weights).max())), z)
             for lp, (m_a, z) in zip(params.layers, bounds)]
-    assert plans == want * 2 and reduces == []
+    assert plans == want[1:]
+    plans.clear()
+    out = run(codes, s)
+    assert plans == want[:1] and reduces == []
     plans.clear()
     x_raw = quantize_array(codes * 2.0 ** -s, fmt)
     np.testing.assert_array_equal(forward_quantized_batch(cfg, params, x_raw), out)
     assert len(reduces) == 2
-    planned = [p for p in plans if len(p) == 4]   # the runner's set-up asks for worst cases
-    assert len(planned) == 8 and planned[1:4] == planned[5:8] == want[1:]
+    assert len(plans) == 5 and plans[:3] == want[1:] and [p[0] for p in plans[3:]] == [196, 196]
 
 
 @pytest.mark.parametrize("dtype", ["int16", "int64", "float64", "bool"])
